@@ -234,6 +234,8 @@ _DOMAIN_MAPS = {
 def _cmd_eval(args) -> int:
     truth_events = core.load_labels(args.truth)
     pred_events = core.load_events_jsonl(args.pred)
+    if not truth_events:
+        raise core.ParseError(f"{args.truth}: no labeled events")
     duration = max(e.t_end for e in truth_events)
     mapper = _DOMAIN_MAPS[args.task]
     truth = mapper(core.expand_events_to_labels(truth_events, duration))
@@ -241,8 +243,16 @@ def _cmd_eval(args) -> int:
     ratio = None
     if args.stats:
         with open(args.stats, "r", encoding="utf-8") as fh:
-            stats = json.load(fh)
-        section = stats.get("vocal" if args.task == "vocal" else "motion", {})
+            try:
+                stats = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise core.ParseError(
+                    f"{args.stats}: line {exc.lineno}: {exc.msg}") from None
+        key = "vocal" if args.task == "vocal" else "motion"
+        section = stats.get(key, {}) if isinstance(stats, dict) else None
+        if not isinstance(section, dict):
+            raise core.ParseError(
+                f"{args.stats}: expected a JSON object with a {key!r} object")
         ratio = section.get("filtering_ratio")
     report = harness.evaluate(truth, pred, filtering_ratio=ratio)
     with open(args.report, "w", encoding="utf-8") as fh:

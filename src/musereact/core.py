@@ -376,6 +376,20 @@ class SensorSegment:
     audio_rate: int
 
 
+def second_bounds(session: Session) -> list[int]:
+    """IMU sample index at which each whole second of the session starts.
+
+    Returns ``count + 1`` indices for the ``count = floor(duration)`` whole
+    seconds: second ``i`` owns ``imu_t[bounds[i]:bounds[i + 1]]``, exactly the
+    samples with ``i <= t < i + 1`` because timestamps are strictly
+    increasing.  One binary search per second keeps the cost linear in the
+    session length.
+    """
+    count = int(math.floor(session.duration_s + 1e-9))
+    seconds = np.arange(count + 1, dtype=float)
+    return np.searchsorted(session.imu_t, seconds, side="left").tolist()
+
+
 def segment_session(session: Session) -> list[SensorSegment]:
     """Cut a session into consecutive non-overlapping one-second segments.
 
@@ -383,21 +397,23 @@ def segment_session(session: Session) -> list[SensorSegment]:
     timestamp, audio by exact sample index.  Any trailing partial second is
     dropped, so concatenating the slices reproduces the first
     ``floor(duration)`` seconds of the input exactly.
+
+    Selection is linear in the session length (see :func:`second_bounds`),
+    and every segment array is a view into the session's arrays: callers
+    must copy a segment's data before mutating it.
     """
     session.validate()
-    count = int(math.floor(session.duration_s + 1e-9))
+    bounds = second_bounds(session)
     segments = []
-    for i in range(count):
-        t0, t1 = float(i), float(i + 1)
-        mask = (session.imu_t >= t0) & (session.imu_t < t1)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         audio = None
         if session.audio is not None:
             audio = session.audio[i * session.audio_rate:(i + 1) * session.audio_rate]
         segments.append(SensorSegment(
-            index=i, t_start=t0, t_end=t1,
-            imu_t=session.imu_t[mask],
-            accel=session.accel[mask],
-            gyro=session.gyro[mask],
+            index=i, t_start=float(i), t_end=float(i + 1),
+            imu_t=session.imu_t[lo:hi],
+            accel=session.accel[lo:hi],
+            gyro=session.gyro[lo:hi],
             audio=audio,
             audio_rate=session.audio_rate,
         ))

@@ -142,6 +142,11 @@ def mel_filterbank(
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
+#: The 16 kHz bank :func:`log_mel_patch` applies, built once and read-only.
+MEL_FILTERBANK_16K = mel_filterbank(sample_rate_hz=16000)
+MEL_FILTERBANK_16K.flags.writeable = False
+
+
 def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
     """Log-mel spectrogram patch for the sound-event classifier.
 
@@ -166,7 +171,7 @@ def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT_WINDOW) / STFT_WINDOW)
     frames = audio_16k[idx] * window
     magnitude = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=1))
-    mel = magnitude @ mel_filterbank(sample_rate_hz=16000)
+    mel = magnitude @ MEL_FILTERBANK_16K
     return np.log(mel + MEL_LOG_OFFSET)[:PATCH_FRAMES]
 
 

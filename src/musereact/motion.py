@@ -16,7 +16,6 @@ nodding or head-bobbing wearer imprints on the motion-unit energy series.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from .core import (
     ReactionLabel,
     Session,
     merge_labels_to_events,
+    second_bounds,
 )
 from . import dsp
 
@@ -367,13 +367,13 @@ def run_motion_pipeline(
     stats = MotionStats()
     diagnostics: list[str] = []
     labels: list[ReactionLabel] = []
-    total = int(math.floor(session.duration_s + 1e-9))
-    for second in range(total):
+    bounds = second_bounds(session)
+    for second, (start, boundary) in enumerate(zip(bounds, bounds[1:])):
         stats.total_seconds += 1
         try:
             labels.append(_label_second(
                 session, gyro_filtered, classifier, config,
-                second, window_samples, stats,
+                start, boundary, window_samples, stats,
             ))
         except Error as exc:
             stats.errors += 1
@@ -388,14 +388,14 @@ def run_motion_pipeline(
 
 
 def _label_second(session, gyro_filtered, classifier, config,
-                  second, window_samples, stats):
-    mask = (session.imu_t >= second) & (session.imu_t < second + 1)
+                  start, boundary, window_samples, stats):
+    """Label the second whose IMU samples are ``[start, boundary)``."""
     if config.enable_motion_filter and motion_prefilter(
-        session.accel[mask], config.motion_movement_low_g, config.motion_movement_high_g
+        session.accel[start:boundary],
+        config.motion_movement_low_g, config.motion_movement_high_g,
     ):
         stats.prefiltered += 1
         return ReactionLabel.NON_REACTION
-    boundary = int(np.searchsorted(session.imu_t, second + 1, side="left"))
     if boundary < window_samples:
         stats.cold_start += 1
         return ReactionLabel.NON_REACTION

@@ -161,6 +161,33 @@ class TestEval:
         assert code == 2
 
 
+class TestEvalMalformedInput:
+    """Bad eval inputs are data errors: exit 2 and one line on stderr."""
+
+    @pytest.mark.parametrize("truth_text, stats_text", [
+        ("t_start,t_end,label\n", None),
+        ("t_start,t_end,label\n0,5,singing_humming\n", "{not json"),
+        ("t_start,t_end,label\n0,5,singing_humming\n", "[1, 2]"),
+    ], ids=["header_only_labels", "malformed_stats_json", "stats_not_object"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys,
+                                       truth_text, stats_text):
+        truth = tmp_path / "labels.csv"
+        truth.write_text(truth_text)
+        pred = tmp_path / "pred.jsonl"
+        core.save_events_jsonl(pred, [ReactionEvent(label=S, t_start=0.0, t_end=5.0)])
+        argv = ["eval", "--pred", str(pred), "--truth", str(truth),
+                "--task", "vocal", "--report", str(tmp_path / "r.json")]
+        if stats_text is not None:
+            stats = tmp_path / "stats.json"
+            stats.write_text(stats_text)
+            argv += ["--stats", str(stats)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert str(stats if stats_text is not None else truth) in err
+
+
 class TestTrainHmm:
     def test_fits_and_saves(self, corpus):
         tmp_path, data_dir, config_path = corpus

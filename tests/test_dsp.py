@@ -125,6 +125,13 @@ class TestMelFilterbank:
         peak_freqs = freqs[np.argmax(fb, axis=0)]
         assert np.all(np.diff(peak_freqs) > 0)
 
+    def test_cached_16k_bank_matches_and_is_read_only(self):
+        np.testing.assert_array_equal(
+            dsp.MEL_FILTERBANK_16K, dsp.mel_filterbank(sample_rate_hz=16000))
+        assert not dsp.MEL_FILTERBANK_16K.flags.writeable
+        with pytest.raises(ValueError):
+            dsp.MEL_FILTERBANK_16K[0, 0] = 1.0
+
 
 class TestLogMelPatch:
     def test_shape_contract(self):
