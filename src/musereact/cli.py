@@ -91,6 +91,29 @@ def _notes_dir_for(session_dir: str, explicit: str | None) -> str | None:
     return candidate if os.path.isdir(candidate) else None
 
 
+def _vocal_inputs(session_dir: str, config: PipelineConfig, notes_dir: str | None):
+    """The vocal pipeline's inputs for one session directory.
+
+    Returns the replayed classifier, the replayed pitch tracker (None when
+    the session has no ``pitch.csv``) and, when correction is enabled, the
+    note store (else None).
+    """
+    classifier = vocal.ScoreFileClassifier.from_file(
+        os.path.join(session_dir, "scores.jsonl"))
+    pitch_path = os.path.join(session_dir, "pitch.csv")
+    tracker = (vocal.FilePitchTracker.from_file(pitch_path)
+               if os.path.exists(pitch_path) else None)
+    store = None
+    if config.enable_correction:
+        notes = _notes_dir_for(session_dir, notes_dir)
+        if notes is None:
+            raise core.ConfigError(
+                f"{session_dir}: correction is enabled but no note-track "
+                f"directory was found (use --notes)")
+        store = musicinfo.MusicInfoStore.from_dir(notes)
+    return classifier, tracker, store
+
+
 def _detect_one(session_dir: str, pipeline: str, config_text: str,
                 hmm_text: str | None, lstm_path: str | None,
                 notes_dir: str | None, out_dir: str,
@@ -107,19 +130,7 @@ def _detect_one(session_dir: str, pipeline: str, config_text: str,
     vocal_result = motion_result = None
 
     if pipeline in ("vocal", "both"):
-        classifier = vocal.ScoreFileClassifier.from_file(
-            os.path.join(session_dir, "scores.jsonl"))
-        pitch_path = os.path.join(session_dir, "pitch.csv")
-        tracker = (vocal.FilePitchTracker.from_file(pitch_path)
-                   if os.path.exists(pitch_path) else None)
-        store = None
-        if config.enable_correction:
-            notes = _notes_dir_for(session_dir, notes_dir)
-            if notes is None:
-                raise core.ConfigError(
-                    f"{session_dir}: correction is enabled but no note-track "
-                    f"directory was found (use --notes)")
-            store = musicinfo.MusicInfoStore.from_dir(notes)
+        classifier, tracker, store = _vocal_inputs(session_dir, config, notes_dir)
         hmm = vocal.HmmParams.from_json(hmm_text) if hmm_text else None
         vocal_result = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker,
@@ -254,6 +265,10 @@ def _cmd_eval(args) -> int:
             raise core.ParseError(
                 f"{args.stats}: expected a JSON object with a {key!r} object")
         ratio = section.get("filtering_ratio")
+        if ratio is not None and (
+                type(ratio) not in (int, float) or not 0 <= ratio <= 1):
+            raise core.ParseError(
+                f"{args.stats}: filtering_ratio must be a number in [0, 1]")
     report = harness.evaluate(truth, pred, filtering_ratio=ratio)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -273,19 +288,7 @@ def _cmd_train_hmm(args) -> int:
     pairs = []
     for session_dir in dirs:
         session = core.load_session_dir(session_dir)
-        classifier = vocal.ScoreFileClassifier.from_file(
-            os.path.join(session_dir, "scores.jsonl"))
-        pitch_path = os.path.join(session_dir, "pitch.csv")
-        tracker = (vocal.FilePitchTracker.from_file(pitch_path)
-                   if os.path.exists(pitch_path) else None)
-        store = None
-        if config.enable_correction:
-            notes = _notes_dir_for(session_dir, args.notes)
-            if notes is None:
-                raise core.ConfigError(
-                    f"{session_dir}: correction is enabled but no note-track "
-                    f"directory was found (use --notes)")
-            store = musicinfo.MusicInfoStore.from_dir(notes)
+        classifier, tracker, store = _vocal_inputs(session_dir, config, args.notes)
         result = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker, note_store=store,
             config=config)
@@ -411,10 +414,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         _log(f"musereact {args.command}: error: {exc}")
         return 1
-    except core.Error as exc:
-        _log(f"musereact {args.command}: error: {exc}")
-        return 2
-    except OSError as exc:
+    except (core.Error, OSError, UnicodeDecodeError) as exc:
         _log(f"musereact {args.command}: error: {exc}")
         return 2
 

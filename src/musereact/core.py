@@ -20,6 +20,13 @@ tools::
         scores.jsonl  per-second classifier scores (optional, see vocal)
         pitch.csv     t,f0,confidence at 0.1 s steps (optional, see vocal)
         labels.csv    t_start,t_end,label ground truth (optional)
+
+Every headered CSV of the package -- ``imu.csv`` and ``labels.csv`` here,
+``pitch.csv``, note tracks and training tables elsewhere -- is read by
+:func:`read_csv_rows`.  It raises :class:`ParseError` naming the file and
+line for a missing file, bytes that are not UTF-8, an empty file, a wrong
+header or a wrong field count, and skips blank lines; each format parses
+only its own fields.
 """
 
 from __future__ import annotations
@@ -27,9 +34,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import io
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -545,7 +554,7 @@ def load_session_dir(path: str | os.PathLike) -> Session:
         raise ParseError(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
 
     imu_path = os.path.join(path, "imu.csv")
-    rows = _read_csv_rows(imu_path, _IMU_HEADER)
+    rows = list(read_csv_rows(imu_path, _IMU_HEADER))
     data = np.empty((len(rows), 7), dtype=float)
     for i, (lineno, row) in enumerate(rows):
         try:
@@ -577,31 +586,49 @@ def load_session_dir(path: str | os.PathLike) -> Session:
     return session
 
 
-def _read_csv_rows(path, expected_header):
+def read_text(path: str | os.PathLike) -> str:
+    """The whole file as UTF-8 text, newlines left as they are.
+
+    A missing file or undecodable bytes raise :class:`ParseError` naming the
+    path (and, for bad bytes, the line they sit on).
+    """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                f"{path}: line 1: expected header {','.join(expected_header)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(expected_header)} fields"
-                )
-            rows.append((lineno, row))
-    return rows
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
+def read_csv_rows(
+    path: str | os.PathLike, header: list[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield the data rows of a headered CSV file as ``(line number, fields)``.
+
+    This is the one CSV reader of the package.  It owns what every format
+    shares: the file must exist, decode as UTF-8, start with exactly
+    ``header`` (fields stripped) and give every non-blank row
+    ``len(header)`` fields; blank lines are skipped.  Faults raise
+    :class:`ParseError` naming the path and the line.  Field parsing is left
+    to the caller; rows are yielded one at a time so that no format holds
+    more than its own parsed values.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(f"{path}: line 1: empty file")
+    if [h.strip() for h in first] != list(header):
+        raise ParseError(f"{path}: line 1: expected header {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields")
+        yield lineno, row
 
 
 def save_labels(path: str | os.PathLike, events: list[ReactionEvent]) -> None:
@@ -614,7 +641,7 @@ def save_labels(path: str | os.PathLike, events: list[ReactionEvent]) -> None:
 
 def load_labels(path: str | os.PathLike) -> list[ReactionEvent]:
     events = []
-    for lineno, row in _read_csv_rows(path, _LABEL_HEADER):
+    for lineno, row in read_csv_rows(path, _LABEL_HEADER):
         try:
             t0, t1 = float(row[0]), float(row[1])
         except ValueError:
@@ -639,22 +666,18 @@ def save_events_jsonl(path: str | os.PathLike, events: list[ReactionEvent]) -> N
 
 def load_events_jsonl(path: str | os.PathLike) -> list[ReactionEvent]:
     events = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                events.append(ReactionEvent(
-                    parse_label(obj["label"]),
-                    float(obj["t_start"]), float(obj["t_end"]),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    lines = io.StringIO(read_text(path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            events.append(ReactionEvent(
+                parse_label(obj["label"]),
+                float(obj["t_start"]), float(obj["t_end"]),
+            ))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return events
 
 

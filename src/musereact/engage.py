@@ -10,7 +10,6 @@ query pattern (DTW over per-second reaction indices).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -24,6 +23,7 @@ from .core import (
     ReactionEvent,
     ReactionLabel,
     expand_events_to_labels,
+    read_csv_rows,
 )
 from .dsp import dtw_from_cost
 
@@ -380,32 +380,14 @@ def save_training_csv(path: str | os.PathLike, features: np.ndarray,
 
 def load_training_csv(path: str | os.PathLike) -> tuple[np.ndarray, list[str]]:
     """Read a tree-training table; targets come back as raw strings."""
-    expected = list(ReactionFeatures.FEATURE_NAMES) + ["target"]
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
     rows, targets = [], []
-    with fh:
-        reader = csv.reader(fh)
+    header = list(ReactionFeatures.FEATURE_NAMES) + ["target"]
+    for lineno, row in read_csv_rows(path, header):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: empty file") from None
-        if [h.strip() for h in header] != expected:
-            raise ParseError(
-                f"{path}: line 1: expected header {','.join(expected)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise ParseError(f"{path}: line {lineno}: expected {len(expected)} fields")
-            try:
-                rows.append([float(v) for v in row[:-1]])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
-            targets.append(row[-1].strip())
+            rows.append([float(v) for v in row[:-1]])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
+        targets.append(row[-1].strip())
     if not rows:
         raise ParseError(f"{path}: no training rows")
     return np.array(rows), targets

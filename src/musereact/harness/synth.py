@@ -39,11 +39,12 @@ from ..engage import reaction_features
 from ..musicinfo import NOTE_HOP_S, NoteTrack, save_note_track
 from ..vocal import (
     FilePitchTracker,
-    PITCH_HOP_S,
     ScoreFileClassifier,
     ScoreVector,
+    save_pitch_file,
     save_score_file,
 )
+from .metrics import map_to_motion_domain, map_to_vocal_domain
 
 #: Sound-event taxonomy used for synthetic score vectors.  The first six
 #: names are the vocal-relevant classes the pipeline watches for.
@@ -154,16 +155,9 @@ class GeneratedSession:
         """Write the session directory (without the shared note track)."""
         save_session_dir(path, self.session)
         save_score_file(os.path.join(path, "scores.jsonl"), self.scores)
-        _save_pitch_file(os.path.join(path, "pitch.csv"),
-                         self.pitch_f0, self.pitch_conf)
+        save_pitch_file(os.path.join(path, "pitch.csv"),
+                        self.pitch_f0, self.pitch_conf)
         save_labels(os.path.join(path, "labels.csv"), self.truth_events())
-
-
-def _save_pitch_file(path, f0s, confs):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,f0,confidence\n")
-        for k in range(len(f0s)):
-            fh.write(f"{k * PITCH_HOP_S:.1f},{f0s[k]:.6g},{confs[k]:.6g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +230,10 @@ def generate_session(
         start_offset_in_song=float(spec.start_offset_in_song),
     )
     session.validate()
-    vocal_truth = [
-        label if label in (ReactionLabel.SINGING_HUMMING, ReactionLabel.WHISTLING)
-        else ReactionLabel.NON_REACTION
-        for label in truth
-    ]
-    motion_truth = [
-        label if label is ReactionLabel.HEAD_MOTION else ReactionLabel.NON_REACTION
-        for label in truth
-    ]
     return GeneratedSession(
         spec=spec, session=session, truth=truth,
-        vocal_truth=vocal_truth, motion_truth=motion_truth,
+        vocal_truth=map_to_vocal_domain(truth),
+        motion_truth=map_to_motion_domain(truth),
         note_track=note_track, scores=scores,
         pitch_f0=pitch_f0, pitch_conf=pitch_conf,
     )

@@ -102,8 +102,22 @@ class SequenceClassifier:
         raise NotImplementedError
 
 
-_LSTM_MATRIX_KEYS = ("Wi", "Wf", "Wo", "Wc", "Ui", "Uf", "Uo", "Uc", "Wd")
-_LSTM_VECTOR_KEYS = ("bi", "bf", "bo", "bc", "bd")
+def _lstm_shapes(inputs: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every LSTM parameter, in ``LstmWeights`` field order.
+
+    ``LstmWeights.random`` draws in this order, so it must not change.
+    """
+    return {
+        "Wi": (inputs, hidden), "Wf": (inputs, hidden),
+        "Wo": (inputs, hidden), "Wc": (inputs, hidden),
+        "Ui": (hidden, hidden), "Uf": (hidden, hidden),
+        "Uo": (hidden, hidden), "Uc": (hidden, hidden),
+        "bi": (hidden,), "bf": (hidden,), "bo": (hidden,), "bc": (hidden,),
+        "Wd": (hidden, 2), "bd": (2,),
+    }
+
+
+_LSTM_KEYS = tuple(_lstm_shapes(0, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,21 +145,13 @@ class LstmWeights:
     bd: np.ndarray
 
     def __post_init__(self):
-        for key in _LSTM_MATRIX_KEYS + _LSTM_VECTOR_KEYS:
+        for key in _LSTM_KEYS:
             object.__setattr__(self, key, np.asarray(getattr(self, key), dtype=float))
         hidden = self.bi.shape[0] if self.bi.ndim == 1 else 0
         inputs = self.Wi.shape[0] if self.Wi.ndim == 2 else 0
         if hidden == 0 or inputs == 0:
             raise ParameterError("weight shapes are malformed")
-        expect = {
-            "Wi": (inputs, hidden), "Wf": (inputs, hidden),
-            "Wo": (inputs, hidden), "Wc": (inputs, hidden),
-            "Ui": (hidden, hidden), "Uf": (hidden, hidden),
-            "Uo": (hidden, hidden), "Uc": (hidden, hidden),
-            "bi": (hidden,), "bf": (hidden,), "bo": (hidden,), "bc": (hidden,),
-            "Wd": (hidden, 2), "bd": (2,),
-        }
-        for key, shape in expect.items():
+        for key, shape in _lstm_shapes(inputs, hidden).items():
             arr = getattr(self, key)
             if arr.shape != shape:
                 raise ParameterError(f"{key} must have shape {shape}, got {arr.shape}")
@@ -162,34 +168,17 @@ class LstmWeights:
 
     @classmethod
     def zeros(cls, input_size: int = NUM_FEATURES, hidden_size: int = 32) -> "LstmWeights":
-        mk = lambda *shape: np.zeros(shape)
-        return cls(
-            Wi=mk(input_size, hidden_size), Wf=mk(input_size, hidden_size),
-            Wo=mk(input_size, hidden_size), Wc=mk(input_size, hidden_size),
-            Ui=mk(hidden_size, hidden_size), Uf=mk(hidden_size, hidden_size),
-            Uo=mk(hidden_size, hidden_size), Uc=mk(hidden_size, hidden_size),
-            bi=mk(hidden_size), bf=mk(hidden_size),
-            bo=mk(hidden_size), bc=mk(hidden_size),
-            Wd=mk(hidden_size, 2), bd=mk(2),
-        )
+        return cls(**{key: np.zeros(shape) for key, shape
+                      in _lstm_shapes(input_size, hidden_size).items()})
 
     @classmethod
     def random(cls, rng: np.random.Generator, input_size: int = NUM_FEATURES,
                hidden_size: int = 32, scale: float = 0.1) -> "LstmWeights":
-        mk = lambda *shape: rng.normal(0.0, scale, shape)
-        return cls(
-            Wi=mk(input_size, hidden_size), Wf=mk(input_size, hidden_size),
-            Wo=mk(input_size, hidden_size), Wc=mk(input_size, hidden_size),
-            Ui=mk(hidden_size, hidden_size), Uf=mk(hidden_size, hidden_size),
-            Uo=mk(hidden_size, hidden_size), Uc=mk(hidden_size, hidden_size),
-            bi=mk(hidden_size), bf=mk(hidden_size),
-            bo=mk(hidden_size), bc=mk(hidden_size),
-            Wd=mk(hidden_size, 2), bd=mk(2),
-        )
+        return cls(**{key: rng.normal(0.0, scale, shape) for key, shape
+                      in _lstm_shapes(input_size, hidden_size).items()})
 
     def to_json(self) -> str:
-        obj = {key: getattr(self, key).tolist()
-               for key in _LSTM_MATRIX_KEYS + _LSTM_VECTOR_KEYS}
+        obj = {key: getattr(self, key).tolist() for key in _LSTM_KEYS}
         return json.dumps(obj, sort_keys=True) + "\n"
 
     @classmethod
@@ -197,7 +186,7 @@ class LstmWeights:
         try:
             obj = json.loads(text)
             kwargs = {key: np.asarray(obj[key], dtype=float)
-                      for key in _LSTM_MATRIX_KEYS + _LSTM_VECTOR_KEYS}
+                      for key in _LSTM_KEYS}
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad LSTM weight document: {exc}") from None
         return cls(**kwargs)

@@ -4,18 +4,26 @@ A note track is the melody of a song down-sampled to one chroma symbol per
 0.1 s: a pitch class 0..11, or the unvoiced marker for rests.  Tracks are
 stored one song per CSV file (``t,chroma`` with ``U`` for unvoiced) and the
 round trip through :func:`save_note_track` / :func:`load_note_track` is
-byte-identical for canonical files.
+byte-identical for canonical files.  The shared :func:`core.read_csv_rows`
+checks the file, header and field counts; :func:`load_note_track` adds only
+the note-track rules: rows on the 0.1 s grid from t = 0 (blank lines do not
+count), symbols ``U`` or 0..11, and at least one row.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, EmptyWindowError, ParameterError, ParseError
+from .core import (
+    ConfigError,
+    EmptyWindowError,
+    ParameterError,
+    ParseError,
+    read_csv_rows,
+)
 from .dsp import UNVOICED
 
 NOTE_HOP_S = 0.1
@@ -82,48 +90,25 @@ def load_note_track(path: str | os.PathLike, song_id: str | None = None) -> Note
     """Parse a note-track CSV; ``song_id`` defaults to the file stem."""
     if song_id is None:
         song_id = os.path.splitext(os.path.basename(path))[0]
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
     symbols = []
-    with fh:
-        reader = csv.reader(fh)
+    for lineno, row in read_csv_rows(path, ["t", "chroma"]):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: empty file") from None
-        if [h.strip() for h in header] != ["t", "chroma"]:
-            raise ParseError(f"{path}: line 1: expected header t,chroma")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 2 fields")
-            expected_t = (lineno - 2) * NOTE_HOP_S
-            try:
-                t = float(row[0])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad time {row[0]!r}") from None
-            if abs(t - expected_t) > 1e-6:
-                raise ParseError(
-                    f"{path}: line {lineno}: time {t:g} breaks the 0.1 s grid"
-                )
-            text = row[1].strip()
-            if text == "U":
-                symbols.append(UNVOICED)
-            else:
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}: bad chroma {text!r}"
-                    ) from None
-                if not 0 <= value <= 11:
-                    raise ParseError(
-                        f"{path}: line {lineno}: chroma {value} outside 0..11"
-                    )
-                symbols.append(value)
+            t = float(row[0])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad time {row[0]!r}") from None
+        if abs(t - len(symbols) * NOTE_HOP_S) > 1e-6:
+            raise ParseError(f"{path}: line {lineno}: time {t:g} breaks the 0.1 s grid")
+        text = row[1].strip()
+        if text == "U":
+            symbols.append(UNVOICED)
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad chroma {text!r}") from None
+        if not 0 <= value <= 11:
+            raise ParseError(f"{path}: line {lineno}: chroma {value} outside 0..11")
+        symbols.append(value)
     if not symbols:
         raise ParseError(f"{path}: track holds no symbols")
     return NoteTrack(song_id=song_id, symbols=np.array(symbols, dtype=int))

@@ -25,7 +25,7 @@ filtering statistics; each stage is also exposed on its own.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -46,6 +46,8 @@ from .core import (
     Session,
     VOCAL_STATES,
     merge_labels_to_events,
+    read_csv_rows,
+    read_text,
     segment_session,
 )
 from . import dsp
@@ -132,31 +134,27 @@ class ScoreFileClassifier(SoundEventClassifier):
 
 
 def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
     out: dict[int, ScoreVector] = {}
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                index = int(obj["index"])
-                names = [str(n) for n in obj["classes"]]
-                raw = np.asarray(obj["scores"], dtype=float)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if len(names) < 5 or len(raw) != len(names):
-                raise ParseError(
-                    f"{path}: line {lineno}: need >= 5 parallel class/score entries"
-                )
-            if not np.isfinite(raw).all() or (raw < 0).any() or raw.sum() <= 0:
-                raise ParseError(f"{path}: line {lineno}: scores must be >= 0, sum > 0")
-            if index in out:
-                raise ParseError(f"{path}: line {lineno}: duplicate index {index}")
-            out[index] = ScoreVector(tuple(names), raw / raw.sum())
+    lines = io.StringIO(read_text(path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            index = int(obj["index"])
+            names = [str(n) for n in obj["classes"]]
+            raw = np.asarray(obj["scores"], dtype=float)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if len(names) < 5 or len(raw) != len(names):
+            raise ParseError(
+                f"{path}: line {lineno}: need >= 5 parallel class/score entries"
+            )
+        if not np.isfinite(raw).all() or (raw < 0).any() or raw.sum() <= 0:
+            raise ParseError(f"{path}: line {lineno}: scores must be >= 0, sum > 0")
+        if index in out:
+            raise ParseError(f"{path}: line {lineno}: duplicate index {index}")
+        out[index] = ScoreVector(tuple(names), raw / raw.sum())
     return out
 
 
@@ -178,6 +176,7 @@ def save_score_file(path: str | os.PathLike, scores_by_index: dict[int, ScoreVec
 
 PITCH_HOP_S = 0.1
 PITCH_FRAMES_PER_SEGMENT = 10
+_PITCH_HEADER = ["t", "f0", "confidence"]
 
 
 class PitchTracker:
@@ -203,39 +202,22 @@ class FilePitchTracker(PitchTracker):
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "FilePitchTracker":
-        try:
-            fh = open(path, "r", encoding="utf-8", newline="")
-        except FileNotFoundError:
-            raise ParseError(f"{path}: file not found") from None
         times, f0s, confs = [], [], []
-        with fh:
-            reader = csv.reader(fh)
+        for lineno, row in read_csv_rows(path, _PITCH_HEADER):
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: line 1: empty file") from None
-            if [h.strip() for h in header] != ["t", "f0", "confidence"]:
-                raise ParseError(f"{path}: line 1: expected header t,f0,confidence")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ParseError(f"{path}: line {lineno}: expected 3 fields")
-                try:
-                    times.append(float(row[0]))
-                    f0s.append(float(row[1]))
-                    confs.append(float(row[2]))
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+                t, f0, conf = (float(v) for v in row)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+            if times and abs(t - (times[0] + len(times) * PITCH_HOP_S)) > 1e-6:
+                raise ParseError(
+                    f"{path}: line {lineno}: time {t:g} breaks the 0.1 s grid"
+                )
+            times.append(t)
+            f0s.append(f0)
+            confs.append(conf)
         if not times:
             raise ParseError(f"{path}: no pitch rows")
-        t0 = times[0]
-        for lineno_offset, t in enumerate(times):
-            if abs(t - (t0 + lineno_offset * PITCH_HOP_S)) > 1e-6:
-                raise ParseError(
-                    f"{path}: line {lineno_offset + 2}: time {t:g} breaks the 0.1 s grid"
-                )
-        return cls(t0, np.array(f0s), np.array(confs))
+        return cls(times[0], np.array(f0s), np.array(confs))
 
     def track(self, audio, sample_rate, t_start: float):
         first = int(round((t_start - self._t0) / PITCH_HOP_S))
@@ -245,6 +227,15 @@ class FilePitchTracker(PitchTracker):
                 f"recorded pitch does not cover [{t_start:g}, {t_start + 1:g}) s"
             )
         return self._f0s[first:last].copy(), self._confs[first:last].copy()
+
+
+def save_pitch_file(path: str | os.PathLike, f0s: np.ndarray, confs: np.ndarray) -> None:
+    """Write the ``t,f0,confidence`` CSV that :meth:`FilePitchTracker.from_file`
+    replays, one row per 0.1 s from t = 0."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_PITCH_HEADER) + "\n")
+        for k in range(len(f0s)):
+            fh.write(f"{k * PITCH_HOP_S:.1f},{f0s[k]:.6g},{confs[k]:.6g}\n")
 
 
 class AutocorrelationPitchTracker(PitchTracker):

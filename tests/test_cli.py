@@ -164,28 +164,46 @@ class TestEval:
 class TestEvalMalformedInput:
     """Bad eval inputs are data errors: exit 2 and one line on stderr."""
 
-    @pytest.mark.parametrize("truth_text, stats_text", [
-        ("t_start,t_end,label\n", None),
-        ("t_start,t_end,label\n0,5,singing_humming\n", "{not json"),
-        ("t_start,t_end,label\n0,5,singing_humming\n", "[1, 2]"),
-    ], ids=["header_only_labels", "malformed_stats_json", "stats_not_object"])
-    def test_exits_2_without_traceback(self, tmp_path, capsys,
-                                       truth_text, stats_text):
-        truth = tmp_path / "labels.csv"
-        truth.write_text(truth_text)
-        pred = tmp_path / "pred.jsonl"
-        core.save_events_jsonl(pred, [ReactionEvent(label=S, t_start=0.0, t_end=5.0)])
-        argv = ["eval", "--pred", str(pred), "--truth", str(truth),
+    TRUTH = b"t_start,t_end,label\n0,5,singing_humming\n"
+    PRED = b'{"label": "singing_humming", "t_end": 5.0, "t_start": 0.0}\n'
+
+    @pytest.mark.parametrize("files, named", [
+        ({"truth": b"t_start,t_end,label\n"}, "truth"),
+        ({"stats": b"{not json"}, "stats"),
+        ({"stats": b"[1, 2]"}, "stats"),
+        ({"truth": b"\xff\xfet_start,t_end,label\n0,5,singing_humming\n"}, "truth"),
+        ({"pred": b"\xff\xfe" + PRED}, "pred"),
+        ({"stats": b'{"vocal": {"filtering_ratio": "lots"}}'}, "stats"),
+    ], ids=["header_only_labels", "malformed_stats_json", "stats_not_object",
+            "non_utf8_truth", "non_utf8_pred", "filtering_ratio_not_a_number"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, files, named):
+        paths = {}
+        for name, data in {"truth": self.TRUTH, "pred": self.PRED, **files}.items():
+            paths[name] = tmp_path / f"{name}.file"
+            paths[name].write_bytes(data)
+        argv = ["eval", "--pred", str(paths["pred"]), "--truth", str(paths["truth"]),
                 "--task", "vocal", "--report", str(tmp_path / "r.json")]
-        if stats_text is not None:
-            stats = tmp_path / "stats.json"
-            stats.write_text(stats_text)
-            argv += ["--stats", str(stats)]
+        if "stats" in paths:
+            argv += ["--stats", str(paths["stats"])]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-        assert str(stats if stats_text is not None else truth) in err
+        assert str(paths[named]) in err
+
+    @pytest.mark.parametrize("ratio, code", [
+        ("0", 0), ("1", 0), ("0.25", 0), ("1.5", 2), ("-0.1", 2),
+        ("NaN", 2), ("true", 2), ("null", 0),
+    ])
+    def test_filtering_ratio_must_lie_in_unit_interval(self, tmp_path, ratio, code):
+        truth, pred, stats = (tmp_path / "truth.csv", tmp_path / "pred.jsonl",
+                              tmp_path / "stats.json")
+        truth.write_bytes(self.TRUTH)
+        pred.write_bytes(self.PRED)
+        stats.write_text(f'{{"vocal": {{"filtering_ratio": {ratio}}}}}')
+        argv = ["eval", "--pred", str(pred), "--truth", str(truth), "--task", "vocal",
+                "--stats", str(stats), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == code
 
 
 class TestTrainHmm:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from musereact import core
+from musereact import core, engage, musicinfo, vocal
 from musereact.core import (
     AlignmentError,
     ConfigError,
@@ -360,3 +360,79 @@ class TestLabelAndEventFiles:
         path.write_text("t_start,t_end,label\n0.0,1.0,jazz_hands\n")
         with pytest.raises((ParseError, ParameterError)):
             core.load_labels(path)
+
+
+def _session_view(session):
+    return session.imu_t.tolist(), session.accel.tolist(), session.gyro.tolist()
+
+
+#: Every headered CSV format: (file name, header, data rows, load, view).
+#: ``load`` takes the CSV path; ``view`` turns its result into plain data.
+CSV_FORMATS = {
+    "imu": ("imu.csv", "t,ax,ay,az,gx,gy,gz",
+            [f"{k / 70:.10g},0,0.01,1,{k % 5},0,-1" for k in range(140)],
+            lambda path: core.load_session_dir(os.path.dirname(path)),
+            _session_view),
+    "labels": ("labels.csv", "t_start,t_end,label",
+               ["0,5,singing_humming", "5,9,whistling", "9,12,head_motion"],
+               core.load_labels, list),
+    "pitch": ("pitch.csv", "t,f0,confidence",
+              [f"{k * 0.1:.1f},{200 + k},0.{k % 10}" for k in range(12)],
+              vocal.FilePitchTracker.from_file,
+              lambda tracker: [a.tolist() for a in tracker.track(None, 0, 0.0)]),
+    "note_track": ("tune.csv", "t,chroma",
+                   [f"{k * 0.1:.1f},{'U' if k % 4 == 3 else k % 12}" for k in range(15)],
+                   musicinfo.load_note_track,
+                   lambda track: track.symbols.tolist()),
+    "training": ("train.csv",
+                 ",".join(engage.ReactionFeatures.FEATURE_NAMES) + ",target",
+                 [",".join(["0.5"] * 10 + [str(k % 5 + 1)]) for k in range(4)],
+                 engage.load_training_csv,
+                 lambda table: (table[0].tolist(), table[1])),
+}
+
+
+class TestHeaderedCsvFormats:
+    """All five CSV formats go through ``core.read_csv_rows``."""
+
+    @staticmethod
+    def write(tmp_path, fmt, data: bytes | None):
+        """Write ``data`` (None: nothing) as the format's file, next to the
+        ``meta.json`` the imu loader needs."""
+        name = CSV_FORMATS[fmt][0]
+        (tmp_path / "meta.json").write_text('{"session_id": "s"}')
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize("fmt", sorted(CSV_FORMATS))
+    @pytest.mark.parametrize("case", ["missing", "empty", "header", "fields", "bytes"])
+    def test_bad_file_is_parse_error_naming_path_and_line(self, tmp_path, fmt, case):
+        _, header, rows, load, _ = CSV_FORMATS[fmt]
+        n = header.count(",") + 1
+        good = f"{header}\n{rows[0]}\n".encode()
+        data, expected = {
+            "missing": (None, "file not found"),
+            "empty": (b"", "line 1: empty file"),
+            "header": (f"x{header}\n{rows[0]}\n".encode(),
+                       f"line 1: expected header {header}"),
+            "fields": (good + f"{rows[1]},0\n".encode(), f"line 3: expected {n} fields"),
+            "bytes": (good + b"\xff\xfe" + rows[1].encode() + b"\n",
+                      "line 3: not UTF-8 text"),
+        }[case]
+        path = self.write(tmp_path, fmt, data)
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize("fmt", sorted(CSV_FORMATS))
+    def test_blank_lines_are_skipped(self, tmp_path, fmt):
+        _, header, rows, load, view = CSV_FORMATS[fmt]
+        spaced = [header, ""] + [line for row in rows for line in (row, "")]
+        results = []
+        for name, lines in (("plain", [header, *rows]), ("spaced", spaced)):
+            (tmp_path / name).mkdir()
+            text = "\n".join(lines) + "\n"
+            results.append(view(load(self.write(tmp_path / name, fmt, text.encode()))))
+        assert results[0] == results[1]

@@ -176,6 +176,19 @@ class TestLstm:
             atol=1e-12,
         )
 
+    def test_random_draws_in_field_order(self):
+        """Wi..Uc, then bi..bc, then Wd, bd: stored LSTM outputs depend on it."""
+        weights = LstmWeights.random(np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        n, h = 18, 32
+        expected = [("Wi", (n, h)), ("Wf", (n, h)), ("Wo", (n, h)), ("Wc", (n, h)),
+                    ("Ui", (h, h)), ("Uf", (h, h)), ("Uo", (h, h)), ("Uc", (h, h)),
+                    ("bi", (h,)), ("bf", (h,)), ("bo", (h,)), ("bc", (h,)),
+                    ("Wd", (h, 2)), ("bd", (2,))]
+        for key, shape in expected:
+            np.testing.assert_array_equal(
+                getattr(weights, key), rng.normal(0.0, 0.1, shape))
+
     def test_shape_validation(self):
         weights = LstmWeights.zeros()
         with pytest.raises(ParameterError):

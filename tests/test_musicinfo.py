@@ -77,20 +77,20 @@ class TestNoteTrackIO:
 
     def test_symbol_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("t,symbol\n0.0,12\n")
-        with pytest.raises((ParseError, ParameterError)):
+        path.write_text("t,chroma\n0.0,12\n")
+        with pytest.raises(ParseError, match="line 2: chroma 12 outside 0..11"):
             musicinfo.load_note_track(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("t,symbol\n")
-        with pytest.raises((ParseError, ParameterError)):
+        path.write_text("t,chroma\n")
+        with pytest.raises(ParseError, match="track holds no symbols"):
             musicinfo.load_note_track(path)
 
     def test_wrong_hop_grid(self, tmp_path):
         path = tmp_path / "grid.csv"
-        path.write_text("t,symbol\n0.0,3\n0.2,4\n")
-        with pytest.raises(ParseError):
+        path.write_text("t,chroma\n0.0,3\n0.2,4\n")
+        with pytest.raises(ParseError, match="line 3: time 0.2 breaks the 0.1 s grid"):
             musicinfo.load_note_track(path)
 
     def test_unvoiced_marker(self, tmp_path):
