@@ -42,6 +42,17 @@ class _UsageError(Exception):
     --data); reported like a parser error with exit code 1."""
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -60,11 +71,10 @@ def load_config(path: str | None) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise core.ParseError(f"{args.spec}: line {exc.lineno}: {exc.msg}") from None
+    try:
+        obj = json.loads(core.read_text(args.spec))
+    except json.JSONDecodeError as exc:
+        raise core.ParseError(f"{args.spec}: line {exc.lineno}: {exc.msg}") from None
     specs = harness.parse_corpus_spec(obj, base_seed=args.seed)
     paths = harness.write_corpus(args.out, specs)
     _log(f"simulate: wrote {len(paths)} sessions under {args.out}")
@@ -213,8 +223,7 @@ def _cmd_detect(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     hmm_text = None
     if args.hmm:
-        with open(args.hmm, "r", encoding="utf-8") as fh:
-            hmm_text = fh.read()
+        hmm_text = core.read_text(args.hmm)
         vocal.HmmParams.from_json(hmm_text)  # fail fast on a bad file
     work = [(d, args.pipeline, config.to_json(), hmm_text,
              args.lstm, args.notes, args.out, out_file) for d in dirs]
@@ -253,12 +262,11 @@ def _cmd_eval(args) -> int:
     pred = mapper(core.expand_events_to_labels(pred_events, duration))
     ratio = None
     if args.stats:
-        with open(args.stats, "r", encoding="utf-8") as fh:
-            try:
-                stats = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise core.ParseError(
-                    f"{args.stats}: line {exc.lineno}: {exc.msg}") from None
+        try:
+            stats = json.loads(core.read_text(args.stats))
+        except json.JSONDecodeError as exc:
+            raise core.ParseError(
+                f"{args.stats}: line {exc.lineno}: {exc.msg}") from None
         key = "vocal" if args.task == "vocal" else "motion"
         section = stats.get(key, {}) if isinstance(stats, dict) else None
         if not isinstance(section, dict):
@@ -328,16 +336,21 @@ def _cmd_train_tree(args) -> int:
 # recommend
 # ---------------------------------------------------------------------------
 
+def _load_pattern(path: str) -> np.ndarray:
+    pattern = engage.pattern_from_events(core.load_events_jsonl(path))
+    if pattern.size == 0:
+        raise core.ParseError(f"{path}: no reaction events")
+    return pattern
+
+
 def _cmd_recommend(args) -> int:
-    pattern_events = core.load_events_jsonl(args.pattern)
-    pattern = engage.pattern_from_events(pattern_events)
+    pattern = _load_pattern(args.pattern)
     pool = {}
     for name in sorted(os.listdir(args.pool)):
         if not name.endswith(".jsonl"):
             continue
         song_id = name[:-len(".jsonl")]
-        events = core.load_events_jsonl(os.path.join(args.pool, name))
-        pool[song_id] = engage.pattern_from_events(events)
+        pool[song_id] = _load_pattern(os.path.join(args.pool, name))
     ranked = engage.recommend(pattern, pool, top_n=args.top)
     for song_id, distance in ranked:
         print(f"{song_id}\t{distance:g}")
@@ -400,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="rank songs by reaction-pattern similarity")
     p.add_argument("--pattern", required=True, help="query events JSONL")
     p.add_argument("--pool", required=True, help="directory of stored event JSONL files")
-    p.add_argument("--top", type=int, default=5, help="how many songs to return")
+    p.add_argument("--top", type=_positive_int, default=5,
+                   help="how many songs to return")
     p.set_defaults(func=_cmd_recommend)
     return parser
 

@@ -110,7 +110,7 @@ MOTION_LABELS = frozenset({ReactionLabel.NON_REACTION, ReactionLabel.HEAD_MOTION
 def parse_label(text: str) -> ReactionLabel:
     try:
         return ReactionLabel(text.strip())
-    except ValueError:
+    except (AttributeError, ValueError):  # AttributeError: not a string
         raise ParameterError(f"unknown reaction label {text!r}") from None
 
 
@@ -280,8 +280,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(read_text(path))
 
     def save(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -546,10 +545,7 @@ def load_session_dir(path: str | os.PathLike) -> Session:
     """Read a session directory back into a validated :class:`Session`."""
     meta_path = os.path.join(path, "meta.json")
     try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"{meta_path}: missing meta.json") from None
+        meta = json.loads(read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
 

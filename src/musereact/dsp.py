@@ -10,6 +10,7 @@ sequences with an explicit unvoiced symbol.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 import scipy.signal
@@ -239,28 +240,55 @@ def _as_chroma(seq, name):
     return arr
 
 
+def dtw_scan(cost_rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Last row of the DTW accumulated cost for K problems side by side.
+
+    ``cost_rows`` yields the local-cost rows ``c[i]`` of every problem as
+    one ``(K, m)`` array per query row ``i``; the result is the ``(K, m)``
+    array ``D[n-1]``.  Steps are {(1,1), (1,0), (0,1)}, as in
+    :func:`dtw_from_cost`.  Each row is one scan instead of m scalar steps:
+    with ``t[j] = c[i,j] + min(D[i-1,j], D[i-1,j-1])`` and ``S`` the prefix
+    sums of ``c[i]``, the left-neighbour recursion unrolls to
+    ``D[i,j] = S[j] + min_{k <= j}(t[k] - S[k])``.
+
+    The costs must be integer-valued (bool rows work; they are summed as
+    float64) with sums below 2**53; every intermediate is then an integer
+    and the result equals the cell-by-cell recursion exactly.  ``D[i,j]``
+    reads only columns ``<= j``, so a problem narrower than ``m`` may be
+    padded with any value and read at its own last column.  Rows are
+    consumed one at a time and never stacked.
+    """
+    rows = iter(cost_rows)
+    acc = np.cumsum(next(rows), axis=-1, dtype=float)
+    best = np.empty_like(acc)
+    for c in rows:
+        best[:, 0] = np.inf
+        best[:, 1:] = acc[:, :-1]
+        np.minimum(best, acc, out=best)
+        prefix = np.cumsum(c, axis=-1, dtype=float)
+        best += c
+        best -= prefix
+        np.minimum.accumulate(best, axis=-1, out=acc)
+        acc += prefix
+    return acc
+
+
 def dtw_from_cost(cost: np.ndarray) -> float:
     """Unnormalized DTW distance given a precomputed local-cost matrix.
 
     Standard dynamic program with step set {(1,1), (1,0), (0,1)}; the
     alignment is anchored at both ends and the accumulated cost of the best
-    path is returned without length normalization.
+    path is returned without length normalization.  Costs must be finite
+    and integer-valued (every cost this package builds is: chroma costs
+    0..6, pattern costs 0/1), which keeps :func:`dtw_scan` exact; anything
+    else raises :class:`ParameterError`.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.size == 0:
         raise ParameterError("cost matrix must be 2-D and non-empty")
-    n, m = cost.shape
-    prev = np.empty(m)
-    prev[0] = cost[0, 0]
-    for j in range(1, m):
-        prev[j] = prev[j - 1] + cost[0, j]
-    cur = np.empty(m)
-    for i in range(1, n):
-        cur[0] = prev[0] + cost[i, 0]
-        for j in range(1, m):
-            cur[j] = cost[i, j] + min(prev[j], prev[j - 1], cur[j - 1])
-        prev, cur = cur, prev
-    return float(prev[-1])
+    if not (np.isfinite(cost).all() and (cost == np.trunc(cost)).all()):
+        raise ParameterError("cost matrix must hold finite integer values")
+    return float(dtw_scan(cost[:, None, :])[0, -1])
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:

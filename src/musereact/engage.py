@@ -24,8 +24,9 @@ from .core import (
     ReactionLabel,
     expand_events_to_labels,
     read_csv_rows,
+    read_text,
 )
-from .dsp import dtw_from_cost
+from .dsp import dtw_from_cost, dtw_scan
 
 #: Class names for the familiarity task, in class-id order.
 FAMILIARITY_CLASSES = ("known", "unknown")
@@ -278,8 +279,7 @@ class DecisionTree:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "DecisionTree":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(read_text(path))
 
 
 def _gini(targets):
@@ -427,12 +427,17 @@ def pattern_from_events(events: list[ReactionEvent], duration_s: float | None = 
     return reaction_index_sequence(expand_events_to_labels(events, duration_s))
 
 
+def _as_pattern(seq) -> np.ndarray:
+    seq = np.asarray(seq, dtype=int)
+    if seq.ndim != 1 or seq.size == 0:
+        raise ParameterError("patterns must be non-empty 1-D sequences")
+    return seq
+
+
 def pattern_distance(a: np.ndarray, b: np.ndarray) -> float:
     """DTW distance between two reaction-index sequences (0/1 local cost)."""
-    a = np.asarray(a, dtype=int)
-    b = np.asarray(b, dtype=int)
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
-        raise ParameterError("patterns must be non-empty 1-D sequences")
+    a = _as_pattern(a)
+    b = _as_pattern(b)
     cost = (a[:, None] != b[None, :]).astype(float)
     return dtw_from_cost(cost)
 
@@ -446,15 +451,23 @@ def recommend(
 
     Returns up to ``top_n`` ``(song_id, distance)`` pairs, ascending by
     distance with ties broken by song id.  A pool entry with an identical
-    reaction pattern therefore comes first with distance 0.
+    reaction pattern therefore comes first with distance 0.  Every member
+    is scored exactly (no pruning, no band): the pool is padded to its
+    longest member and goes through one :func:`dsp.dtw_scan` with the query
+    as the row axis, each member read at its own last column.
     """
     if top_n < 1:
         raise ParameterError("top_n must be >= 1")
     if not pool:
         raise ParameterError("recommendation pool is empty")
-    ranked = sorted(
-        ((song_id, pattern_distance(pattern, stored))
-         for song_id, stored in pool.items()),
-        key=lambda pair: (pair[1], pair[0]),
-    )
+    query = _as_pattern(pattern)
+    members = [_as_pattern(stored) for stored in pool.values()]
+    ends = np.array([len(member) for member in members])
+    padded = np.zeros((len(members), ends.max()), dtype=int)
+    for row, member in zip(padded, members):
+        row[:len(member)] = member
+    last = dtw_scan(symbol != padded for symbol in query)
+    distances = last[np.arange(len(members)), ends - 1]
+    ranked = sorted(zip(pool, map(float, distances)),
+                    key=lambda pair: (pair[1], pair[0]))
     return ranked[:top_n]

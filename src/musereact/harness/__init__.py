@@ -4,8 +4,8 @@ The harness closes the loop without any real recordings: `synth` fabricates
 sessions (IMU, audio, classifier scores, pitch tracks, ground truth) from
 compact :class:`SyntheticSpec` descriptions, `metrics` scores detector
 output against ground truth, and `oracles` provides deliberately naive
-reference implementations (exhaustive DTW alignment, enumerated Viterbi)
-used to validate the fast dynamic programs.
+reference implementations (exhaustive and cell-by-cell DTW, enumerated
+Viterbi) used to validate the fast dynamic programs.
 """
 
 from .synth import (
@@ -29,7 +29,7 @@ from .metrics import (
     map_to_motion_domain,
     map_to_vocal_domain,
 )
-from .oracles import dtw_oracle, viterbi_oracle
+from .oracles import dtw_loop_oracle, dtw_oracle, viterbi_oracle
 
 __all__ = [
     "PLACE_PROFILES",
@@ -49,6 +49,7 @@ __all__ = [
     "loso_folds",
     "map_to_motion_domain",
     "map_to_vocal_domain",
+    "dtw_loop_oracle",
     "dtw_oracle",
     "viterbi_oracle",
 ]

@@ -3,7 +3,9 @@
 These exist to catch bugs in the fast implementations, so they avoid the
 optimization under test: the DTW oracle enumerates every monotone alignment
 path explicitly, and the Viterbi oracle scores every possible state
-sequence.  Both are exponential and refuse inputs beyond small sizes.
+sequence.  Both are exponential and refuse inputs beyond small sizes.  The
+DTW loop oracle is the textbook cell-by-cell recursion, for sizes the
+path enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -64,6 +66,29 @@ def dtw_oracle(a, b) -> float:
         if j + 1 < m:
             stack.append((i, j + 1, acc + cost[i][j + 1]))
     return best
+
+
+def dtw_loop_oracle(cost) -> float:
+    """DTW distance over a local-cost matrix, one cell at a time.
+
+    ``D[i, j] = cost[i, j] + min(D[i-1, j], D[i-1, j-1], D[i, j-1])`` in
+    plain Python, with the same steps and anchoring as :func:`dtw_oracle`.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.size == 0:
+        raise ParameterError("cost matrix must be 2-D and non-empty")
+    n, m = cost.shape
+    prev = np.empty(m)
+    prev[0] = cost[0, 0]
+    for j in range(1, m):
+        prev[j] = prev[j - 1] + cost[0, j]
+    cur = np.empty(m)
+    for i in range(1, n):
+        cur[0] = prev[0] + cost[i, 0]
+        for j in range(1, m):
+            cur[j] = cost[i, j] + min(prev[j], prev[j - 1], cur[j - 1])
+        prev, cur = cur, prev
+    return float(prev[-1])
 
 
 def viterbi_oracle(

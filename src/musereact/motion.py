@@ -30,6 +30,7 @@ from .core import (
     ReactionLabel,
     Session,
     merge_labels_to_events,
+    read_text,
     second_bounds,
 )
 from . import dsp
@@ -193,8 +194,7 @@ class LstmWeights:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "LstmWeights":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(read_text(path))
 
     def save(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -464,8 +464,7 @@ class HmmParams:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "HmmParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(read_text(path))
 
 
 def train_hmm(

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from musereact import core, engage
+from musereact import core, engage, harness
 from musereact.cli import main
 from musereact.core import PipelineConfig, ReactionEvent, ReactionLabel
 from musereact.vocal import HmmParams
@@ -280,6 +285,110 @@ class TestRecommend:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split("\t") == ["same", "0"]
         assert lines[1].split("\t")[0] == "different"
+
+    @pytest.mark.parametrize("empty", ["pattern", "pool"])
+    def test_file_without_events_is_named(self, tmp_path, capsys, empty):
+        event = [ReactionEvent(label=S, t_start=0.0, t_end=3.0)]
+        paths = {"pattern": tmp_path / "query.jsonl",
+                 "pool": tmp_path / "pool" / "song.jsonl"}
+        paths["pool"].parent.mkdir()
+        for name, path in paths.items():
+            core.save_events_jsonl(path, [] if name == empty else event)
+        code = main(["recommend", "--pattern", str(paths["pattern"]),
+                     "--pool", str(paths["pool"].parent)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact recommend: error: {paths[empty]}: no reaction events\n")
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):
+        with pytest.raises(SystemExit) as err:
+            main(["recommend", "--pattern", str(tmp_path / "q.jsonl"),
+                  "--pool", str(tmp_path), "--top", top])
+        assert err.value.code == 1
+        assert "usage" in capsys.readouterr().err.lower()
+
+
+#: One events line: mostly well-formed, sometimes with a bad field.
+EVENT_LINE = st.builds(
+    lambda label, t0, length: (json.dumps(
+        {"label": label, "t_start": t0, "t_end": t0 + length}) + "\n").encode(),
+    st.one_of(st.sampled_from([label.value for label in ReactionLabel]),
+              st.sampled_from(["", "singing", 3, None, ["head_motion"]])),
+    st.integers(-2, 20), st.integers(-1, 8))
+
+#: Bytes of a pattern or pool file: arbitrary, or lines of events.
+EVENTS_FILE = st.one_of(st.binary(max_size=48),
+                        st.lists(EVENT_LINE, max_size=4).map(b"".join))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pattern=EVENTS_FILE, pool=st.lists(EVENTS_FILE, max_size=3))
+def test_recommend_on_any_bytes_exits_0_or_2_with_one_line(pattern, pool):
+    with tempfile.TemporaryDirectory() as tmp:
+        query = os.path.join(tmp, "query.jsonl")
+        pool_dir = os.path.join(tmp, "pool")
+        os.mkdir(pool_dir)
+        with open(query, "wb") as fh:
+            fh.write(pattern)
+        for k, data in enumerate(pool):
+            with open(os.path.join(pool_dir, f"song{k}.jsonl"), "wb") as fh:
+                fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["recommend", "--pattern", query, "--pool", pool_dir])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1)
+
+
+def small_session(root):
+    """A written 3-second session directory (no reactions)."""
+    spec = harness.SyntheticSpec("sess", "u0", "tune", "lounge", duration_s=3, seed=1)
+    return harness.write_corpus(root, [spec])[0]
+
+
+#: CLI reader -> (command, argv builder taking (tmp_path, path of the JSON file)).
+JSON_READERS = {
+    "simulate --spec": ("simulate", lambda tmp, path: [
+        "simulate", "--spec", str(path), "--out", str(tmp / "out")]),
+    "detect --config": ("detect", lambda tmp, path: [
+        "detect", "--session", str(tmp / "s"), "--config", str(path),
+        "--out", str(tmp / "out")]),
+    "detect --hmm": ("detect", lambda tmp, path: [
+        "detect", "--session", str(tmp / "s"), "--pipeline", "vocal",
+        "--hmm", str(path), "--out", str(tmp / "out")]),
+    "detect --lstm": ("detect", lambda tmp, path: [
+        "detect", "--session", small_session(tmp / "data"), "--pipeline", "motion",
+        "--lstm", str(path), "--out", str(tmp / "out")]),
+    "detect meta.json": ("detect", lambda tmp, path: [
+        "detect", "--session", str(path.parent), "--pipeline", "motion",
+        "--out", str(tmp / "out")]),
+    "eval --stats": ("eval", lambda tmp, path: [
+        "eval", "--pred", str(tmp / "pred.jsonl"), "--truth", str(tmp / "truth.csv"),
+        "--task", "vocal", "--stats", str(path), "--report", str(tmp / "r.json")]),
+}
+
+
+class TestJsonInputs:
+    """Every JSON file the CLI reads goes through ``core.read_text``."""
+
+    @pytest.mark.parametrize("reader", sorted(JSON_READERS))
+    @pytest.mark.parametrize("case", ["missing", "not_utf8"])
+    def test_names_the_file_and_exits_2(self, tmp_path, capsys, monkeypatch, reader, case):
+        monkeypatch.delenv("MUSEREACT_CONFIG", raising=False)
+        command, argv = JSON_READERS[reader]
+        (tmp_path / "truth.csv").write_bytes(TestEvalMalformedInput.TRUTH)
+        (tmp_path / "pred.jsonl").write_bytes(TestEvalMalformedInput.PRED)
+        path = tmp_path / "doc" / "meta.json"  # the name the session reader needs
+        path.parent.mkdir()
+        expected = "file not found"
+        if case == "not_utf8":
+            path.write_bytes(b"{\n\xff\xfe}\n")
+            expected = "line 2: not UTF-8 text"
+        assert main(argv(tmp_path, path)) == 2
+        assert capsys.readouterr().err == (
+            f"musereact {command}: error: {path}: {expected}\n")
 
 
 class TestDeterminism:

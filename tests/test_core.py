@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from musereact import core, engage, musicinfo, vocal
+from musereact import core, engage, motion, musicinfo, vocal
 from musereact.core import (
     AlignmentError,
     ConfigError,
@@ -436,3 +436,31 @@ class TestHeaderedCsvFormats:
             text = "\n".join(lines) + "\n"
             results.append(view(load(self.write(tmp_path / name, fmt, text.encode()))))
         assert results[0] == results[1]
+
+
+#: JSON document loaders: name -> (file name, load function taking the file path).
+JSON_LOADERS = {
+    "config": ("config.json", PipelineConfig.load),
+    "hmm": ("hmm.json", vocal.HmmParams.load),
+    "lstm": ("lstm.json", motion.LstmWeights.load),
+    "tree": ("tree.json", engage.DecisionTree.load),
+    "meta": ("meta.json", lambda path: core.load_session_dir(os.path.dirname(path))),
+}
+
+
+class TestJsonDocuments:
+    """The JSON loaders read through ``core.read_text``."""
+
+    @pytest.mark.parametrize("loader", sorted(JSON_LOADERS))
+    @pytest.mark.parametrize("data, expected", [
+        (None, "file not found"),
+        (b'{\n  "a": "\xff"\n}\n', "line 2: not UTF-8 text"),
+    ], ids=["missing", "not_utf8"])
+    def test_bad_file_is_parse_error_naming_path(self, tmp_path, loader, data, expected):
+        name, load = JSON_LOADERS[loader]
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load(str(path))
+        assert str(err.value) == f"{path}: {expected}"

@@ -5,7 +5,7 @@ import pytest
 
 from musereact import dsp
 from musereact.core import InsufficientDataError, ParameterError
-from musereact.harness import dtw_oracle
+from musereact.harness import dtw_loop_oracle, dtw_oracle
 
 
 def tail_rms(x, n=4000):
@@ -275,3 +275,54 @@ class TestDtw:
     def test_out_of_range_symbol_rejected(self):
         with pytest.raises(ParameterError):
             dsp.dtw_distance(np.array([12]), np.array([0]))
+
+
+def integer_costs(rng, kind, n, m):
+    """An n x m local-cost matrix of one of the kinds the package builds."""
+    if kind == "binary":
+        return rng.integers(0, 2, (n, m)).astype(float)
+    if kind == "0..6":
+        return rng.integers(0, 7, (n, m)).astype(float)
+    voiced = rng.random(n) < 0.7, rng.random(m) < 0.7
+    a, b = (np.where(v, rng.integers(0, 12, len(v)), dsp.UNVOICED) for v in voiced)
+    return dsp.chroma_cost_matrix(a, b)
+
+
+class TestDtwKernel:
+    """``dtw_from_cost`` runs the row-scan kernel; both DTW oracles pin it."""
+
+    @pytest.mark.parametrize("kind, seed", [("binary", 1), ("0..6", 2), ("chroma", 3)])
+    def test_equals_loop_oracle_exactly(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(1, 1), (1, 80), (80, 1), (80, 80), (2, 3), (3, 2)]
+        shapes += [tuple(rng.integers(1, 81, 2)) for _ in range(24)]
+        for n, m in shapes:
+            cost = integer_costs(rng, kind, int(n), int(m))
+            assert dsp.dtw_from_cost(cost) == dtw_loop_oracle(cost), (kind, n, m)
+
+    def test_equals_path_oracle_up_to_length_8(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            for m in range(1, 9):
+                a = rng.integers(-1, 12, n)
+                b = rng.integers(-1, 12, m)
+                assert dsp.dtw_distance(a, b) == dtw_oracle(a, b), (a, b)
+
+    @pytest.mark.parametrize("bad", [0.5, -2.25, np.nan, np.inf, -np.inf])
+    def test_rejects_costs_that_are_not_finite_integers(self, bad):
+        cost = np.zeros((3, 4))
+        cost[1, 2] = bad
+        with pytest.raises(ParameterError):
+            dsp.dtw_from_cost(cost)
+
+    def test_padding_never_reaches_a_problems_own_columns(self):
+        rng = np.random.default_rng(12)
+        costs = [rng.integers(0, 7, (9, int(m))).astype(float) for m in (1, 4, 9, 13)]
+        width = max(c.shape[1] for c in costs) + 3
+        for pad in (0.0, 6.0, 1e6):
+            stack = np.full((9, len(costs), width), pad)
+            for k, c in enumerate(costs):
+                stack[:, k, :c.shape[1]] = c
+            last = dsp.dtw_scan(iter(stack))
+            for k, c in enumerate(costs):
+                assert last[k, c.shape[1] - 1] == dtw_loop_oracle(c)

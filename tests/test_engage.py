@@ -20,6 +20,7 @@ from musereact.engage import (
     train_familiarity_tree,
     train_rating_tree,
 )
+from musereact.harness import dtw_loop_oracle
 
 N = ReactionLabel.NON_REACTION
 S = ReactionLabel.SINGING_HUMMING
@@ -280,3 +281,56 @@ class TestRecommendation:
         assert len(out) == 3
         distances = [d for _, d in out]
         assert distances == sorted(distances)
+
+
+def random_pattern(rng, min_len, max_len):
+    return rng.integers(0, 4, int(rng.integers(min_len, max_len)))
+
+
+def brute_force_ranking(query, pool, top_n):
+    """Every member scored by the cell-by-cell oracle, then sorted."""
+    query = np.asarray(query)[:, None]
+    scored = ((sid, dtw_loop_oracle((query != np.asarray(m)[None, :]).astype(float)))
+              for sid, m in pool.items())
+    return sorted(scored, key=lambda pair: (pair[1], pair[0]))[:top_n]
+
+
+class TestRecommendMatchesBruteForce:
+    """``recommend`` scores the whole pool in one scan; ranking must equal
+    scoring each member on its own."""
+
+    def test_random_pools(self):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            size = int(rng.integers(1, 8))
+            # Random id prefixes, so insertion order is not id order.
+            pool = {f"s{rng.integers(1000):03d}x{k}": random_pattern(rng, 1, 121)
+                    for k in range(size)}
+            query = random_pattern(rng, 1, 121)
+            top_n = int(rng.integers(1, size + 3))
+            expected = brute_force_ranking(query, pool, top_n)
+            assert recommend(query, pool, top_n) == expected, trial
+
+    def test_duplicate_members_break_ties_by_id(self):
+        rng = np.random.default_rng(22)
+        member = rng.integers(0, 4, 40)
+        pool = {"m": member, "b": member.copy(), "z": member[:20], "a": member.copy(),
+                "c": rng.integers(0, 4, 7)}
+        query = np.concatenate([member[:10], member])
+        out = recommend(query, pool, top_n=5)
+        assert out == brute_force_ranking(query, pool, 5)
+        assert [sid for sid, _ in out[:3]] == ["a", "b", "m"]
+
+    def test_pool_of_one_and_query_longer_than_every_member(self):
+        rng = np.random.default_rng(23)
+        query = rng.integers(0, 4, 120)
+        for pool in ({"only": rng.integers(0, 4, 5)},
+                     {f"s{k}": random_pattern(rng, 1, 30) for k in range(6)}):
+            assert recommend(query, pool, 3) == brute_force_ranking(query, pool, 3)
+
+    def test_each_member_checked_like_pattern_distance(self):
+        with pytest.raises(ParameterError, match="non-empty 1-D"):
+            recommend(np.array([0, 1]),
+                      {"ok": np.array([0]), "empty": np.array([], dtype=int)})
+        with pytest.raises(ParameterError, match="non-empty 1-D"):
+            recommend(np.array([[0, 1]]), {"ok": np.array([0])})
