@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -124,83 +126,44 @@ def _vocal_inputs(session_dir: str, config: PipelineConfig, notes_dir: str | Non
     return classifier, tracker, store
 
 
-def _detect_one(session_dir: str, pipeline: str, config_text: str,
-                hmm_text: str | None, lstm_path: str | None,
-                notes_dir: str | None, out_dir: str,
-                out_file: str | None = None) -> str:
+def _detect_one(session_dir: str, *, pipeline: str, config: PipelineConfig,
+                hmm: vocal.HmmParams | None,
+                seq_classifier: motion.SequenceClassifier | None,
+                notes_dir: str | None, out_dir: str, out_file: str | None) -> str:
     """Worker: run the requested pipelines over one session directory.
 
     With ``out_file`` set (--out pointing at a .jsonl path) only that one
     events file is written; otherwise the session's events and stats land
     as separate files under ``out_dir``.
     """
-    config = PipelineConfig.from_json(config_text)
     session = core.load_session_dir(session_dir)
-    stats: dict = {"session_id": session.session_id}
-    vocal_result = motion_result = None
-
+    results = {}
     if pipeline in ("vocal", "both"):
         classifier, tracker, store = _vocal_inputs(session_dir, config, notes_dir)
-        hmm = vocal.HmmParams.from_json(hmm_text) if hmm_text else None
-        vocal_result = vocal.run_vocal_pipeline(
+        results["vocal"] = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker,
             note_store=store, hmm=hmm, config=config)
-        stats["vocal"] = {
-            "total_segments": vocal_result.stats.total_segments,
-            "motion_filtered": vocal_result.stats.motion_filtered,
-            "sound_filtered": vocal_result.stats.sound_filtered,
-            "classified": vocal_result.stats.classified,
-            "corrected": vocal_result.stats.corrected,
-            "errors": vocal_result.stats.errors,
-            "filtering_ratio": vocal_result.stats.filtering_ratio,
-            "stages": vocal_result.stats.stages,
-            "diagnostics": vocal_result.diagnostics,
-        }
-
     if pipeline in ("motion", "both"):
-        if lstm_path:
-            seq_classifier: motion.SequenceClassifier = \
-                motion.LstmClassifier.from_file(lstm_path)
-        else:
-            seq_classifier = motion.HeuristicMotionClassifier()
-        motion_result = motion.run_motion_pipeline(session, seq_classifier, config)
-        stats["motion"] = {
-            "total_seconds": motion_result.stats.total_seconds,
-            "prefiltered": motion_result.stats.prefiltered,
-            "classified": motion_result.stats.classified,
-            "cold_start": motion_result.stats.cold_start,
-            "errors": motion_result.stats.errors,
-            "filtering_ratio": motion_result.stats.filtering_ratio,
-            "diagnostics": motion_result.diagnostics,
-        }
+        results["motion"] = motion.run_motion_pipeline(session, seq_classifier, config)
 
-    combined_events = None
-    if vocal_result is not None and motion_result is not None:
-        combined = engage.combine_timelines(
-            vocal_result.labels, motion_result.labels)
-        combined_events = core.merge_labels_to_events(combined)
+    stats: dict = {"session_id": session.session_id}
+    events = {}
+    for name, result in results.items():
+        stats[name] = {**dataclasses.asdict(result.stats),
+                       "filtering_ratio": result.stats.filtering_ratio,
+                       "diagnostics": result.diagnostics}
+        events[name] = result.events
+    if pipeline == "both":
+        events["combined"] = core.merge_labels_to_events(engage.combine_timelines(
+            results["vocal"].labels, results["motion"].labels))
 
     if out_file is not None:
-        if pipeline == "vocal":
-            core.save_events_jsonl(out_file, vocal_result.events)
-        elif pipeline == "motion":
-            core.save_events_jsonl(out_file, motion_result.events)
-        else:
-            core.save_events_jsonl(out_file, combined_events)
+        core.save_events_jsonl(
+            out_file, events["combined" if pipeline == "both" else pipeline])
         return session.session_id
-
-    if vocal_result is not None:
+    for name, named_events in events.items():
         core.save_events_jsonl(
-            os.path.join(out_dir, f"{session.session_id}.vocal.jsonl"),
-            vocal_result.events)
-    if motion_result is not None:
-        core.save_events_jsonl(
-            os.path.join(out_dir, f"{session.session_id}.motion.jsonl"),
-            motion_result.events)
-    if combined_events is not None:
-        core.save_events_jsonl(
-            os.path.join(out_dir, f"{session.session_id}.combined.jsonl"),
-            combined_events)
+            os.path.join(out_dir, f"{session.session_id}.{name}.jsonl"), named_events)
     with open(os.path.join(out_dir, f"{session.session_id}.stats.json"),
               "w", encoding="utf-8") as fh:
         fh.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")
@@ -210,7 +173,6 @@ def _detect_one(session_dir: str, pipeline: str, config_text: str,
 def _cmd_detect(args) -> int:
     dirs = _session_dirs(args)
     config = load_config(args.config)
-    config.validate()
     out_file = args.out if args.out.endswith(".jsonl") else None
     if out_file is not None:
         if len(dirs) != 1:
@@ -221,23 +183,24 @@ def _cmd_detect(args) -> int:
             os.makedirs(parent, exist_ok=True)
     else:
         os.makedirs(args.out, exist_ok=True)
-    hmm_text = None
-    if args.hmm:
-        hmm_text = core.read_text(args.hmm)
-        vocal.HmmParams.from_json(hmm_text)  # fail fast on a bad file
-    work = [(d, args.pipeline, config.to_json(), hmm_text,
-             args.lstm, args.notes, args.out, out_file) for d in dirs]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            done = list(pool.map(_detect_one_star, work))
+    hmm = vocal.HmmParams.load(args.hmm) if args.hmm else None
+    seq_classifier = None  # run_motion_pipeline's default: the heuristic
+    if args.lstm and args.pipeline != "vocal":
+        seq_classifier = motion.LstmClassifier.from_file(args.lstm)
+    detect = functools.partial(
+        _detect_one, pipeline=args.pipeline, config=config, hmm=hmm,
+        seq_classifier=seq_classifier, notes_dir=args.notes, out_dir=args.out,
+        out_file=out_file)
+    # The fork start method launches every worker up front, so never more
+    # workers than sessions.
+    workers = min(args.workers, len(dirs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            done = list(pool.map(detect, dirs))
     else:
-        done = [_detect_one(*item) for item in work]
+        done = list(map(detect, dirs))
     _log(f"detect: processed {len(done)} sessions into {args.out}")
     return 0
-
-
-def _detect_one_star(item):
-    return _detect_one(*item)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lstm", help="LSTM weights JSON for the motion classifier")
     p.add_argument("--notes", help="note-track directory (default: sibling 'notes')")
     p.add_argument("--out", required=True, help="output directory for event files")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="process this many sessions in parallel")
     p.set_defaults(func=_cmd_detect)
 

@@ -46,6 +46,8 @@ import scipy.io.wavfile
 
 IMU_RATE_HZ = 70.0
 AUDIO_RATE_HZ = 44100
+#: Rate the audio front end resamples to before the 96x64 log-mel patch.
+CLASSIFIER_RATE_HZ = 16000
 SEGMENT_SECONDS = 1.0
 
 #: Allowed deviation of the IMU rate from nominal before a session is rejected.
@@ -171,6 +173,18 @@ class PipelineLabel:
 # configuration
 # ---------------------------------------------------------------------------
 
+#: JSON form of each config field type: (description, check, conversion).
+#: ``type(...)`` rather than ``isinstance`` so booleans are not numbers.
+_JSON_FIELD_TYPES = {
+    "float": ("a number", lambda v: type(v) in (int, float), float),
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "bool": ("true or false", lambda v: type(v) is bool, bool),
+    "tuple[str, ...]": ("a list of names",
+                        lambda v: type(v) is list and all(type(n) is str for n in v),
+                        tuple),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every tunable threshold of the detection pipelines, with defaults.
@@ -187,7 +201,6 @@ class PipelineConfig:
 
     # --- vocal pipeline: audio front end --------------------------------
     audio_lowpass_hz: float = 2000.0
-    classifier_sample_rate: int = 16000
 
     # --- vocal pipeline: classification ---------------------------------
     margin_threshold: float = 0.9
@@ -208,8 +221,6 @@ class PipelineConfig:
     motion_movement_low_g: float = 0.0092
     motion_movement_high_g: float = 0.114
     imu_lowpass_hz: float = 5.0
-    imu_rate_hz: float = IMU_RATE_HZ
-    motion_window_s: float = 7.0
     motion_decision_threshold: float = 0.5
 
     # --- stage toggles (ablations) --------------------------------------
@@ -223,32 +234,26 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` if any value is out of range."""
-        numeric = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.type in ("float", "int")
-        }
-        for name, value in numeric.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for low, high in (
             ("vocal_movement_low_g", "vocal_movement_high_g"),
             ("motion_movement_low_g", "motion_movement_high_g"),
         ):
             if not 0 <= getattr(self, low) < getattr(self, high):
                 raise ConfigError(f"need 0 <= {low} < {high}")
-        if self.classifier_sample_rate <= 0 or self.imu_rate_hz <= 0:
-            raise ConfigError("sample rates must be positive")
-        if not 0 < self.audio_lowpass_hz < self.classifier_sample_rate / 2:
+        if not 0 < self.audio_lowpass_hz < CLASSIFIER_RATE_HZ / 2:
             raise ConfigError("audio_lowpass_hz must sit below Nyquist")
-        if not 0 < self.imu_lowpass_hz < self.imu_rate_hz / 2:
+        if not 0 < self.imu_lowpass_hz < IMU_RATE_HZ / 2:
             raise ConfigError("imu_lowpass_hz must sit below Nyquist")
         if self.relax_top_k < 1:
             raise ConfigError("relax_top_k must be >= 1")
         if self.smoothing_window < 1:
             raise ConfigError("smoothing_window must be >= 1")
-        if self.motion_window_s <= 0 or self.dtw_threshold < 0:
-            raise ConfigError("motion_window_s must be > 0 and dtw_threshold >= 0")
+        if self.dtw_threshold < 0:
+            raise ConfigError("dtw_threshold must be >= 0")
         if not 0 <= self.motion_decision_threshold <= 1:
             raise ConfigError("motion_decision_threshold must lie in [0, 1]")
         for name in self._TUPLE_FIELDS:
@@ -267,13 +272,18 @@ class PipelineConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(raw) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for name in cls._TUPLE_FIELDS:
-            if name in raw:
-                raw[name] = tuple(raw[name])
+        for name, value in raw.items():
+            what, accepts, convert = _JSON_FIELD_TYPES[types[name]]
+            if not accepts(value):
+                raise ConfigError(f"{name} must be {what}")
+            try:
+                raw[name] = convert(value)
+            except OverflowError:  # a JSON integer beyond float range
+                raise ConfigError(f"{name} must be finite") from None
         config = cls(**raw)
         config.validate()
         return config
@@ -548,6 +558,8 @@ def load_session_dir(path: str | os.PathLike) -> Session:
         meta = json.loads(read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{meta_path}: expected a JSON object")
 
     imu_path = os.path.join(path, "imu.csv")
     rows = list(read_csv_rows(imu_path, _IMU_HEADER))

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 import numpy as np
 import scipy.signal
 
-from .core import InsufficientDataError, ParameterError
+from .core import CLASSIFIER_RATE_HZ, InsufficientDataError, ParameterError
 
 #: Chroma symbol for frames whose pitch confidence fell below threshold.
 UNVOICED = -1
@@ -124,7 +124,7 @@ def mel_filterbank(
     num_bands: int = MEL_BANDS,
     min_hz: float = MEL_MIN_HZ,
     max_hz: float = MEL_MAX_HZ,
-    sample_rate_hz: int = 16000,
+    sample_rate_hz: int = CLASSIFIER_RATE_HZ,
     nfft: int = STFT_NFFT,
 ) -> np.ndarray:
     """Triangular mel filterbank, shape ``(nfft // 2 + 1, num_bands)``.
@@ -144,7 +144,7 @@ def mel_filterbank(
 
 
 #: The 16 kHz bank :func:`log_mel_patch` applies, built once and read-only.
-MEL_FILTERBANK_16K = mel_filterbank(sample_rate_hz=16000)
+MEL_FILTERBANK_16K = mel_filterbank()
 MEL_FILTERBANK_16K.flags.writeable = False
 
 

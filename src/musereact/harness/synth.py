@@ -599,6 +599,8 @@ def parse_corpus_spec(obj: dict, base_seed: int = 0) -> list[SyntheticSpec]:
         raise ParseError("corpus spec must be an object with a 'sessions' list")
     specs = []
     for i, raw in enumerate(obj["sessions"]):
+        if not isinstance(raw, dict):
+            raise ParseError(f"corpus spec, session {i}: expected a JSON object")
         try:
             script = tuple(
                 (int(t0), int(t1), ReactionLabel(label))
@@ -616,9 +618,7 @@ def parse_corpus_spec(obj: dict, base_seed: int = 0) -> list[SyntheticSpec]:
                 seed=int(raw["seed"]) if "seed" in raw else base_seed * 100003 + i,
             )
             spec.validate()
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ParseError(f"corpus spec, session {i}: {exc}") from None
-        except ParameterError as exc:
+        except (TypeError, ValueError, KeyError) as exc:  # ParameterError too
             raise ParseError(f"corpus spec, session {i}: {exc}") from None
         specs.append(spec)
     if not specs:

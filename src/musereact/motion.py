@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    IMU_RATE_HZ,
     Error,
     ParameterError,
     ParseError,
@@ -40,9 +41,6 @@ WINDOW_SAMPLES = 490
 UNIT_SAMPLES = 7
 NUM_UNITS = 70
 NUM_FEATURES = 18
-
-#: Seconds at the start of a session that cannot see a full window yet.
-COLD_START_SECONDS = 6
 
 
 def motion_prefilter(
@@ -349,9 +347,8 @@ def run_motion_pipeline(
     if classifier is None:
         classifier = HeuristicMotionClassifier()
     gyro_filtered = dsp.lowpass_first_order(
-        session.gyro, config.imu_rate_hz, config.imu_lowpass_hz
+        session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz
     )
-    window_samples = int(round(config.motion_window_s * config.imu_rate_hz))
 
     stats = MotionStats()
     diagnostics: list[str] = []
@@ -361,8 +358,7 @@ def run_motion_pipeline(
         stats.total_seconds += 1
         try:
             labels.append(_label_second(
-                session, gyro_filtered, classifier, config,
-                start, boundary, window_samples, stats,
+                session, gyro_filtered, classifier, config, start, boundary, stats,
             ))
         except Error as exc:
             stats.errors += 1
@@ -377,7 +373,7 @@ def run_motion_pipeline(
 
 
 def _label_second(session, gyro_filtered, classifier, config,
-                  start, boundary, window_samples, stats):
+                  start, boundary, stats):
     """Label the second whose IMU samples are ``[start, boundary)``."""
     if config.enable_motion_filter and motion_prefilter(
         session.accel[start:boundary],
@@ -385,10 +381,10 @@ def _label_second(session, gyro_filtered, classifier, config,
     ):
         stats.prefiltered += 1
         return ReactionLabel.NON_REACTION
-    if boundary < window_samples:
+    if boundary < WINDOW_SAMPLES:
         stats.cold_start += 1
         return ReactionLabel.NON_REACTION
-    units = extract_motion_units(gyro_filtered[boundary - window_samples:boundary])
+    units = extract_motion_units(gyro_filtered[boundary - WINDOW_SAMPLES:boundary])
     p_head, _ = classifier.classify(units)
     stats.classified += 1
     if p_head > config.motion_decision_threshold:

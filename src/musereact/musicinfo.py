@@ -65,16 +65,15 @@ def note_window(
         raise ParameterError(f"need t1 > t0, got [{t0}, {t1})")
     if margin_s < 0:
         raise ParameterError("margin_s must be >= 0")
-    first = int(round((t0 - margin_s) / NOTE_HOP_S))
-    last = int(round((t1 + margin_s) / NOTE_HOP_S))
-    first_clipped = max(first, 0)
-    last_clipped = min(last, len(track))
-    if first_clipped >= last_clipped:
+    # Clipped before rounding: a huge margin makes an infinite bound.
+    first = round(min(max((t0 - margin_s) / NOTE_HOP_S, 0.0), len(track)))
+    last = round(min(max((t1 + margin_s) / NOTE_HOP_S, 0.0), len(track)))
+    if first >= last:
         raise EmptyWindowError(
             f"window [{t0}, {t1}) +/- {margin_s} s lies outside the "
             f"{track.duration_s:.1f} s track {track.song_id!r}"
         )
-    return track.symbols[first_clipped:last_clipped].copy()
+    return track.symbols[first:last].copy()
 
 
 def save_note_track(path: str | os.PathLike, track: NoteTrack) -> None:

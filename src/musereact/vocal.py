@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    CLASSIFIER_RATE_HZ,
     ConfigError,
     Error,
     InsufficientDataError,
@@ -715,7 +716,5 @@ def preprocess_segment_audio(
 ) -> np.ndarray:
     """Audio front end for the classifier: resample to 16 kHz, then a
     first-order 2 kHz low-pass to match the band the vocal classes live in."""
-    x = dsp.resample(audio, sample_rate, config.classifier_sample_rate)
-    return dsp.lowpass_first_order(
-        x, config.classifier_sample_rate, config.audio_lowpass_hz
-    )
+    x = dsp.resample(audio, sample_rate, CLASSIFIER_RATE_HZ)
+    return dsp.lowpass_first_order(x, CLASSIFIER_RATE_HZ, config.audio_lowpass_hz)

@@ -1,17 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from musereact import core, engage, harness
+from musereact import core, engage, harness, motion
 from musereact.cli import main
 from musereact.core import PipelineConfig, ReactionEvent, ReactionLabel
 from musereact.vocal import HmmParams
@@ -109,14 +112,64 @@ class TestDetect:
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_parallel_workers_match_serial(self, corpus):
+        """Workers get the run's config, HMM and LSTM and write the same bytes."""
         tmp_path, data_dir, config_path = corpus
+        hmm_path, lstm_path = tmp_path / "hmm.json", tmp_path / "lstm.json"
+        sticky = 0.7 * np.eye(3) + 0.1
+        HmmParams(core.VOCAL_STATES, np.full(3, 1 / 3), sticky, sticky).save(hmm_path)
+        motion.LstmWeights.random(np.random.default_rng(0)).save(lstm_path)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         for out, workers in ((serial, "1"), (parallel, "2")):
             assert main(["detect", "--data", str(data_dir),
                          "--config", str(config_path),
+                         "--hmm", str(hmm_path), "--lstm", str(lstm_path),
                          "--out", str(out), "--workers", workers]) == 0
-        for name in sorted(os.listdir(serial)):
+        names = sorted(os.listdir(serial))
+        assert names == sorted(os.listdir(parallel)) and len(names) == 8
+        for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_pool_has_at_most_one_worker_per_session(self, corpus, monkeypatch):
+        """A forked pool starts all its workers at once: two sessions, two."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        tmp_path, data_dir, config_path = corpus
+        for workers in ("8", "1"):
+            assert main(["detect", "--pipeline", "motion", "--data", str(data_dir),
+                         "--config", str(config_path), "--workers", workers,
+                         "--out", str(tmp_path / f"out{workers}")]) == 0
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as err:
+            main(["detect", "--session", str(tmp_path), "--out", str(tmp_path / "o"),
+                  "--workers", workers])
+        assert err.value.code == 1
+        assert "usage" in capsys.readouterr().err.lower()
+
+    def test_lstm_is_not_read_for_the_vocal_pipeline(self, corpus):
+        tmp_path, data_dir, config_path = corpus
+        bad = tmp_path / "bad_lstm.json"
+        bad.write_text("{not json")
+        assert main(["detect", "--pipeline", "vocal",
+                     "--session", str(data_dir / "sess_a"),
+                     "--config", str(config_path), "--lstm", str(bad),
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_env_var_supplies_config(self, corpus, monkeypatch):
         tmp_path, data_dir, config_path = corpus
@@ -389,6 +442,92 @@ class TestJsonInputs:
         assert main(argv(tmp_path, path)) == 2
         assert capsys.readouterr().err == (
             f"musereact {command}: error: {path}: {expected}\n")
+
+
+class TestNonObjectJson:
+    """JSON documents that must be objects name the file or entry: exit 2."""
+
+    @pytest.mark.parametrize("doc", ["[]", "5"])
+    def test_meta_json(self, tmp_path, capsys, doc):
+        session = small_session(tmp_path / "data")
+        meta = os.path.join(session, "meta.json")
+        with open(meta, "w", encoding="utf-8") as fh:
+            fh.write(doc)
+        assert main(["detect", "--session", session, "--pipeline", "motion",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {meta}: expected a JSON object\n")
+
+    def test_corpus_spec_entry(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"sessions": [{"duration_s": 3}, 5]}')
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "musereact simulate: error: corpus spec, session 1: expected a JSON object\n")
+
+
+class TestDetectConfig:
+    """A bad ``--config`` document exits 2 with one line naming the key."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"imu_rate_hz": 70}, "unknown config keys: imu_rate_hz"),
+        ({"dtw_threshold": "x"}, "dtw_threshold must be a number"),
+        ({"dtw_threshold": None}, "dtw_threshold must be a number"),
+        ({"singing_classes": 5}, "singing_classes must be a list of names"),
+        ({"enable_correction": "no"}, "enable_correction must be true or false"),
+    ])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["detect", "--session", str(tmp_path / "s"), "--config",
+                     str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"musereact detect: error: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def three_second_session(tmp_path_factory):
+    return small_session(tmp_path_factory.mktemp("data"))
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+#: Values of each config field's own JSON type, small numbers drawn often.
+TYPED_VALUE = {
+    "float": st.floats() | st.floats(-2.0, 200.0),
+    "int": st.integers() | st.integers(-2, 10),
+    "bool": st.booleans(),
+    "tuple[str, ...]": st.lists(st.text(max_size=8), max_size=3),
+}
+
+#: A config document: up to three fields, each of its own type or any JSON.
+CONFIG_DOC = st.lists(
+    st.sampled_from(dataclasses.fields(PipelineConfig)),
+    unique_by=lambda f: f.name, max_size=3,
+).flatmap(lambda fields: st.fixed_dictionaries(
+    {f.name: TYPED_VALUE[f.type] | JSON_VALUE for f in fields}))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(doc=CONFIG_DOC)
+def test_detect_on_any_config_exits_0_or_2_with_one_line(three_second_session, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["detect", "--session", three_second_session,
+                         "--config", config, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1
+    assert not caught, [str(w.message) for w in caught]
 
 
 class TestDeterminism:

@@ -116,6 +116,26 @@ class TestPipelineConfig:
         cfg.save(path)
         assert PipelineConfig.load(path) == cfg
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"dtw_threshold": True}, "dtw_threshold must be a number"),
+        ({"dtw_threshold": [30]}, "dtw_threshold must be a number"),
+        ({"dtw_threshold": 10 ** 400}, "dtw_threshold must be finite"),
+        ({"smoothing_window": 4.0}, "smoothing_window must be an integer"),
+        ({"relax_top_k": False}, "relax_top_k must be an integer"),
+        ({"enable_correction": 0}, "enable_correction must be true or false"),
+        ({"singing_classes": "sing"}, "singing_classes must be a list of names"),
+        ({"singing_classes": ["sing", 3]}, "singing_classes must be a list of names"),
+    ])
+    def test_field_types_checked_before_ranges(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig.from_json(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_json_integers_fill_float_fields(self):
+        cfg = PipelineConfig.from_json('{"dtw_threshold": 30, "smoothing_window": 4}')
+        assert cfg == PipelineConfig().replace(dtw_threshold=30.0, smoothing_window=4)
+        assert type(cfg.dtw_threshold) is float
+
     def test_partial_json_fills_defaults(self):
         cfg = PipelineConfig.from_json(json.dumps({"dtw_threshold": 42.0}))
         assert cfg.dtw_threshold == 42.0

@@ -65,6 +65,11 @@ class TestNoteWindow:
         window = note_window(track, 3.0, 4.0, margin_s=0.0)
         np.testing.assert_array_equal(window, track.symbols[30:40])
 
+    def test_margin_beyond_float_range_takes_whole_track(self):
+        track = make_track(n=100)
+        window = note_window(track, 3.0, 4.0, margin_s=1e308)
+        np.testing.assert_array_equal(window, track.symbols)
+
 
 class TestNoteTrackIO:
     def test_round_trip(self, tmp_path):

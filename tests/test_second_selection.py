@@ -14,6 +14,7 @@ import pytest
 
 from musereact import dsp, vocal
 from musereact.core import (
+    IMU_RATE_HZ,
     Error,
     PipelineConfig,
     ReactionLabel,
@@ -23,6 +24,7 @@ from musereact.core import (
 )
 from musereact.harness import SyntheticSpec, generate_session
 from musereact.motion import (
+    WINDOW_SAMPLES,
     HeuristicMotionClassifier,
     MotionStats,
     extract_motion_units,
@@ -59,8 +61,8 @@ def mask_motion(session, classifier, config):
     """Oracle: the motion cascade with per-second masks and sample counts."""
     session.validate()
     gyro_filtered = dsp.lowpass_first_order(
-        session.gyro, config.imu_rate_hz, config.imu_lowpass_hz)
-    window = int(round(config.motion_window_s * config.imu_rate_hz))
+        session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz)
+    window = WINDOW_SAMPLES
     stats, labels, diagnostics = MotionStats(), [], []
     for second in range(int(math.floor(session.duration_s + 1e-9))):
         stats.total_seconds += 1
