@@ -38,6 +38,7 @@ import io
 import json
 import math
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -560,6 +561,16 @@ def load_session_dir(path: str | os.PathLike) -> Session:
         raise ParseError(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path}: expected a JSON object")
+    session_id = str(meta.get("session_id", os.path.basename(os.path.normpath(path))))
+    if "session_id" in meta and (session_id in ("", ".", "..")
+                                 or any(c in session_id for c in "/\\\0")):
+        raise ParseError(f"{meta_path}: session_id must be a plain file name")
+    audio_rate = meta.get("audio_rate", AUDIO_RATE_HZ)
+    if type(audio_rate) is not int or audio_rate <= 0:  # bool is not an int here
+        raise ParseError(f"{meta_path}: audio_rate must be a positive integer")
+    offset = meta.get("start_offset_in_song", 0.0)
+    if type(offset) not in (int, float) or not abs(offset) <= sys.float_info.max:
+        raise ParseError(f"{meta_path}: start_offset_in_song must be a finite number")
 
     imu_path = os.path.join(path, "imu.csv")
     rows = list(read_csv_rows(imu_path, _IMU_HEADER))
@@ -571,7 +582,6 @@ def load_session_dir(path: str | os.PathLike) -> Session:
             raise ParseError(f"{imu_path}: line {lineno}: non-numeric field") from None
 
     audio = None
-    audio_rate = int(meta.get("audio_rate", AUDIO_RATE_HZ))
     wav_path = os.path.join(path, "audio.wav")
     if os.path.exists(wav_path):
         audio_rate, pcm = scipy.io.wavfile.read(wav_path)
@@ -582,13 +592,13 @@ def load_session_dir(path: str | os.PathLike) -> Session:
         audio = pcm.astype(float) / 32767.0
 
     session = Session(
-        session_id=str(meta.get("session_id", os.path.basename(os.path.normpath(path)))),
+        session_id=session_id,
         subject_id=str(meta.get("subject_id", "")),
         song_id=str(meta.get("song_id", "")),
         place=str(meta.get("place", "")),
         imu_t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7],
         audio=audio, audio_rate=audio_rate,
-        start_offset_in_song=float(meta.get("start_offset_in_song", 0.0)),
+        start_offset_in_song=float(offset),
     )
     session.validate()
     return session

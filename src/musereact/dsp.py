@@ -9,6 +9,7 @@ sequences with an explicit unvoiced symbol.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 
@@ -88,8 +89,25 @@ def lowpass_first_order(
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise ParameterError("cannot filter an empty signal")
-    b, a = scipy.signal.butter(1, cutoff_hz, btype="low", fs=sample_rate_hz)
+    b, a = _butter_first_order(cutoff_hz, sample_rate_hz)
     return scipy.signal.lfilter(b, a, signal, axis=0)
+
+
+@functools.lru_cache(maxsize=16)
+def _butter_first_order(cutoff_hz, sample_rate_hz):
+    coefficients = scipy.signal.butter(1, cutoff_hz, btype="low", fs=sample_rate_hz)
+    for arr in coefficients:
+        arr.flags.writeable = False
+    return coefficients
+
+
+@functools.lru_cache(maxsize=16)
+def _resample_filter(up: int, down: int) -> np.ndarray:
+    """``resample_poly``'s default anti-aliasing FIR for ``(up, down)``, read-only."""
+    rate = max(up, down)
+    h = scipy.signal.firwin(20 * rate + 1, 1.0 / rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
 
 
 def resample(audio: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
@@ -103,13 +121,12 @@ def resample(audio: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
     if from_hz == to_hz:
         return audio.copy()
     g = math.gcd(from_hz, to_hz)
-    out = scipy.signal.resample_poly(audio, to_hz // g, from_hz // g)
-    target = int(round(len(audio) * to_hz / from_hz))
-    if len(out) > target:
-        out = out[:target]
-    elif len(out) < target:
-        out = np.concatenate([out, np.zeros(target - len(out))])
-    return out
+    up, down = to_hz // g, from_hz // g
+    # resample_poly copies an array window and scales it by ``up`` exactly as
+    # it does the filter it designs, so the output bits are the same.
+    out = scipy.signal.resample_poly(audio, up, down, window=_resample_filter(up, down))
+    # resample_poly returns ceil(n * up / down) samples, never fewer.
+    return out[:int(round(len(audio) * to_hz / from_hz))]
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +165,20 @@ MEL_FILTERBANK_16K = mel_filterbank()
 MEL_FILTERBANK_16K.flags.writeable = False
 
 
+#: Sample index of every kept STFT frame, and the periodic Hann window.
+_PATCH_FRAME_INDEX = np.arange(PATCH_FRAMES)[:, None] * STFT_HOP + np.arange(STFT_WINDOW)
+_STFT_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT_WINDOW) / STFT_WINDOW)
+_PATCH_FRAME_INDEX.flags.writeable = False
+_STFT_HANN.flags.writeable = False
+
+
 def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
     """Log-mel spectrogram patch for the sound-event classifier.
 
     Frames one second of 16 kHz audio with a 400-sample periodic Hann window
     and 160-sample hop, takes the magnitude spectrum (512-point FFT), applies
     the 64-band 125-7500 Hz mel filterbank, and returns
-    ``log(mel + 0.001)`` cropped to the first :data:`PATCH_FRAMES` frames.
+    ``log(mel + 0.001)`` of the first :data:`PATCH_FRAMES` frames.
 
     Returns an array of shape ``(96, 64)``.
     """
@@ -167,13 +191,9 @@ def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
             f"need >= {min_len} samples for a {PATCH_FRAMES}-frame patch, "
             f"got {len(audio_16k)}"
         )
-    num_frames = (len(audio_16k) - STFT_WINDOW) // STFT_HOP + 1
-    idx = np.arange(num_frames)[:, None] * STFT_HOP + np.arange(STFT_WINDOW)[None, :]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT_WINDOW) / STFT_WINDOW)
-    frames = audio_16k[idx] * window
+    frames = audio_16k[_PATCH_FRAME_INDEX] * _STFT_HANN
     magnitude = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=1))
-    mel = magnitude @ MEL_FILTERBANK_16K
-    return np.log(mel + MEL_LOG_OFFSET)[:PATCH_FRAMES]
+    return np.log(magnitude @ MEL_FILTERBANK_16K + MEL_LOG_OFFSET)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ sessions (IMU, audio, classifier scores, pitch tracks, ground truth) from
 compact :class:`SyntheticSpec` descriptions, `metrics` scores detector
 output against ground truth, and `oracles` provides deliberately naive
 reference implementations (exhaustive and cell-by-cell DTW, enumerated
-Viterbi) used to validate the fast dynamic programs.
+Viterbi, per-step LSTM, per-frame pitch) used to validate the fast paths.
 """
 
 from .synth import (
@@ -29,7 +29,8 @@ from .metrics import (
     map_to_motion_domain,
     map_to_vocal_domain,
 )
-from .oracles import dtw_loop_oracle, dtw_oracle, viterbi_oracle
+from .oracles import (dtw_loop_oracle, dtw_oracle, lstm_loop_oracle,
+                      pitch_loop_oracle, viterbi_oracle)
 
 __all__ = [
     "PLACE_PROFILES",
@@ -51,5 +52,7 @@ __all__ = [
     "map_to_vocal_domain",
     "dtw_loop_oracle",
     "dtw_oracle",
+    "lstm_loop_oracle",
+    "pitch_loop_oracle",
     "viterbi_oracle",
 ]

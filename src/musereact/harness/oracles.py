@@ -1,11 +1,12 @@
-"""Deliberately naive reference implementations for the dynamic programs.
+"""Deliberately naive reference implementations for the fast paths.
 
 These exist to catch bugs in the fast implementations, so they avoid the
 optimization under test: the DTW oracle enumerates every monotone alignment
 path explicitly, and the Viterbi oracle scores every possible state
 sequence.  Both are exponential and refuse inputs beyond small sizes.  The
 DTW loop oracle is the textbook cell-by-cell recursion, for sizes the
-path enumeration cannot reach.
+path enumeration cannot reach.  The LSTM and pitch loop oracles run one
+sequence, one gate and one frame at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from ..core import ParameterError, ReactionLabel
-from ..vocal import HmmParams
+from ..vocal import PITCH_FRAMES_PER_SEGMENT, PITCH_HOP_S, HmmParams
 
 MAX_ORACLE_LEN = 8
 MAX_ORACLE_WINDOW = 6
@@ -120,3 +121,54 @@ def viterbi_oracle(
             best_logprob = logprob
             best_path = path
     return [hmm.states[i] for i in best_path], best_logprob
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_loop_oracle(weights, sequence) -> np.ndarray:
+    """Softmax output of the LSTM for one ``(T, F)`` sequence, step by step.
+
+    Each of the four gates has its own products with the input and the
+    previous hidden state, as the weights are stored.
+    """
+    h = np.zeros(weights.hidden_size)
+    c = np.zeros(weights.hidden_size)
+    for x in np.asarray(sequence, dtype=float):
+        i = _sigmoid(x @ weights.Wi + h @ weights.Ui + weights.bi)
+        f = _sigmoid(x @ weights.Wf + h @ weights.Uf + weights.bf)
+        o = _sigmoid(x @ weights.Wo + h @ weights.Uo + weights.bo)
+        g = np.tanh(x @ weights.Wc + h @ weights.Uc + weights.bc)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    logits = np.maximum(h, 0.0) @ weights.Wd + weights.bd
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    return exp / exp.sum()
+
+
+def pitch_loop_oracle(audio, sample_rate, min_hz=80.0, max_hz=1000.0):
+    """f0 and confidence of each 0.1 s frame of a segment, one frame at a time.
+
+    Every frame gets its own zero-padded ``2 * frame`` FFT, long enough for
+    every lag; the lag range and the silent-frame rule are those of
+    ``AutocorrelationPitchTracker``.
+    """
+    audio = np.asarray(audio, dtype=float)
+    frame = int(round(PITCH_HOP_S * sample_rate))
+    lag_min = max(1, int(round(sample_rate / max_hz)))
+    lag_max = min(frame - 1, int(round(sample_rate / min_hz)))
+    f0s = np.zeros(PITCH_FRAMES_PER_SEGMENT)
+    confs = np.zeros(PITCH_FRAMES_PER_SEGMENT)
+    for k in range(PITCH_FRAMES_PER_SEGMENT):
+        x = audio[k * frame:(k + 1) * frame]
+        x = x - x.mean()
+        spectrum = np.fft.rfft(x, n=2 * frame)
+        r = np.fft.irfft(spectrum * np.conj(spectrum))[:lag_max + 1]
+        if r[0] <= 0:
+            continue
+        lag = lag_min + int(np.argmax(r[lag_min:lag_max + 1]))
+        f0s[k] = sample_rate / lag
+        confs[k] = max(0.0, float(r[lag] / r[0]))
+    return f0s, confs

@@ -15,6 +15,7 @@ nodding or head-bobbing wearer imprints on the motion-unit energy series.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -42,6 +43,9 @@ UNIT_SAMPLES = 7
 NUM_UNITS = 70
 NUM_FEATURES = 18
 
+#: Windows scored per ``classify_many`` call; bounds the scratch memory of a block.
+MOTION_BLOCK = 128
+
 
 def motion_prefilter(
     accel: np.ndarray, low_g: float = 0.0092, high_g: float = 0.114
@@ -61,29 +65,22 @@ def extract_motion_units(gyro: np.ndarray) -> np.ndarray:
 
     Each unit covers 7 consecutive samples (0.1 s).  Features are laid out
     axis-major -- for each gyro axis x, y, z in turn: max, min, mean, range,
-    standard deviation (population), RMS.
+    standard deviation (population), RMS.  A stack of windows
+    ``(..., 490, 3)`` gives ``(..., 70, 18)``.
     """
     gyro = np.asarray(gyro, dtype=float)
-    if (gyro.ndim != 2 or gyro.shape[1] != 3 or gyro.shape[0] < UNIT_SAMPLES
-            or gyro.shape[0] % UNIT_SAMPLES):
+    if (gyro.ndim < 2 or gyro.shape[-1] != 3 or gyro.shape[-2] < UNIT_SAMPLES
+            or gyro.shape[-2] % UNIT_SAMPLES):
         raise ParameterError(
             f"window must be (k*{UNIT_SAMPLES}, 3), got {gyro.shape}"
         )
-    units = gyro.reshape(-1, UNIT_SAMPLES, 3)
-    top = units.max(axis=1)
-    bottom = units.min(axis=1)
-    mean = units.mean(axis=1)
-    spread = units.std(axis=1)
-    rms = np.sqrt(np.mean(np.square(units), axis=1))
-    features = np.empty((units.shape[0], NUM_FEATURES))
-    for axis in range(3):
-        features[:, axis * 6 + 0] = top[:, axis]
-        features[:, axis * 6 + 1] = bottom[:, axis]
-        features[:, axis * 6 + 2] = mean[:, axis]
-        features[:, axis * 6 + 3] = top[:, axis] - bottom[:, axis]
-        features[:, axis * 6 + 4] = spread[:, axis]
-        features[:, axis * 6 + 5] = rms[:, axis]
-    return features
+    num_units = gyro.shape[-2] // UNIT_SAMPLES
+    units = gyro.reshape(*gyro.shape[:-2], num_units, UNIT_SAMPLES, 3)
+    top = units.max(axis=-2)
+    bottom = units.min(axis=-2)
+    features = (top, bottom, units.mean(axis=-2), top - bottom, units.std(axis=-2),
+                np.sqrt(np.mean(np.square(units), axis=-2)))
+    return np.stack(features, axis=-1).reshape(*gyro.shape[:-2], num_units, NUM_FEATURES)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +96,10 @@ class SequenceClassifier:
 
     def classify(self, units: np.ndarray) -> tuple[float, float]:
         raise NotImplementedError
+
+    def classify_many(self, units: np.ndarray) -> np.ndarray:
+        """``p_head`` of every sequence in a ``(n, 70, 18)`` stack."""
+        return np.array([self.classify(sequence)[0] for sequence in units], dtype=float)
 
 
 def _lstm_shapes(inputs: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -125,7 +126,8 @@ class LstmWeights:
 
     Input kernels ``W*`` are (input, hidden), recurrent kernels ``U*`` are
     (hidden, hidden), the dense head ``Wd`` is (hidden, 2).  Serialized as a
-    JSON object of row-major nested lists under the same key names.
+    JSON object of row-major nested lists under the same key names.  The
+    arrays must not be changed in place: :attr:`fused` is derived once.
     """
 
     Wi: np.ndarray
@@ -156,6 +158,13 @@ class LstmWeights:
                 raise ParameterError(f"{key} must have shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ParameterError(f"{key} contains non-finite values")
+
+    @functools.cached_property
+    def fused(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gates i, f, o, c side by side: (input, 4h), (hidden, 4h) and (4h,)."""
+        return (np.hstack([self.Wi, self.Wf, self.Wo, self.Wc]),
+                np.hstack([self.Ui, self.Uf, self.Uo, self.Uc]),
+                np.concatenate([self.bi, self.bf, self.bo, self.bc]))
 
     @property
     def hidden_size(self) -> int:
@@ -209,28 +218,31 @@ def lstm_forward(weights: LstmWeights, sequence: np.ndarray) -> np.ndarray:
     Standard recurrence with sigmoid input/forget/output gates and tanh cell
     candidate, zero initial state; the final hidden state passes through
     ReLU and a dense layer to two logits.  All-zero weights therefore give
-    exactly (0.5, 0.5).
+    exactly (0.5, 0.5).  A ``(T, F)`` sequence gives ``(2,)``; a stack
+    ``(n, T, F)`` is stepped together, all four gates in one product per
+    step, and gives ``(n, 2)``.
     """
     sequence = np.asarray(sequence, dtype=float)
-    if sequence.ndim != 2 or sequence.shape[1] != weights.input_size:
+    if sequence.ndim not in (2, 3) or sequence.shape[-1] != weights.input_size:
         raise ParameterError(
-            f"sequence must be (n, {weights.input_size}), got {sequence.shape}"
+            f"sequence must be ([n,] T, {weights.input_size}), got {sequence.shape}"
         )
-    if sequence.shape[0] == 0:
+    if sequence.shape[-2] == 0:
         raise ParameterError("sequence must be non-empty")
-    h = np.zeros(weights.hidden_size)
-    c = np.zeros(weights.hidden_size)
-    for x in sequence:
-        i = _sigmoid(x @ weights.Wi + h @ weights.Ui + weights.bi)
-        f = _sigmoid(x @ weights.Wf + h @ weights.Uf + weights.bf)
-        o = _sigmoid(x @ weights.Wo + h @ weights.Uo + weights.bo)
-        g = np.tanh(x @ weights.Wc + h @ weights.Uc + weights.bc)
-        c = f * c + i * g
-        h = o * np.tanh(c)
+    w_in, w_rec, bias = weights.fused
+    hidden = weights.hidden_size
+    batch = sequence.reshape(-1, *sequence.shape[-2:])
+    h = np.zeros((len(batch), hidden))
+    c = np.zeros_like(h)
+    for x in np.swapaxes(batch, 0, 1):  # step t of every sequence
+        z = x @ w_in + h @ w_rec + bias
+        gates = _sigmoid(z[:, :3 * hidden])
+        c = gates[:, hidden:2 * hidden] * c + gates[:, :hidden] * np.tanh(z[:, 3 * hidden:])
+        h = gates[:, 2 * hidden:] * np.tanh(c)
     logits = np.maximum(h, 0.0) @ weights.Wd + weights.bd
-    logits = logits - logits.max()
+    logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
-    return exp / exp.sum()
+    return (exp / exp.sum(axis=1, keepdims=True)).reshape(*sequence.shape[:-2], 2)
 
 
 class LstmClassifier(SequenceClassifier):
@@ -246,6 +258,9 @@ class LstmClassifier(SequenceClassifier):
     def classify(self, units: np.ndarray) -> tuple[float, float]:
         probs = lstm_forward(self.weights, units)
         return float(probs[0]), float(probs[1])
+
+    def classify_many(self, units: np.ndarray) -> np.ndarray:
+        return lstm_forward(self.weights, units)[:, 0]
 
 
 class HeuristicMotionClassifier(SequenceClassifier):
@@ -340,7 +355,8 @@ def run_motion_pipeline(
     then labeled from the trailing 490-sample window ending at that second's
     boundary.  Seconds without a full window (the first six of a session)
     and seconds rejected by the movement prefilter are ``non_reaction``.
-    Per-second stage errors downgrade to ``non_reaction`` with a diagnostic.
+    The windows left are scored :data:`MOTION_BLOCK` at a time.  Per-second
+    stage errors downgrade to ``non_reaction`` with a diagnostic.
     """
     config.validate()
     session.validate()
@@ -350,43 +366,52 @@ def run_motion_pipeline(
         session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz
     )
 
-    stats = MotionStats()
-    diagnostics: list[str] = []
-    labels: list[ReactionLabel] = []
     bounds = second_bounds(session)
+    stats = MotionStats(total_seconds=len(bounds) - 1)
+    errors: dict[int, Error] = {}
+    pending: list[tuple[int, int]] = []  # (second, end of its window)
     for second, (start, boundary) in enumerate(zip(bounds, bounds[1:])):
-        stats.total_seconds += 1
         try:
-            labels.append(_label_second(
-                session, gyro_filtered, classifier, config, start, boundary, stats,
-            ))
+            if config.enable_motion_filter and motion_prefilter(
+                session.accel[start:boundary],
+                config.motion_movement_low_g, config.motion_movement_high_g,
+            ):
+                stats.prefiltered += 1
+            elif boundary < WINDOW_SAMPLES:
+                stats.cold_start += 1
+            else:
+                pending.append((second, boundary))
         except Error as exc:
-            stats.errors += 1
-            diagnostics.append(f"second {second}: {exc}")
-            labels.append(ReactionLabel.NON_REACTION)
+            errors[second] = exc
+
+    labels = [ReactionLabel.NON_REACTION] * stats.total_seconds
+    offsets = np.arange(-WINDOW_SAMPLES, 0)
+    for first in range(0, len(pending), MOTION_BLOCK):
+        block = pending[first:first + MOTION_BLOCK]
+        ends = np.array([boundary for _, boundary in block])
+        units = extract_motion_units(gyro_filtered[ends[:, None] + offsets])
+        try:
+            scores = classifier.classify_many(units)
+        except Error:  # redo the block window by window; only failing seconds downgrade
+            scores = [_p_head_or_error(classifier, window) for window in units]
+        for (second, _), p_head in zip(block, scores, strict=True):
+            if isinstance(p_head, Error):
+                errors[second] = p_head
+            else:
+                stats.classified += 1
+                if p_head > config.motion_decision_threshold:
+                    labels[second] = ReactionLabel.HEAD_MOTION
+    stats.errors = len(errors)
     return MotionResult(
         labels=labels,
         events=merge_labels_to_events(labels),
         stats=stats,
-        diagnostics=diagnostics,
+        diagnostics=[f"second {second}: {errors[second]}" for second in sorted(errors)],
     )
 
 
-def _label_second(session, gyro_filtered, classifier, config,
-                  start, boundary, stats):
-    """Label the second whose IMU samples are ``[start, boundary)``."""
-    if config.enable_motion_filter and motion_prefilter(
-        session.accel[start:boundary],
-        config.motion_movement_low_g, config.motion_movement_high_g,
-    ):
-        stats.prefiltered += 1
-        return ReactionLabel.NON_REACTION
-    if boundary < WINDOW_SAMPLES:
-        stats.cold_start += 1
-        return ReactionLabel.NON_REACTION
-    units = extract_motion_units(gyro_filtered[boundary - WINDOW_SAMPLES:boundary])
-    p_head, _ = classifier.classify(units)
-    stats.classified += 1
-    if p_head > config.motion_decision_threshold:
-        return ReactionLabel.HEAD_MOTION
-    return ReactionLabel.NON_REACTION
+def _p_head_or_error(classifier, units):
+    try:
+        return classifier.classify(units)[0]
+    except Error as exc:
+        return exc

@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .core import (
     CLASSIFIER_RATE_HZ,
@@ -265,19 +266,19 @@ class AutocorrelationPitchTracker(PitchTracker):
         lag_max = min(frame - 1, int(round(sample_rate / self.min_hz)))
         if lag_min >= lag_max:
             raise ParameterError("pitch range too narrow for this sample rate")
-        f0s = np.zeros(PITCH_FRAMES_PER_SEGMENT)
-        confs = np.zeros(PITCH_FRAMES_PER_SEGMENT)
-        for k in range(PITCH_FRAMES_PER_SEGMENT):
-            x = audio[k * frame:(k + 1) * frame]
-            x = x - x.mean()
-            spectrum = np.fft.rfft(x, n=2 * frame)
-            r = np.fft.irfft(spectrum * np.conj(spectrum))[:lag_max + 1]
-            if r[0] <= 0:
-                continue  # silent frame: f0 0, confidence 0
-            lag = lag_min + int(np.argmax(r[lag_min:lag_max + 1]))
-            f0s[k] = sample_rate / lag
-            confs[k] = max(0.0, float(r[lag] / r[0]))
-        return f0s, confs
+        frames = audio[:frame * PITCH_FRAMES_PER_SEGMENT].reshape(-1, frame)
+        frames = frames - frames.mean(axis=1, keepdims=True)
+        # A circular autocorrelation of length n equals the linear one at
+        # every lag below n - frame + 1, so this n is exact up to lag_max.
+        n = scipy.fft.next_fast_len(frame + lag_max, real=True)
+        spectrum = np.fft.rfft(frames, n=n, axis=1)
+        r = np.fft.irfft(spectrum * np.conj(spectrum), n=n, axis=1)[:, :lag_max + 1]
+        voiced = r[:, 0] > 0  # a silent frame keeps f0 0, confidence 0
+        lags = lag_min + np.argmax(r[:, lag_min:], axis=1)
+        f0s = np.where(voiced, sample_rate / lags, 0.0)
+        confs = np.zeros(len(frames))
+        np.divide(r[np.arange(len(frames)), lags], r[:, 0], out=confs, where=voiced)
+        return f0s, np.maximum(confs, 0.0)
 
 
 # ---------------------------------------------------------------------------

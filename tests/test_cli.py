@@ -466,6 +466,58 @@ class TestNonObjectJson:
             "musereact simulate: error: corpus spec, session 1: expected a JSON object\n")
 
 
+class TestMetaJson:
+    """``meta.json`` fields that name files or feed arithmetic are checked: exit 2."""
+
+    def _detect_with_meta(self, tmp_path, **fields):
+        session = small_session(tmp_path / "data")
+        meta_path = os.path.join(session, "meta.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        meta.update(fields)
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        out = tmp_path / "work" / "out"
+        return main(["detect", "--session", session, "--pipeline", "motion",
+                     "--out", str(out)]), meta_path, out
+
+    @pytest.mark.parametrize("session_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
+    def test_session_id_must_be_a_plain_file_name(self, tmp_path, capsys, session_id):
+        code, meta_path, out = self._detect_with_meta(tmp_path, session_id=session_id)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {meta_path}: session_id must be a plain file name\n")
+        written = [os.path.join(root, name) for root, _, names in os.walk(tmp_path / "work")
+                   for name in names]
+        assert written == []
+
+    def test_plain_session_id_names_the_outputs(self, tmp_path):
+        code, _, out = self._detect_with_meta(tmp_path, session_id="..x. y")
+        assert code == 0
+        assert sorted(os.listdir(out)) == ["..x. y.motion.jsonl", "..x. y.stats.json"]
+
+    @pytest.mark.parametrize("value", ["x", None, True, 0, -16000, 44100.0, [44100]])
+    def test_audio_rate_must_be_a_positive_integer(self, tmp_path, capsys, value):
+        code, meta_path, _ = self._detect_with_meta(tmp_path, audio_rate=value)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {meta_path}: audio_rate must be a positive integer\n")
+
+    @pytest.mark.parametrize("value", ["x", None, False, float("nan"), float("inf"),
+                                       10 ** 400, {"s": 1}])
+    def test_start_offset_must_be_a_finite_number(self, tmp_path, capsys, value):
+        code, meta_path, _ = self._detect_with_meta(tmp_path, start_offset_in_song=value)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {meta_path}: "
+            "start_offset_in_song must be a finite number\n")
+
+    @pytest.mark.parametrize("fields", [{"audio_rate": 1}, {"start_offset_in_song": -2},
+                                        {"start_offset_in_song": 1.5e308}])
+    def test_numbers_in_range_are_accepted(self, tmp_path, fields):
+        assert self._detect_with_meta(tmp_path, **fields)[0] == 0
+
+
 class TestDetectConfig:
     """A bad ``--config`` document exits 2 with one line naming the key."""
 

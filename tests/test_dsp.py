@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from musereact import dsp
 from musereact.core import InsufficientDataError, ParameterError
@@ -56,6 +57,14 @@ class TestSoundLevel:
 
 
 class TestLowpass:
+    def test_equals_a_fresh_butterworth_design(self):
+        x = np.random.default_rng(1).normal(0, 1, (700, 3))
+        b, a = scipy.signal.butter(1, 5.0, btype="low", fs=70)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                dsp.lowpass_first_order(x, 70, 5.0), scipy.signal.lfilter(b, a, x, axis=0))
+        assert not any(arr.flags.writeable for arr in dsp._butter_first_order(5.0, 70))
+
     def test_dc_gain_is_unity(self):
         x = np.full(16000, 0.37)
         y = dsp.lowpass_first_order(x, 16000, 2000)
@@ -88,6 +97,23 @@ class TestLowpass:
 
 
 class TestResample:
+    @pytest.mark.parametrize("from_hz,up,down", [(44100, 160, 441), (48000, 1, 3),
+                                                 (8000, 2, 1)])
+    def test_equals_plain_resample_poly(self, from_hz, up, down):
+        x = np.random.default_rng(from_hz).normal(0, 0.3, from_hz)
+        for _ in range(2):  # designed on the first call, cached on the second
+            np.testing.assert_array_equal(
+                dsp.resample(x, from_hz, 16000),
+                scipy.signal.resample_poly(x, up, down))
+
+    def test_cached_filter_is_read_only(self):
+        dsp.resample(np.zeros(44100), 44100, 16000)
+        h = dsp._resample_filter(160, 441)
+        assert h is dsp._resample_filter(160, 441)
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0] = 1.0
+
     def test_output_length(self):
         out = dsp.resample(np.zeros(44100), 44100, 16000)
         assert len(out) == 16000
@@ -168,6 +194,17 @@ class TestLogMelPatch:
     def test_short_audio_rejected(self):
         with pytest.raises(InsufficientDataError):
             dsp.log_mel_patch(np.zeros(10000))
+
+    @pytest.mark.parametrize("length", [15600, 16000, 16100])
+    def test_equals_every_frame_cropped(self, length):
+        """Framing only the kept frames changes no bit of the patch."""
+        audio = np.random.default_rng(length).normal(0, 0.2, length)
+        count = (length - dsp.STFT_WINDOW) // dsp.STFT_HOP + 1
+        idx = np.arange(count)[:, None] * dsp.STFT_HOP + np.arange(dsp.STFT_WINDOW)
+        window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(dsp.STFT_WINDOW) / dsp.STFT_WINDOW)
+        magnitude = np.abs(np.fft.rfft(audio[idx] * window, n=dsp.STFT_NFFT, axis=1))
+        full = np.log(magnitude @ dsp.mel_filterbank() + dsp.MEL_LOG_OFFSET)
+        np.testing.assert_array_equal(dsp.log_mel_patch(audio), full[:dsp.PATCH_FRAMES])
 
 
 class TestHzToChroma:

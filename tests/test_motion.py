@@ -6,7 +6,7 @@ import pytest
 
 from musereact import dsp, motion
 from musereact.core import ParameterError, PipelineConfig, ReactionLabel
-from musereact.harness import SyntheticSpec, generate_session, evaluate
+from musereact.harness import SyntheticSpec, evaluate, generate_session, lstm_loop_oracle
 from musereact.motion import (
     HeuristicMotionClassifier,
     LstmClassifier,
@@ -102,6 +102,13 @@ class TestMotionUnits:
                 units[:, base + 2] ** 2 + units[:, base + 4] ** 2,
                 atol=1e-9,
             )
+
+    def test_stack_equals_each_window(self):
+        windows = np.random.default_rng(9).normal(0, 5, (2, 3, 490, 3))
+        stacked = extract_motion_units(windows)
+        assert stacked.shape == (2, 3, 70, 18)
+        for index in np.ndindex(2, 3):
+            np.testing.assert_array_equal(stacked[index], extract_motion_units(windows[index]))
 
     def test_length_must_be_multiple_of_unit(self):
         with pytest.raises(ParameterError):
@@ -208,6 +215,38 @@ class TestLstm:
         seq = rng.normal(0, 1, (70, 18))
         np.testing.assert_allclose(
             lstm_forward(loaded, seq), lstm_forward(weights, seq), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("steps", [1, 70])
+    @pytest.mark.parametrize("inputs,hidden", [(1, 1), (5, 3), (18, 32)])
+    def test_batch_equals_step_loop_oracle(self, n, steps, inputs, hidden):
+        rng = np.random.default_rng(n * 1000 + steps * 10 + hidden)
+        weights = LstmWeights.random(rng, inputs, hidden, scale=0.5)
+        batch = rng.normal(0, 1, (n, steps, inputs))
+        want = np.array([lstm_loop_oracle(weights, seq) for seq in batch])
+        got = lstm_forward(weights, batch)
+        assert got.shape == (n, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lstm_forward(weights, batch[0]), want[0], rtol=0, atol=1e-12)
+
+    def test_fused_gates_are_derived_once(self):
+        weights = LstmWeights.random(np.random.default_rng(2), 4, 3)
+        w_in, w_rec, bias = weights.fused
+        assert weights.fused[0] is w_in
+        np.testing.assert_array_equal(w_in[:, 3:6], weights.Wf)
+        np.testing.assert_array_equal(w_rec[:, 9:], weights.Uc)
+        np.testing.assert_array_equal(bias[6:9], weights.bo)
+
+    def test_classify_many_equals_classify(self):
+        rng = np.random.default_rng(12)
+        units = extract_motion_units(
+            dsp.lowpass_first_order(rng.normal(0, 20, (5 * 490, 3)), 70, 5).reshape(5, 490, 3))
+        lstm = LstmClassifier(LstmWeights.random(rng))
+        np.testing.assert_allclose(lstm.classify_many(units),
+                                   [lstm.classify(u)[0] for u in units], rtol=0, atol=1e-12)
+        heuristic = HeuristicMotionClassifier()
+        np.testing.assert_array_equal(heuristic.classify_many(units),
+                                      [heuristic.classify(u)[0] for u in units])
 
     def test_classifier_wrapper(self):
         clf = LstmClassifier(LstmWeights.zeros())

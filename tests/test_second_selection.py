@@ -3,7 +3,9 @@
 Both pipelines pick each second's IMU samples through ``core.second_bounds``
 (one binary search per second).  The oracle here is the selection they used
 before it: a boolean mask over the whole IMU array for every second, and a
-count of the samples before each second's end for the motion window.
+count of the samples before each second's end for the motion window.  The
+motion oracle also classifies one window at a time, where the pipeline
+scores the windows in blocks of ``MOTION_BLOCK``.
 """
 
 import dataclasses
@@ -16,17 +18,23 @@ from musereact import dsp, vocal
 from musereact.core import (
     IMU_RATE_HZ,
     Error,
+    InsufficientDataError,
     PipelineConfig,
     ReactionLabel,
     SensorSegment,
+    Session,
     second_bounds,
     segment_session,
 )
 from musereact.harness import SyntheticSpec, generate_session
 from musereact.motion import (
+    MOTION_BLOCK,
     WINDOW_SAMPLES,
     HeuristicMotionClassifier,
+    LstmClassifier,
+    LstmWeights,
     MotionStats,
+    SequenceClassifier,
     extract_motion_units,
     motion_prefilter,
     run_motion_pipeline,
@@ -200,3 +208,84 @@ def test_vocal_equals_oracle(variant, generated, monkeypatch):
     assert got.diagnostics == want.diagnostics
     if name == "gap":
         assert [d.split(":")[0] for d in got.diagnostics] == ["segment 10", "segment 14"]
+
+
+def steady_session(classified, gap_at=None):
+    """A session whose prefilter passes every second, so exactly
+    ``classified`` windows reach the classifier: six cold-start seconds,
+    then one window per second.  ``gap_at`` names a second left without
+    IMU samples, which fails its prefilter instead."""
+    duration = 6 + classified + (gap_at is not None)
+    rng = np.random.default_rng(classified)
+    t = np.arange(duration * 70) / 70.0
+    accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0, 0.03, (len(t), 3))
+    gyro = rng.normal(0, 5, (len(t), 3))
+    gyro[:, 1] += np.where((t % 40) < 20, 40 * np.sin(2 * np.pi * 2 * t), 0.0)
+    keep = np.floor(t) != gap_at
+    session = Session(session_id="steady", subject_id="s", song_id="tune",
+                      place="office", imu_t=t[keep], accel=accel[keep], gyro=gyro[keep])
+    session.validate()
+    return session
+
+
+class RaisingClassifier(SequenceClassifier):
+    """The heuristic, except that the chosen windows raise."""
+
+    def __init__(self, bad_windows):
+        self.heuristic = HeuristicMotionClassifier()
+        self.bad_windows = bad_windows
+
+    def classify(self, units):
+        if any(np.array_equal(units, bad) for bad in self.bad_windows):
+            raise InsufficientDataError("chosen window")
+        return self.heuristic.classify(units)
+
+
+class RecordingLstm(LstmClassifier):
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.blocks = []
+
+    def classify_many(self, units):
+        self.blocks.append(len(units))
+        return super().classify_many(units)
+
+
+@pytest.mark.parametrize("classified", [0, 1, MOTION_BLOCK - 1, MOTION_BLOCK,
+                                        MOTION_BLOCK + 1])
+@pytest.mark.parametrize("kind", ["heuristic", "lstm", "raising"])
+def test_motion_blocks_equal_per_second_oracle(classified, kind):
+    gap_at = None
+    if kind == "raising":  # a prefilter error among the classifier's errors
+        gap_at = 6 + classified // 2 if classified else 3
+    session = steady_session(classified, gap_at)
+    bounds = second_bounds(session)
+    windowed = [second for second in range(len(bounds) - 1)
+                if second != gap_at and bounds[second + 1] >= WINDOW_SAMPLES]
+    assert len(windowed) == classified
+    chosen = sorted({windowed[0], windowed[len(windowed) // 2], windowed[-1]}
+                    if windowed else set())
+    if kind == "heuristic":
+        classifier = HeuristicMotionClassifier()
+    elif kind == "lstm":
+        classifier = RecordingLstm(LstmWeights.random(np.random.default_rng(5), scale=0.5))
+    else:
+        filtered = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, CONFIG.imu_lowpass_hz)
+        classifier = RaisingClassifier([
+            extract_motion_units(filtered[bounds[s + 1] - WINDOW_SAMPLES:bounds[s + 1]])
+            for s in chosen])
+
+    result = run_motion_pipeline(session, classifier, CONFIG)
+    labels, stats, diagnostics = mask_motion(session, classifier, CONFIG)
+    assert result.labels == labels
+    assert result.stats == stats
+    assert result.diagnostics == diagnostics
+    if kind == "lstm":
+        full, rest = divmod(classified, MOTION_BLOCK)
+        assert classifier.blocks == [MOTION_BLOCK] * full + [rest] * (rest > 0)
+    if kind == "raising":
+        assert [d.split(":")[0] for d in diagnostics] == [
+            f"second {second}" for second in sorted([gap_at, *chosen])]
+        assert stats.classified == classified - len(chosen)
+    if classified > 20:
+        assert H in labels[6:] and N in labels[6:]

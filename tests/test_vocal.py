@@ -17,7 +17,13 @@ from musereact.core import (
     VOCAL_STATES,
 )
 from musereact.dsp import UNVOICED
-from musereact.harness import generate_session, SyntheticSpec, evaluate, viterbi_oracle
+from musereact.harness import (
+    SyntheticSpec,
+    evaluate,
+    generate_session,
+    pitch_loop_oracle,
+    viterbi_oracle,
+)
 from musereact.musicinfo import MusicInfoStore, NoteTrack
 from musereact.vocal import (
     AutocorrelationPitchTracker,
@@ -335,6 +341,33 @@ class TestAutocorrelationPitchTracker:
         audio = rng.normal(0, 0.1, 16000)
         _, confs = AutocorrelationPitchTracker().track(audio, 16000, 0.0)
         assert np.median(confs) < 0.5
+
+    @pytest.mark.parametrize("sr", [16000, 44100])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_frame_oracle(self, sr, seed):
+        """One short FFT over all ten frames gives the per-frame ``2*frame``
+        FFT's lags exactly and its confidences within 1e-12."""
+        rng = np.random.default_rng(seed)
+        frame = sr // 10
+        t = np.arange(frame) / sr
+        frames = []
+        for kind in rng.permutation(["periodic", "noisy", "silent", "constant"] * 3)[:10]:
+            if kind == "periodic":
+                f0 = rng.uniform(80.0, 1000.0)
+                x = sum(rng.uniform(0.1, 0.5) * np.sin(2 * np.pi * f0 * k * t + rng.uniform(0, 6))
+                        for k in (1, 2, 3))
+                frames.append(x + rng.normal(0, 0.02, frame))
+            elif kind == "noisy":
+                frames.append(rng.normal(0, 0.1, frame))
+            else:
+                frames.append(np.full(frame, 0.0 if kind == "silent" else 0.25))
+        audio = np.concatenate(frames + [rng.normal(0, 0.1, 17)])
+        for tracker, (lo, hi) in [(AutocorrelationPitchTracker(), (80.0, 1000.0)),
+                                  (AutocorrelationPitchTracker(150.0, 600.0), (150.0, 600.0))]:
+            f0s, confs = tracker.track(audio, sr, 0.0)
+            want_f0s, want_confs = pitch_loop_oracle(audio, sr, lo, hi)
+            np.testing.assert_array_equal(f0s, want_f0s)
+            np.testing.assert_allclose(confs, want_confs, rtol=0, atol=1e-12)
 
 
 class TestHmmTraining:
