@@ -73,11 +73,7 @@ def load_config(path: str | None) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    try:
-        obj = json.loads(core.read_text(args.spec))
-    except json.JSONDecodeError as exc:
-        raise core.ParseError(f"{args.spec}: line {exc.lineno}: {exc.msg}") from None
-    specs = harness.parse_corpus_spec(obj, base_seed=args.seed)
+    specs = harness.parse_corpus_spec(core.read_json(args.spec), base_seed=args.seed)
     paths = harness.write_corpus(args.out, specs)
     _log(f"simulate: wrote {len(paths)} sessions under {args.out}")
     return 0
@@ -106,15 +102,15 @@ def _notes_dir_for(session_dir: str, explicit: str | None) -> str | None:
 def _vocal_inputs(session_dir: str, config: PipelineConfig, notes_dir: str | None):
     """The vocal pipeline's inputs for one session directory.
 
-    Returns the replayed classifier, the replayed pitch tracker (None when
-    the session has no ``pitch.csv``) and, when correction is enabled, the
-    note store (else None).
+    Returns the replayed classifier, the pitch tracker (``pitch.csv`` replayed,
+    else :class:`vocal.AutocorrelationPitchTracker` on the session audio) and,
+    when correction is enabled, the note store (else None).
     """
     classifier = vocal.ScoreFileClassifier.from_file(
         os.path.join(session_dir, "scores.jsonl"))
     pitch_path = os.path.join(session_dir, "pitch.csv")
     tracker = (vocal.FilePitchTracker.from_file(pitch_path)
-               if os.path.exists(pitch_path) else None)
+               if os.path.exists(pitch_path) else vocal.AutocorrelationPitchTracker())
     store = None
     if config.enable_correction:
         notes = _notes_dir_for(session_dir, notes_dir)
@@ -225,13 +221,8 @@ def _cmd_eval(args) -> int:
     pred = mapper(core.expand_events_to_labels(pred_events, duration))
     ratio = None
     if args.stats:
-        try:
-            stats = json.loads(core.read_text(args.stats))
-        except json.JSONDecodeError as exc:
-            raise core.ParseError(
-                f"{args.stats}: line {exc.lineno}: {exc.msg}") from None
         key = "vocal" if args.task == "vocal" else "motion"
-        section = stats.get(key, {}) if isinstance(stats, dict) else None
+        section = core.read_json(args.stats).get(key, {})
         if not isinstance(section, dict):
             raise core.ParseError(
                 f"{args.stats}: expected a JSON object with a {key!r} object")

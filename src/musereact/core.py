@@ -49,7 +49,6 @@ IMU_RATE_HZ = 70.0
 AUDIO_RATE_HZ = 44100
 #: Rate the audio front end resamples to before the 96x64 log-mel patch.
 CLASSIFIER_RATE_HZ = 16000
-SEGMENT_SECONDS = 1.0
 
 #: Allowed deviation of the IMU rate from nominal before a session is rejected.
 IMU_RATE_TOLERANCE_HZ = 5.0
@@ -104,10 +103,6 @@ VOCAL_STATES = (
     ReactionLabel.SINGING_HUMMING,
     ReactionLabel.WHISTLING,
 )
-
-#: Labels the vocal pipeline may emit; the motion pipeline emits the rest.
-VOCAL_LABELS = frozenset(VOCAL_STATES)
-MOTION_LABELS = frozenset({ReactionLabel.NON_REACTION, ReactionLabel.HEAD_MOTION})
 
 
 def parse_label(text: str) -> ReactionLabel:
@@ -266,32 +261,29 @@ class PipelineConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "PipelineConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config document must be a JSON object")
+    def from_dict(cls, raw: dict) -> "PipelineConfig":
+        """A validated config from a JSON object's fields; an unknown key or a
+        value not of its field's JSON type raises :class:`ConfigError`."""
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        values = {}
         for name, value in raw.items():
             what, accepts, convert = _JSON_FIELD_TYPES[types[name]]
             if not accepts(value):
                 raise ConfigError(f"{name} must be {what}")
             try:
-                raw[name] = convert(value)
+                values[name] = convert(value)
             except OverflowError:  # a JSON integer beyond float range
                 raise ConfigError(f"{name} must be finite") from None
-        config = cls(**raw)
+        config = cls(**values)
         config.validate()
         return config
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PipelineConfig":
-        return cls.from_json(read_text(path))
+        return cls.from_dict(read_json(path))
 
     def save(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -464,13 +456,11 @@ class ReactionEvent:
         return self.t_end - self.t_start
 
 
-def merge_labels_to_events(
-    labels: list[ReactionLabel], start: float = 0.0, step: float = SEGMENT_SECONDS
-) -> list[ReactionEvent]:
+def merge_labels_to_events(labels: list[ReactionLabel]) -> list[ReactionEvent]:
     """Coalesce a per-second label sequence into maximal constant-label events.
 
-    The returned events tile ``[start, start + len(labels) * step)`` exactly;
-    an empty sequence yields no events.
+    Label ``i`` covers ``[i, i + 1)`` seconds, so the returned events tile
+    ``[0, len(labels))`` exactly; an empty sequence yields no events.
     """
     events = []
     run_start = 0
@@ -478,8 +468,8 @@ def merge_labels_to_events(
         if i == len(labels) or labels[i] != labels[run_start]:
             events.append(ReactionEvent(
                 label=labels[run_start],
-                t_start=start + run_start * step,
-                t_end=start + i * step,
+                t_start=float(run_start),
+                t_end=float(i),
             ))
             run_start = i
     return events
@@ -488,13 +478,12 @@ def merge_labels_to_events(
 def expand_events_to_labels(
     events: list[ReactionEvent],
     duration_s: float | None = None,
-    fill: ReactionLabel = ReactionLabel.NON_REACTION,
-    step: float = SEGMENT_SECONDS,
 ) -> list[ReactionLabel]:
     """Sample an event list back to one label per second.
 
-    Each second is labeled by the event covering its midpoint; seconds no
-    event covers get ``fill``.  Events must not overlap.
+    Second ``i`` is labeled by the event covering its midpoint ``i + 0.5``;
+    seconds no event covers are ``non_reaction``.  ``duration_s`` defaults
+    to the latest event end.  Events must not overlap.
     """
     ordered = sorted(events, key=lambda e: (e.t_start, e.t_end))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -505,7 +494,7 @@ def expand_events_to_labels(
     if duration_s is None:
         duration_s = max((e.t_end for e in ordered), default=0.0)
     count = int(math.floor(duration_s + 1e-9))
-    labels = [fill] * count
+    labels = [ReactionLabel.NON_REACTION] * count
     for event in ordered:
         first = int(math.ceil(event.t_start - 0.5 - 1e-9))
         last = int(math.floor(event.t_end - 0.5 + 1e-9))
@@ -555,15 +544,12 @@ def save_session_dir(path: str | os.PathLike, session: Session) -> None:
 def load_session_dir(path: str | os.PathLike) -> Session:
     """Read a session directory back into a validated :class:`Session`."""
     meta_path = os.path.join(path, "meta.json")
-    try:
-        meta = json.loads(read_text(meta_path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(meta, dict):
-        raise ParseError(f"{meta_path}: expected a JSON object")
-    session_id = str(meta.get("session_id", os.path.basename(os.path.normpath(path))))
-    if "session_id" in meta and (session_id in ("", ".", "..")
-                                 or any(c in session_id for c in "/\\\0")):
+    meta = read_json(meta_path)
+    for key in ("session_id", "subject_id", "song_id", "place"):
+        if not isinstance(meta.get(key, ""), str):
+            raise ParseError(f"{meta_path}: {key} must be a string")
+    session_id = meta.get("session_id", os.path.basename(os.path.normpath(path)))
+    if "session_id" in meta and not is_plain_file_name(session_id):
         raise ParseError(f"{meta_path}: session_id must be a plain file name")
     audio_rate = meta.get("audio_rate", AUDIO_RATE_HZ)
     if type(audio_rate) is not int or audio_rate <= 0:  # bool is not an int here
@@ -593,9 +579,9 @@ def load_session_dir(path: str | os.PathLike) -> Session:
 
     session = Session(
         session_id=session_id,
-        subject_id=str(meta.get("subject_id", "")),
-        song_id=str(meta.get("song_id", "")),
-        place=str(meta.get("place", "")),
+        subject_id=meta.get("subject_id", ""),
+        song_id=meta.get("song_id", ""),
+        place=meta.get("place", ""),
         imu_t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7],
         audio=audio, audio_rate=audio_rate,
         start_offset_in_song=float(offset),
@@ -620,6 +606,29 @@ def read_text(path: str | os.PathLike) -> str:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
+def read_json(path: str | os.PathLike) -> dict:
+    """The package's one JSON-document reader: the object at ``path``.
+
+    Bad JSON raises :class:`ParseError` ``<path>: line N: <msg>`` (``<path>:
+    <msg>`` for numbers or nesting too large to decode), and any other
+    top-level value ``<path>: expected a JSON object``.
+    """
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc
+
+
+def is_plain_file_name(name: str) -> bool:
+    """True when ``name`` can only name an entry inside a directory."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
 def read_csv_rows(

@@ -137,23 +137,18 @@ def _hz_to_mel(hz):
     return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=float) / 700.0)
 
 
-def mel_filterbank(
-    num_bands: int = MEL_BANDS,
-    min_hz: float = MEL_MIN_HZ,
-    max_hz: float = MEL_MAX_HZ,
-    sample_rate_hz: int = CLASSIFIER_RATE_HZ,
-    nfft: int = STFT_NFFT,
-) -> np.ndarray:
-    """Triangular mel filterbank, shape ``(nfft // 2 + 1, num_bands)``.
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filterbank of the log-mel patch, shape ``(257, 64)``.
 
-    Band edges are spaced uniformly on the mel scale between ``min_hz`` and
-    ``max_hz`` and the triangles are evaluated in mel space, so each filter
-    peaks at its own center and tapers to zero at its neighbours' centers.
+    The geometry is fixed: :data:`MEL_BANDS` (64) bands between
+    :data:`MEL_MIN_HZ` (125 Hz) and :data:`MEL_MAX_HZ` (7500 Hz) over the
+    :data:`STFT_NFFT` (512) bins of 16 kHz audio.  Band edges are spaced
+    uniformly on the mel scale and the triangles are evaluated in mel space,
+    so each filter peaks at its own center and tapers to zero at its
+    neighbours' centers.
     """
-    if num_bands < 1 or not 0 <= min_hz < max_hz <= sample_rate_hz / 2:
-        raise ParameterError("invalid filterbank geometry")
-    bin_mel = _hz_to_mel(np.fft.rfftfreq(nfft, 1.0 / sample_rate_hz))
-    edges = np.linspace(_hz_to_mel(min_hz), _hz_to_mel(max_hz), num_bands + 2)
+    bin_mel = _hz_to_mel(np.fft.rfftfreq(STFT_NFFT, 1.0 / CLASSIFIER_RATE_HZ))
+    edges = np.linspace(_hz_to_mel(MEL_MIN_HZ), _hz_to_mel(MEL_MAX_HZ), MEL_BANDS + 2)
     lower, center, upper = edges[:-2], edges[1:-1], edges[2:]
     rising = (bin_mel[:, None] - lower[None, :]) / (center - lower)[None, :]
     falling = (upper[None, :] - bin_mel[:, None]) / (upper - center)[None, :]

@@ -24,7 +24,7 @@ from .core import (
     ReactionLabel,
     expand_events_to_labels,
     read_csv_rows,
-    read_text,
+    read_json,
 )
 from .dsp import dtw_from_cost, dtw_scan
 
@@ -260,26 +260,22 @@ class DecisionTree:
         ) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "DecisionTree":
+    def load(cls, path: str | os.PathLike) -> "DecisionTree":
         def decode(obj):
             if "value" in obj:
                 return TreeNode(value=int(obj["value"]))
             return TreeNode(feature=int(obj["feature"]),
                             threshold=float(obj["threshold"]),
                             left=decode(obj["left"]), right=decode(obj["right"]))
+        doc = read_json(path)
         try:
-            doc = json.loads(text)
             return cls(decode(doc["root"]), int(doc["num_features"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad decision-tree document: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad decision-tree document: {exc}") from None
 
     def save(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "DecisionTree":
-        return cls.from_json(read_text(path))
 
 
 def _gini(targets):

@@ -31,6 +31,7 @@ from ..core import (
     ReactionEvent,
     ReactionLabel,
     Session,
+    is_plain_file_name,
     merge_labels_to_events,
     save_labels,
     save_session_dir,
@@ -113,6 +114,11 @@ class SyntheticSpec:
             raise ParameterError("duration_s must be >= 1 second")
         if self.start_offset_in_song < 0:
             raise ParameterError("start_offset_in_song must be >= 0")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
+        for name in (self.session_id, self.song_id):  # both name written files
+            if not is_plain_file_name(name):
+                raise ParameterError(f"{name!r} cannot name a session or note file")
         prev_end = 0
         for t0, t1, label in self.script:
             if not (isinstance(t0, int) and isinstance(t1, int)):
@@ -443,10 +449,6 @@ def make_vocal_corpus(
     place: str,
     base_seed: int,
     duration_s: int = 45,
-    num_subjects: int = 6,
-    num_songs: int = 5,
-    span_range: tuple[int, int] = (5, 9),
-    gap_range: tuple[int, int] = (6, 14),
 ) -> list[SyntheticSpec]:
     """Specs for a corpus of singing/whistling sessions in one place."""
     specs = []
@@ -454,12 +456,11 @@ def make_vocal_corpus(
         rng = np.random.default_rng([base_seed, i])
         specs.append(SyntheticSpec(
             session_id=f"v{i:03d}",
-            subject_id=f"subj{i % num_subjects:02d}",
-            song_id=f"song{i % num_songs:02d}",
+            subject_id=f"subj{i % 6:02d}",
+            song_id=f"song{i % 5:02d}",
             place=place,
             duration_s=duration_s,
-            script=_make_script(rng, duration_s, _VOCAL_SPAN_LABELS,
-                                span_range=span_range, gap_range=gap_range),
+            script=_make_script(rng, duration_s, _VOCAL_SPAN_LABELS),
             start_offset_in_song=int(rng.integers(0, 8)),
             seed=int(rng.integers(0, 2**31)),
         ))
@@ -471,8 +472,6 @@ def make_motion_corpus(
     place: str,
     base_seed: int,
     duration_s: int = 45,
-    num_subjects: int = 6,
-    span_range: tuple[int, int] = (15, 25),
 ) -> list[SyntheticSpec]:
     """Specs for head-motion sessions (long nodding spans) in one place."""
     specs = []
@@ -480,12 +479,12 @@ def make_motion_corpus(
         rng = np.random.default_rng([base_seed, 1000 + i])
         specs.append(SyntheticSpec(
             session_id=f"m{i:03d}",
-            subject_id=f"subj{i % num_subjects:02d}",
+            subject_id=f"subj{i % 6:02d}",
             song_id=f"song{i % 3:02d}",
             place=place,
             duration_s=duration_s,
             script=_make_script(rng, duration_s, (ReactionLabel.HEAD_MOTION,),
-                                span_range=span_range, gap_range=(6, 10)),
+                                span_range=(15, 25), gap_range=(6, 10)),
             start_offset_in_song=0,
             seed=int(rng.integers(0, 2**31)),
         ))
@@ -512,7 +511,6 @@ def make_engagement_dataset(
     num_subjects: int = 8,
     sessions_per_subject: int = 6,
     seed: int = 0,
-    duration_s: int = 60,
 ) -> EngagementDataset:
     """Synthetic engagement study: reactions scale with how much the
     listener likes (rating) and knows (familiarity) the song.
@@ -523,6 +521,7 @@ def make_engagement_dataset(
     scripted truth events, so the whole engage stack is exercised.
     """
     rng = np.random.default_rng(seed)
+    duration_s = 60
     rows, ratings, familiarity, subjects = [], [], [], []
     patterns, song_ids = [], []
     for subject in range(num_subjects):
@@ -618,7 +617,7 @@ def parse_corpus_spec(obj: dict, base_seed: int = 0) -> list[SyntheticSpec]:
                 seed=int(raw["seed"]) if "seed" in raw else base_seed * 100003 + i,
             )
             spec.validate()
-        except (TypeError, ValueError, KeyError) as exc:  # ParameterError too
+        except (TypeError, ValueError, OverflowError, KeyError) as exc:  # ParameterError too
             raise ParseError(f"corpus spec, session {i}: {exc}") from None
         specs.append(spec)
     if not specs:

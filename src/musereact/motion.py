@@ -32,7 +32,7 @@ from .core import (
     ReactionLabel,
     Session,
     merge_labels_to_events,
-    read_text,
+    read_json,
     second_bounds,
 )
 from . import dsp
@@ -45,6 +45,11 @@ NUM_FEATURES = 18
 
 #: Windows scored per ``classify_many`` call; bounds the scratch memory of a block.
 MOTION_BLOCK = 128
+
+#: Lag range, in units, that :class:`HeuristicMotionClassifier` searches for
+#: the autocorrelation peak: periods of 0.2-1.2 s, which bracket 1-3 Hz bobbing.
+_MIN_LAG = 2
+_MAX_LAG = 12
 
 
 def motion_prefilter(
@@ -175,9 +180,9 @@ class LstmWeights:
         return self.Wi.shape[0]
 
     @classmethod
-    def zeros(cls, input_size: int = NUM_FEATURES, hidden_size: int = 32) -> "LstmWeights":
+    def zeros(cls) -> "LstmWeights":
         return cls(**{key: np.zeros(shape) for key, shape
-                      in _lstm_shapes(input_size, hidden_size).items()})
+                      in _lstm_shapes(NUM_FEATURES, 32).items()})
 
     @classmethod
     def random(cls, rng: np.random.Generator, input_size: int = NUM_FEATURES,
@@ -190,18 +195,14 @@ class LstmWeights:
         return json.dumps(obj, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "LstmWeights":
+    def load(cls, path: str | os.PathLike) -> "LstmWeights":
+        obj = read_json(path)
         try:
-            obj = json.loads(text)
             kwargs = {key: np.asarray(obj[key], dtype=float)
                       for key in _LSTM_KEYS}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad LSTM weight document: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad LSTM weight document: {exc}") from None
         return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "LstmWeights":
-        return cls.from_json(read_text(path))
 
     def save(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -273,19 +274,11 @@ class HeuristicMotionClassifier(SequenceClassifier):
     spectral peakiness of the series, each computed over the full window and
     a trailing sub-window (to react quickly at span onsets), through a
     logistic squash.
-    """
 
-    def __init__(self, ac_weight: float = 6.0, peak_weight: float = 4.0,
-                 bias: float = -5.0, min_lag: int = 2, max_lag: int = 12,
-                 subwindows: tuple[int, ...] = (NUM_UNITS, 30)):
-        if not 1 <= min_lag < max_lag:
-            raise ParameterError("need 1 <= min_lag < max_lag")
-        self.ac_weight = ac_weight
-        self.peak_weight = peak_weight
-        self.bias = bias
-        self.min_lag = min_lag
-        self.max_lag = max_lag
-        self.subwindows = subwindows
+    The calibration is fixed: ``sigmoid(6 * ac_peak + 4 * peakiness - 5)``,
+    with the autocorrelation peak taken over lags of 2-12 units (0.2-1.2 s)
+    and the best score of the full 70-unit window and its trailing 30 units.
+    """
 
     def classify(self, units: np.ndarray) -> tuple[float, float]:
         units = np.asarray(units, dtype=float)
@@ -293,9 +286,9 @@ class HeuristicMotionClassifier(SequenceClassifier):
             raise ParameterError(f"expected (n, {NUM_FEATURES}) units, got {units.shape}")
         energy = np.linalg.norm(units[:, [4, 10, 16]], axis=1)  # per-axis std cols
         score = 0.0
-        for length in self.subwindows:
+        for length in (NUM_UNITS, 30):
             series = energy[-min(length, len(energy)):]
-            if len(series) <= self.max_lag + 1:
+            if len(series) <= _MAX_LAG + 1:
                 continue
             score = max(score, self._score_series(series))
         return score, 1.0 - score
@@ -306,12 +299,12 @@ class HeuristicMotionClassifier(SequenceClassifier):
         if power_total <= 0.0:
             return 0.0
         spectrum = np.fft.rfft(x, n=2 * len(x))
-        r = np.fft.irfft(spectrum * np.conj(spectrum))[:self.max_lag + 1]
-        ac_peak = float(np.max(r[self.min_lag:self.max_lag + 1]) / r[0])
+        r = np.fft.irfft(spectrum * np.conj(spectrum))[:_MAX_LAG + 1]
+        ac_peak = float(np.max(r[_MIN_LAG:_MAX_LAG + 1]) / r[0])
         psd = np.abs(np.fft.rfft(x)) ** 2
         nondc = psd[1:]
         peakiness = float(nondc.max() / nondc.sum()) if nondc.sum() > 0 else 0.0
-        z = self.ac_weight * ac_peak + self.peak_weight * peakiness + self.bias
+        z = 6.0 * ac_peak + 4.0 * peakiness - 5.0
         return float(_sigmoid(z))
 
 

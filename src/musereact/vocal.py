@@ -49,6 +49,7 @@ from .core import (
     VOCAL_STATES,
     merge_labels_to_events,
     read_csv_rows,
+    read_json,
     read_text,
     segment_session,
 )
@@ -447,26 +448,18 @@ class HmmParams:
             "emission": self.emission.tolist(),
         }, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "HmmParams":
-        try:
-            obj = json.loads(text)
-            return cls(
-                states=tuple(ReactionLabel(s) for s in obj["states"]),
-                initial=np.asarray(obj["initial"], dtype=float),
-                transition=np.asarray(obj["transition"], dtype=float),
-                emission=np.asarray(obj["emission"], dtype=float),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad HMM document: {exc}") from None
-
     def save(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "HmmParams":
-        return cls.from_json(read_text(path))
+        obj = read_json(path)
+        try:  # __post_init__ converts and checks every field
+            return cls(states=obj["states"], initial=obj["initial"],
+                       transition=obj["transition"], emission=obj["emission"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad HMM document: {exc}") from None
 
 
 def train_hmm(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from musereact import core, engage, harness, motion
+from musereact import core, engage, harness, motion, musicinfo, vocal
 from musereact.cli import main
 from musereact.core import PipelineConfig, ReactionEvent, ReactionLabel
 from musereact.vocal import HmmParams
@@ -170,6 +170,23 @@ class TestDetect:
                      "--session", str(data_dir / "sess_a"),
                      "--config", str(config_path), "--lstm", str(bad),
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_session_without_pitch_csv_tracks_pitch_from_audio(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MUSEREACT_CONFIG", raising=False)
+        spec = harness.SyntheticSpec("sess", "u0", "tune", "lounge", duration_s=8,
+                                     script=((2, 7, S),), seed=1)
+        session_dir = harness.write_corpus(tmp_path / "data", [spec])[0]
+        os.remove(os.path.join(session_dir, "pitch.csv"))
+        out = tmp_path / "out"
+        assert main(["detect", "--session", session_dir, "--pipeline", "vocal",
+                     "--out", str(out)]) == 0
+        expected = vocal.run_vocal_pipeline(
+            core.load_session_dir(session_dir),
+            vocal.ScoreFileClassifier.from_file(os.path.join(session_dir, "scores.jsonl")),
+            pitch_tracker=vocal.AutocorrelationPitchTracker(),
+            note_store=musicinfo.MusicInfoStore.from_dir(tmp_path / "data" / "notes"))
+        assert expected.stats.corrected > 0
+        assert core.load_events_jsonl(out / "sess.vocal.jsonl") == expected.events
 
     def test_env_var_supplies_config(self, corpus, monkeypatch):
         tmp_path, data_dir, config_path = corpus
@@ -362,6 +379,14 @@ class TestRecommend:
         assert "usage" in capsys.readouterr().err.lower()
 
 
+def run_quietly(argv):
+    """``main(argv)`` with stdout and stderr captured: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 #: One events line: mostly well-formed, sometimes with a bad field.
 EVENT_LINE = st.builds(
     lambda label, t0, length: (json.dumps(
@@ -387,12 +412,10 @@ def test_recommend_on_any_bytes_exits_0_or_2_with_one_line(pattern, pool):
         for k, data in enumerate(pool):
             with open(os.path.join(pool_dir, f"song{k}.jsonl"), "wb") as fh:
                 fh.write(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["recommend", "--pattern", query, "--pool", pool_dir])
+        code, err = run_quietly(["recommend", "--pattern", query, "--pool", pool_dir])
     assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
-    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (0 if code == 0 else 1)
 
 
 def small_session(root):
@@ -424,10 +447,17 @@ JSON_READERS = {
 
 
 class TestJsonInputs:
-    """Every JSON file the CLI reads goes through ``core.read_text``."""
+    """Every JSON file the CLI reads goes through ``core.read_json``."""
+
+    CASES = {
+        "missing": (None, "file not found"),
+        "not_utf8": (b"{\n\xff\xfe}\n", "line 2: not UTF-8 text"),
+        "syntax": (b'{"a": \n', "line 2: Expecting value"),
+        "not_object": (b"[1, 2]\n", "expected a JSON object"),
+    }
 
     @pytest.mark.parametrize("reader", sorted(JSON_READERS))
-    @pytest.mark.parametrize("case", ["missing", "not_utf8"])
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_names_the_file_and_exits_2(self, tmp_path, capsys, monkeypatch, reader, case):
         monkeypatch.delenv("MUSEREACT_CONFIG", raising=False)
         command, argv = JSON_READERS[reader]
@@ -435,10 +465,9 @@ class TestJsonInputs:
         (tmp_path / "pred.jsonl").write_bytes(TestEvalMalformedInput.PRED)
         path = tmp_path / "doc" / "meta.json"  # the name the session reader needs
         path.parent.mkdir()
-        expected = "file not found"
-        if case == "not_utf8":
-            path.write_bytes(b"{\n\xff\xfe}\n")
-            expected = "line 2: not UTF-8 text"
+        data, expected = self.CASES[case]
+        if data is not None:
+            path.write_bytes(data)
         assert main(argv(tmp_path, path)) == 2
         assert capsys.readouterr().err == (
             f"musereact {command}: error: {path}: {expected}\n")
@@ -495,6 +524,14 @@ class TestMetaJson:
         code, _, out = self._detect_with_meta(tmp_path, session_id="..x. y")
         assert code == 0
         assert sorted(os.listdir(out)) == ["..x. y.motion.jsonl", "..x. y.stats.json"]
+
+    @pytest.mark.parametrize("key", ["session_id", "subject_id", "song_id", "place"])
+    @pytest.mark.parametrize("value", [None, 5, True, ["x"]])
+    def test_ids_must_be_strings(self, tmp_path, capsys, key, value):
+        code, meta_path, _ = self._detect_with_meta(tmp_path, **{key: value})
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {meta_path}: {key} must be a string\n")
 
     @pytest.mark.parametrize("value", ["x", None, True, 0, -16000, 44100.0, [44100]])
     def test_audio_rate_must_be_a_positive_integer(self, tmp_path, capsys, value):
@@ -580,6 +617,169 @@ def test_detect_on_any_config_exits_0_or_2_with_one_line(three_second_session, d
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) == 1
     assert not caught, [str(w.message) for w in caught]
+
+
+def assert_one_line_outcome(command, code, err):
+    """Exit 0 with the command's summary line, or exit 2 with one error line."""
+    assert "Traceback" not in err
+    assert code in (0, 2)
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"{command}: " if code == 0
+                               else f"musereact {command}: error: ")
+
+
+def mostly(common, *rare):
+    """Draw mostly from ``common`` (three entries in four), else from ``rare``."""
+    return st.sampled_from([common, common, common, st.one_of(*rare)]).flatmap(
+        lambda strategy: strategy)
+
+
+def csv_bytes(header, rows):
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+LABELS = [label.value for label in ReactionLabel]
+
+#: Back-to-back events as (gap, length, label) triples, times in whole seconds.
+SPANS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6), st.sampled_from(LABELS)),
+                 min_size=1, max_size=4)
+
+
+def timeline(spans):
+    """(t_start, t_end, label) of each span laid end to end from t = 0."""
+    events, t = [], 0
+    for gap, length, label in spans:
+        events.append((t + gap, t + gap + length, label))
+        t += gap + length
+    return events
+
+
+#: A labels.csv row that may be wrong in any field.
+JUNK_ROW = st.tuples(
+    st.integers(-2, 20).map(str) | st.sampled_from(["nan", "inf", "1e999", "x", ""]),
+    st.integers(-2, 20).map(str) | st.sampled_from(["nan", "-inf", "x"]),
+    st.sampled_from(LABELS + ["", "sing", "3"]),
+).map(",".join)
+
+#: Bytes of a labels.csv: mostly the header over events, sometimes with one junk
+#: row, else arbitrary.
+TRUTH_FILE = mostly(
+    st.builds(lambda spans, junk: csv_bytes(
+        "t_start,t_end,label", [f"{t0},{t1},{label}" for t0, t1, label in timeline(spans)]
+        + junk), SPANS, st.lists(JUNK_ROW, max_size=1)),
+    st.binary(max_size=48))
+
+#: Bytes of an events file: well-formed events, or anything ``EVENTS_FILE`` draws.
+PRED_FILE = EVENTS_FILE | SPANS.map(lambda spans: "".join(
+    json.dumps({"label": label, "t_start": t0, "t_end": t1}) + "\n"
+    for t0, t1, label in timeline(spans)).encode())
+
+#: Bytes of a detect stats file: arbitrary, any JSON, or a ratio of any JSON value.
+STATS_FILE = st.one_of(
+    st.binary(max_size=48),
+    JSON_VALUE.map(lambda value: json.dumps(value).encode()),
+    st.builds(lambda key, ratio: json.dumps({key: {"filtering_ratio": ratio}}).encode(),
+              st.sampled_from(["vocal", "motion"]), st.floats(0, 1) | JSON_VALUE))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(truth=TRUTH_FILE, pred=PRED_FILE, stats=st.none() | STATS_FILE,
+       task=st.sampled_from(["vocal", "motion", "combined"]))
+def test_eval_on_any_input_exits_0_or_2_with_one_line(truth, pred, stats, task):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["eval", "--task", task, "--report", os.path.join(tmp, "report.json")]
+        for name, data in (("truth", truth), ("pred", pred), ("stats", stats)):
+            if data is not None:
+                path = os.path.join(tmp, name)
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                argv += [f"--{name}", path]
+        code, err = run_quietly(argv)
+    assert_one_line_outcome("eval", code, err)
+
+
+def name_or_junk(*valid):
+    """Mostly one of ``valid``, else path-like text or any JSON value."""
+    return mostly(st.sampled_from(valid), st.text(alphabet="ab./\\\0", max_size=4),
+                  JSON_VALUE)
+
+
+#: A duration or song offset of at most 3 s, or a value that is not one.
+SMALL_SECONDS = mostly(st.integers(1, 3), st.integers(-1, 0), st.sampled_from(
+    [2.5, -0.5, float("nan"), float("inf"), float("-inf"), "2", "x", None, True, [2]]))
+
+SPEC_SESSION = st.fixed_dictionaries(
+    {"duration_s": SMALL_SECONDS},
+    optional={
+        "session_id": name_or_junk("s1", "s2", "notes"),
+        "subject_id": name_or_junk("u0"),
+        "song_id": name_or_junk("tune", "song00"),
+        "place": name_or_junk(*harness.PLACE_PROFILES),
+        "activity": name_or_junk("sedentary", "still", "exercise"),
+        "start_offset_in_song": SMALL_SECONDS,
+        "script": mostly(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4),
+                                            st.sampled_from(LABELS)).map(list),
+                                  max_size=2), JSON_VALUE),
+        "seed": st.integers() | JSON_VALUE,
+    })
+
+#: Bytes of a corpus spec: mostly near-valid sessions, else arbitrary or any JSON.
+SPEC_FILE = mostly(
+    st.lists(SPEC_SESSION, max_size=2).map(
+        lambda sessions: json.dumps({"sessions": sessions}).encode()),
+    st.binary(max_size=48), JSON_VALUE.map(lambda value: json.dumps(value).encode()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=SPEC_FILE)
+def test_simulate_on_any_spec_exits_0_or_2_with_one_line(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        with open(spec_path, "wb") as fh:
+            fh.write(spec)
+        out = os.path.join(tmp, "corpus", "out")
+        code, err = run_quietly(["simulate", "--spec", spec_path, "--out", out])
+        written = [os.path.join(root, name) for root, _, names in os.walk(tmp)
+                   for name in names]
+    assert_one_line_outcome("simulate", code, err)
+    assert all(path == spec_path or path.startswith(out + os.sep) for path in written)
+
+
+#: Targets of each task; a table draws all its targets for one of them.
+TARGETS = {"rating": ["1", "2", "3", "4", "5"], "familiarity": ["known", "unknown"]}
+FEATURE_TEXT = st.floats(-3, 3).map(str) | st.sampled_from(["1e999", "nan", "x", ""])
+TRAINING_HEADER = ",".join(engage.ReactionFeatures.FEATURE_NAMES) + ",target"
+
+#: Bytes of a training CSV: mostly a header over rows of one task's targets,
+#: sometimes with a junk row, else arbitrary.
+TRAINING_FILE = mostly(st.builds(
+    lambda header, rows, junk: csv_bytes(header, rows + junk),
+    mostly(st.just(TRAINING_HEADER), st.just("x,target")),
+    st.sampled_from(sorted(TARGETS)).flatmap(lambda task: st.lists(st.builds(
+        lambda features, target: ",".join([*features, target]),
+        st.lists(st.floats(0, 1).map(str), min_size=10, max_size=10),
+        st.sampled_from(TARGETS[task])), min_size=1, max_size=8)),
+    st.lists(st.builds(lambda features, target: ",".join([*features, target]),
+                       st.lists(FEATURE_TEXT, max_size=11),
+                       st.sampled_from(["0", "6", "2.5", "", "99999999999999999999"])),
+             max_size=1)), st.binary(max_size=48))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=TRAINING_FILE, task=st.sampled_from(sorted(TARGETS)),
+       max_depth=mostly(st.integers(1, 4), st.integers(-1, 0)),
+       min_leaf=mostly(st.integers(1, 3), st.integers(-1, 0)))
+def test_train_tree_on_any_table_exits_0_or_2_with_one_line(data, task, max_depth,
+                                                            min_leaf):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, err = run_quietly([
+            "train-tree", "--task", task, "--data", path, "--max-depth", str(max_depth),
+            "--min-leaf", str(min_leaf), "--out", os.path.join(tmp, "tree.json")])
+    assert_one_line_outcome("train-tree", code, err)
 
 
 class TestDeterminism:

@@ -103,12 +103,12 @@ class TestPipelineConfig:
 
     def test_json_round_trip(self):
         cfg = PipelineConfig().replace(dtw_threshold=30.0, smoothing_window=4)
-        again = PipelineConfig.from_json(cfg.to_json())
+        again = PipelineConfig.from_dict(json.loads(cfg.to_json()))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            PipelineConfig.from_json(json.dumps({"no_such_threshold": 1.0}))
+            PipelineConfig.from_dict({"no_such_threshold": 1.0})
 
     def test_save_load(self, tmp_path):
         cfg = PipelineConfig().replace(margin_threshold=0.8)
@@ -128,16 +128,16 @@ class TestPipelineConfig:
     ])
     def test_field_types_checked_before_ranges(self, doc, message):
         with pytest.raises(ConfigError) as err:
-            PipelineConfig.from_json(json.dumps(doc))
+            PipelineConfig.from_dict(doc)
         assert str(err.value) == message
 
     def test_json_integers_fill_float_fields(self):
-        cfg = PipelineConfig.from_json('{"dtw_threshold": 30, "smoothing_window": 4}')
+        cfg = PipelineConfig.from_dict({"dtw_threshold": 30, "smoothing_window": 4})
         assert cfg == PipelineConfig().replace(dtw_threshold=30.0, smoothing_window=4)
         assert type(cfg.dtw_threshold) is float
 
     def test_partial_json_fills_defaults(self):
-        cfg = PipelineConfig.from_json(json.dumps({"dtw_threshold": 42.0}))
+        cfg = PipelineConfig.from_dict({"dtw_threshold": 42.0})
         assert cfg.dtw_threshold == 42.0
         assert cfg.margin_threshold == PipelineConfig().margin_threshold
 
@@ -469,13 +469,15 @@ JSON_LOADERS = {
 
 
 class TestJsonDocuments:
-    """The JSON loaders read through ``core.read_text``."""
+    """The JSON loaders read through ``core.read_json``."""
 
     @pytest.mark.parametrize("loader", sorted(JSON_LOADERS))
     @pytest.mark.parametrize("data, expected", [
         (None, "file not found"),
         (b'{\n  "a": "\xff"\n}\n', "line 2: not UTF-8 text"),
-    ], ids=["missing", "not_utf8"])
+        (b'{"a": \n', "line 2: Expecting value"),
+        (b"[1, 2]\n", "expected a JSON object"),
+    ], ids=["missing", "not_utf8", "syntax", "not_object"])
     def test_bad_file_is_parse_error_naming_path(self, tmp_path, loader, data, expected):
         name, load = JSON_LOADERS[loader]
         path = tmp_path / name
@@ -484,3 +486,10 @@ class TestJsonDocuments:
         with pytest.raises(ParseError) as err:
             load(str(path))
         assert str(err.value) == f"{path}: {expected}"
+
+    def test_nesting_too_deep_is_parse_error_naming_path(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 100_000)
+        with pytest.raises(ParseError) as err:
+            core.read_json(path)
+        assert str(err.value).startswith(f"{path}: ")

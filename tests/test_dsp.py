@@ -153,7 +153,7 @@ class TestMelFilterbank:
 
     def test_cached_16k_bank_matches_and_is_read_only(self):
         np.testing.assert_array_equal(
-            dsp.MEL_FILTERBANK_16K, dsp.mel_filterbank(sample_rate_hz=16000))
+            dsp.MEL_FILTERBANK_16K, dsp.mel_filterbank())
         assert not dsp.MEL_FILTERBANK_16K.flags.writeable
         with pytest.raises(ValueError):
             dsp.MEL_FILTERBANK_16K[0, 0] = 1.0
