@@ -95,7 +95,7 @@ def _session_dirs(args) -> list[str]:
 def _notes_dir_for(session_dir: str, explicit: str | None) -> str | None:
     if explicit:
         return explicit
-    candidate = os.path.join(os.path.dirname(session_dir), "notes")
+    candidate = os.path.join(os.path.dirname(session_dir), harness.NOTES_DIR)
     return candidate if os.path.isdir(candidate) else None
 
 

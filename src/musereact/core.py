@@ -56,6 +56,10 @@ IMU_RATE_TOLERANCE_HZ = 5.0
 #: Maximum tolerated disagreement between the IMU span and the audio span.
 STREAM_ALIGNMENT_TOLERANCE_S = 1.0
 
+#: Longest session, in seconds, that an event file or a corpus spec may
+#: describe (24 h).  Both size per-second arrays from the numbers they hold.
+MAX_SESSION_S = 24 * 3600.0
+
 
 class Error(Exception):
     """Base class for all package errors."""
@@ -330,15 +334,16 @@ class Session:
             raise InsufficientDataError("IMU stream needs at least two samples")
         if self.accel.shape != (n, 3) or self.gyro.shape != (n, 3):
             raise ParameterError("accel and gyro must both be (n, 3)")
-        if not (np.isfinite(self.imu_t).all() and np.isfinite(self.accel).all()
-                and np.isfinite(self.gyro).all()):
+        if not (_all_finite(self.imu_t) and _all_finite(self.accel)
+                and _all_finite(self.gyro)):
             raise ParameterError("IMU stream contains non-finite values")
         dt = np.diff(self.imu_t)
         if (dt <= 0).any():
             raise ParameterError("IMU timestamps must be strictly increasing")
         if self.imu_t[0] < 0:
             raise ParameterError("IMU timestamps must start at or after 0")
-        rate = 1.0 / float(np.median(dt))
+        step = float(np.median(dt))
+        rate = 1.0 / step
         if abs(rate - IMU_RATE_HZ) > IMU_RATE_TOLERANCE_HZ:
             raise ParameterError(
                 f"IMU rate {rate:.1f} Hz outside nominal {IMU_RATE_HZ:.0f} "
@@ -347,11 +352,12 @@ class Session:
         if self.audio is not None:
             if self.audio.ndim != 1:
                 raise ParameterError("audio must be a mono 1-D array")
-            if not np.isfinite(self.audio).all():
+            if not _all_finite(self.audio):
                 raise ParameterError("audio contains non-finite values")
             if self.audio_rate <= 0:
                 raise ParameterError("audio_rate must be positive")
-            skew = abs(self.audio_span() - self.imu_span())
+            imu_span = float(self.imu_t[-1] - self.imu_t[0]) + step  # = imu_span()
+            skew = abs(self.audio_span() - imu_span)
             if skew > STREAM_ALIGNMENT_TOLERANCE_S:
                 raise AlignmentError(
                     f"audio and IMU spans disagree by {skew:.2f} s "
@@ -371,6 +377,20 @@ class Session:
     def duration_s(self) -> float:
         """Session length in seconds (audio span when audio is present)."""
         return self.audio_span() if self.audio is not None else self.imu_span()
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()`` in one pass, without a bool temporary.
+
+    Every square is >= 0, so nothing cancels in the sum of squares: any inf
+    or NaN element makes it non-finite.  A finite array can only fail the
+    fast test by overflowing (some ``|x| > ~1.3e154``); the elementwise test
+    then decides.
+    """
+    flat = x.ravel()
+    with np.errstate(over="ignore"):
+        squares = float(flat @ flat)
+    return math.isfinite(squares) or bool(np.isfinite(flat).all())
 
 
 @dataclass(eq=False)
@@ -666,6 +686,17 @@ def save_labels(path: str | os.PathLike, events: list[ReactionEvent]) -> None:
             fh.write(f"{_fmt(event.t_start)},{_fmt(event.t_end)},{event.label.value}\n")
 
 
+def _read_event(label: ReactionLabel, t_start: float, t_end: float) -> ReactionEvent:
+    """An event read from a file; one ending past :data:`MAX_SESSION_S`
+    raises :class:`ParameterError`."""
+    event = ReactionEvent(label, t_start, t_end)
+    if event.t_end > MAX_SESSION_S:
+        raise ParameterError(
+            f"event ends at {event.t_end:g} s, past the {MAX_SESSION_S:g} s "
+            f"session-length bound")
+    return event
+
+
 def load_labels(path: str | os.PathLike) -> list[ReactionEvent]:
     events = []
     for lineno, row in read_csv_rows(path, _LABEL_HEADER):
@@ -674,7 +705,7 @@ def load_labels(path: str | os.PathLike) -> list[ReactionEvent]:
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric time bound") from None
         try:
-            events.append(ReactionEvent(parse_label(row[2]), t0, t1))
+            events.append(_read_event(parse_label(row[2]), t0, t1))
         except ParameterError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return events
@@ -699,11 +730,9 @@ def load_events_jsonl(path: str | os.PathLike) -> list[ReactionEvent]:
             continue
         try:
             obj = json.loads(line)
-            events.append(ReactionEvent(
-                parse_label(obj["label"]),
-                float(obj["t_start"]), float(obj["t_end"]),
-            ))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            events.append(_read_event(
+                parse_label(obj["label"]), float(obj["t_start"]), float(obj["t_end"])))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return events
 

@@ -52,8 +52,25 @@ def movement_level(accel: np.ndarray) -> float:
         raise ParameterError(f"accel must be (n, 3), got {accel.shape}")
     if accel.shape[0] < 2:
         raise InsufficientDataError("movement level needs at least 2 samples")
+    return float(movement_levels(accel, [0, accel.shape[0]])[0])
+
+
+def movement_levels(accel: np.ndarray, bounds) -> np.ndarray:
+    """:func:`movement_level` of every slice ``accel[bounds[i]:bounds[i + 1]]``.
+
+    One magnitude pass over the whole stream; the slices are then gathered
+    into one ``(slices, n)`` block per sample count ``n`` and reduced row by
+    row, which gives the same bits as the per-slice calls.  Slices with
+    fewer than 2 samples get NaN.
+    """
     magnitude = np.linalg.norm(accel, axis=1)
-    return float(np.std(magnitude))
+    bounds = np.asarray(bounds)
+    starts, counts = bounds[:-1], np.diff(bounds)
+    levels = np.full(len(counts), np.nan)
+    for n in np.unique(counts[counts >= 2]):
+        rows = np.flatnonzero(counts == n)
+        levels[rows] = np.std(magnitude[starts[rows, None] + np.arange(n)], axis=1)
+    return levels
 
 
 def sound_level_db(audio: np.ndarray, calibration_db: float = 94.0) -> float:

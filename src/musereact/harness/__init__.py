@@ -9,6 +9,7 @@ Viterbi, per-step LSTM, per-frame pitch) used to validate the fast paths.
 """
 
 from .synth import (
+    NOTES_DIR,
     PLACE_PROFILES,
     PlaceProfile,
     SyntheticSpec,
@@ -33,6 +34,7 @@ from .oracles import (dtw_loop_oracle, dtw_oracle, lstm_loop_oracle,
                       pitch_loop_oracle, viterbi_oracle)
 
 __all__ = [
+    "NOTES_DIR",
     "PLACE_PROFILES",
     "PlaceProfile",
     "SyntheticSpec",

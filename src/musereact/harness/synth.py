@@ -26,6 +26,7 @@ import numpy as np
 from ..core import (
     AUDIO_RATE_HZ,
     IMU_RATE_HZ,
+    MAX_SESSION_S,
     ParameterError,
     ParseError,
     ReactionEvent,
@@ -62,6 +63,9 @@ _REACTION_SPAN_LABELS = frozenset({
 })
 
 ACTIVITIES = ("sedentary", "still", "exercise")
+
+#: Directory of a written corpus that holds the shared note tracks.
+NOTES_DIR = "notes"
 
 # Background roles for non-scripted seconds.
 _STILL, _ACTIVE_QUIET, _CHATTER, _EXERCISE = "still", "active_quiet", "chatter", "exercise"
@@ -110,15 +114,19 @@ class SyntheticSpec:
             )
         if self.activity not in ACTIVITIES:
             raise ParameterError(f"unknown activity {self.activity!r}")
-        if self.duration_s < 1:
-            raise ParameterError("duration_s must be >= 1 second")
-        if self.start_offset_in_song < 0:
-            raise ParameterError("start_offset_in_song must be >= 0")
+        # Both size synthetic arrays, so both are bounded.
+        if not 1 <= self.duration_s <= MAX_SESSION_S:
+            raise ParameterError(f"duration_s must lie in [1, {MAX_SESSION_S:g}] s")
+        if not 0 <= self.start_offset_in_song <= MAX_SESSION_S:
+            raise ParameterError(
+                f"start_offset_in_song must lie in [0, {MAX_SESSION_S:g}] s")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
         for name in (self.session_id, self.song_id):  # both name written files
             if not is_plain_file_name(name):
                 raise ParameterError(f"{name!r} cannot name a session or note file")
+        if self.session_id == NOTES_DIR:
+            raise ParameterError(f"session_id {NOTES_DIR!r} names the note directory")
         prev_end = 0
         for t0, t1, label in self.script:
             if not (isinstance(t0, int) and isinstance(t1, int)):
@@ -638,7 +646,7 @@ def write_corpus(out_dir: str | os.PathLike, specs: list[SyntheticSpec]) -> list
         spec.validate()
         length = int((spec.start_offset_in_song + spec.duration_s + 2) / NOTE_HOP_S)
         needed[spec.song_id] = max(needed.get(spec.song_id, 0), length)
-    notes_dir = os.path.join(out_dir, "notes")
+    notes_dir = os.path.join(out_dir, NOTES_DIR)
     os.makedirs(notes_dir, exist_ok=True)
     tracks = {}
     for song_id, length in sorted(needed.items()):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -53,15 +54,20 @@ _MAX_LAG = 12
 
 
 def motion_prefilter(
-    accel: np.ndarray, low_g: float = 0.0092, high_g: float = 0.114
+    accel: np.ndarray, low_g: float = 0.0092, high_g: float = 0.114,
+    level: float = math.nan,
 ) -> bool:
     """True when movement level rules the second out (closed pass interval).
 
     Below ``low_g`` the wearer is too still to be moving along with music;
     above ``high_g`` the motion is exercise-scale rather than a listening
-    reaction.  Boundary values pass.
+    reaction.  Boundary values pass.  ``level`` is the second's entry of
+    :func:`dsp.movement_levels` when the caller has one; NaN (the default,
+    and the table's entry for a slice it cannot level) computes it from
+    ``accel``.
     """
-    level = dsp.movement_level(accel)
+    if math.isnan(level):
+        level = dsp.movement_level(accel)
     return not low_g <= level <= high_g
 
 
@@ -360,6 +366,7 @@ def run_motion_pipeline(
     )
 
     bounds = second_bounds(session)
+    levels = dsp.movement_levels(session.accel, bounds)
     stats = MotionStats(total_seconds=len(bounds) - 1)
     errors: dict[int, Error] = {}
     pending: list[tuple[int, int]] = []  # (second, end of its window)
@@ -368,6 +375,7 @@ def run_motion_pipeline(
             if config.enable_motion_filter and motion_prefilter(
                 session.accel[start:boundary],
                 config.motion_movement_low_g, config.motion_movement_high_g,
+                levels[second],
             ):
                 stats.prefiltered += 1
             elif boundary < WINDOW_SAMPLES:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -51,6 +52,7 @@ from .core import (
     read_csv_rows,
     read_json,
     read_text,
+    second_bounds,
     segment_session,
 )
 from . import dsp
@@ -147,9 +149,9 @@ def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
             index = int(obj["index"])
             names = [str(n) for n in obj["classes"]]
             raw = np.asarray(obj["scores"], dtype=float)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if len(names) < 5 or len(raw) != len(names):
+        if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
             raise ParseError(
                 f"{path}: line {lineno}: need >= 5 parallel class/score entries"
             )
@@ -211,6 +213,8 @@ class FilePitchTracker(PitchTracker):
                 t, f0, conf = (float(v) for v in row)
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, (t, f0, conf))):
+                raise ParseError(f"{path}: line {lineno}: non-finite field")
             if times and abs(t - (times[0] + len(times) * PITCH_HOP_S)) > 1e-6:
                 raise ParseError(
                     f"{path}: line {lineno}: time {t:g} breaks the 0.1 s grid"
@@ -287,15 +291,20 @@ class AutocorrelationPitchTracker(PitchTracker):
 # ---------------------------------------------------------------------------
 
 def vocal_motion_prefilter(
-    accel: np.ndarray, low_g: float = 0.0104, high_g: float = 0.12
+    accel: np.ndarray, low_g: float = 0.0104, high_g: float = 0.12,
+    level: float = math.nan,
 ) -> bool:
     """True when the movement level rules out a vocal reaction.
 
     Passing (False) requires the level to sit inside ``[low_g, high_g]``,
     boundaries included: too still means no one is singing, too violent
-    means exercise-scale motion.
+    means exercise-scale motion.  ``level`` is the second's entry of
+    :func:`dsp.movement_levels` when the caller has one; NaN (the default,
+    and the table's entry for a slice it cannot level) computes it from
+    ``accel``.
     """
-    level = dsp.movement_level(accel)
+    if math.isnan(level):
+        level = dsp.movement_level(accel)
     return not low_g <= level <= high_g
 
 
@@ -624,11 +633,14 @@ def run_vocal_pipeline(
     observed: list[ReactionLabel] = []
     final: list[ReactionLabel] = []
 
-    for segment in segment_session(session):
+    segments = segment_session(session)
+    levels = dsp.movement_levels(session.accel, second_bounds(session))
+    for segment in segments:
         stats.total_segments += 1
         try:
             label, stage = _classify_segment(
-                segment, session, classifier, pitch_tracker, note_track, config, stats
+                segment, levels[segment.index], session, classifier, pitch_tracker,
+                note_track, config, stats
             )
         except Error as exc:
             label, stage = ReactionLabel.NON_REACTION, STAGE_ERROR
@@ -658,11 +670,12 @@ def run_vocal_pipeline(
     )
 
 
-def _classify_segment(segment, session, classifier, pitch_tracker, note_track,
-                      config, stats):
+def _classify_segment(segment, level, session, classifier, pitch_tracker,
+                      note_track, config, stats):
     """One segment through stages 1-5; returns (label, stage that settled it)."""
     if config.enable_motion_filter and vocal_motion_prefilter(
-        segment.accel, config.vocal_movement_low_g, config.vocal_movement_high_g
+        segment.accel, config.vocal_movement_low_g, config.vocal_movement_high_g,
+        level,
     ):
         return ReactionLabel.NON_REACTION, STAGE_MOTION_FILTER
 

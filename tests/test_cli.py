@@ -6,12 +6,13 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from musereact import core, engage, harness, motion, musicinfo, vocal
@@ -279,6 +280,96 @@ class TestEvalMalformedInput:
         argv = ["eval", "--pred", str(pred), "--truth", str(truth), "--task", "vocal",
                 "--stats", str(stats), "--report", str(tmp_path / "r.json")]
         assert main(argv) == code
+
+
+class TestJsonlReaders:
+    """A JSON-lines file whose line nests too deep or holds an integer beyond
+    float range names the file and line: exit 2, one stderr line."""
+
+    DEEP = b"[" * 100_000 + b"\n"
+    HUGE = b"1" + b"0" * 400
+
+    @pytest.mark.parametrize("deep", [True, False], ids=["deep_nesting", "huge_integer"])
+    def test_eval_pred(self, tmp_path, capsys, deep):
+        truth, pred = tmp_path / "truth.csv", tmp_path / "pred.jsonl"
+        truth.write_bytes(TestEvalMalformedInput.TRUTH)
+        pred.write_bytes(self.DEEP if deep else (
+            b'{"label": "whistling", "t_start": 0, "t_end": ' + self.HUGE + b"}\n"))
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"musereact eval: error: {pred}: line 1: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("deep", [True, False], ids=["deep_nesting", "huge_integer"])
+    def test_detect_scores(self, tmp_path, capsys, deep):
+        session = small_session(tmp_path / "data")
+        scores = os.path.join(session, "scores.jsonl")
+        with open(scores, "rb") as fh:
+            first, *rest = fh.read().splitlines(keepends=True)
+        line = self.DEEP if deep else (
+            b'{"index": 9, "classes": ["a", "b", "c", "d", "e"], '
+            b'"scores": [1, 1, 1, 1, ' + self.HUGE + b"]}\n")
+        with open(scores, "wb") as fh:
+            fh.write(b"".join([first, line, *rest]))
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"musereact detect: error: {scores}: line 2: ")
+        assert len(err.splitlines()) == 1
+
+
+class TestEventEndBound:
+    """An event ending past ``core.MAX_SESSION_S`` is a data error naming the
+    file and line, not an overflow or a huge per-second list."""
+
+    @pytest.mark.parametrize("end", ["1e300", repr(core.MAX_SESSION_S + 0.5)])
+    @pytest.mark.parametrize("reader", ["truth", "pred"])
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, reader, end):
+        truth, pred = tmp_path / "truth.csv", tmp_path / "pred.jsonl"
+        truth.write_bytes(TestEvalMalformedInput.TRUTH)
+        pred.write_bytes(TestEvalMalformedInput.PRED)
+        if reader == "truth":
+            truth.write_text(f"t_start,t_end,label\n0,5,whistling\n5,{end},whistling\n")
+            where = f"{truth}: line 3"
+        else:
+            pred.write_text(f'{{"label": "whistling", "t_start": 1, "t_end": {end}}}\n')
+            where = f"{pred}: line 1"
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact eval: error: {where}: event ends at {float(end):g} s, "
+            f"past the {core.MAX_SESSION_S:g} s session-length bound\n")
+
+    def test_end_at_the_bound_is_accepted(self, tmp_path):
+        truth, pred = tmp_path / "truth.csv", tmp_path / "pred.jsonl"
+        truth.write_text(f"t_start,t_end,label\n0,{core.MAX_SESSION_S:g},whistling\n")
+        pred.write_bytes(TestEvalMalformedInput.PRED)
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--report", str(tmp_path / "r.json")]) == 0
+
+
+class TestCorpusSpecBounds:
+    """Spec values that would write into the note directory or size arrays
+    past ``core.MAX_SESSION_S`` exit 2 with one line; nothing is written."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"session_id": "notes"}, "session_id 'notes' names the note directory"),
+        ({"duration_s": 86401}, "duration_s must lie in [1, 86400] s"),
+        ({"duration_s": 10 ** 30}, "duration_s must lie in [1, 86400] s"),
+        ({"start_offset_in_song": 86401},
+         "start_offset_in_song must lie in [0, 86400] s"),
+        ({"start_offset_in_song": 1e300},
+         "start_offset_in_song must lie in [0, 86400] s"),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, fields, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sessions": [{"duration_s": 2, **fields}]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact simulate: error: corpus spec, session 0: {message}\n")
+        assert not out.exists()
 
 
 class TestTrainHmm:
@@ -780,6 +871,75 @@ def test_train_tree_on_any_table_exits_0_or_2_with_one_line(data, task, max_dept
             "train-tree", "--task", task, "--data", path, "--max-depth", str(max_depth),
             "--min-leaf", str(min_leaf), "--out", os.path.join(tmp, "tree.json")])
     assert_one_line_outcome("train-tree", code, err)
+
+
+@pytest.fixture(scope="module")
+def hmm_corpus(tmp_path_factory):
+    """A written corpus of two 3-second sessions with vocal reactions."""
+    root = tmp_path_factory.mktemp("hmm_corpus")
+    harness.write_corpus(root, [
+        harness.SyntheticSpec(f"s{k}", "u0", "tune", "lounge", duration_s=3,
+                              script=((0, 2, S),), seed=k)
+        for k in range(2)])
+    return root
+
+
+#: One scores.jsonl line that is not a valid score vector.
+JUNK_SCORE_LINE = st.one_of(
+    JSON_VALUE.map(json.dumps),
+    st.builds(lambda index, scores: json.dumps(
+        {"index": index, "classes": ["a", "b", "c", "d", "e"], "scores": scores}),
+        st.integers(-1, 3) | JSON_VALUE, st.lists(st.floats(), max_size=6) | JSON_VALUE),
+    st.sampled_from(["[" * 100_000, '{"index": 0, "classes": [], "scores": [1' +
+                     "0" * 400 + "]}", "{", ""]),
+).map(lambda line: (line + "\n").encode())
+
+#: A pitch.csv row that may be wrong in any field.
+JUNK_PITCH_ROW = st.tuples(*[st.floats(-1, 3).map(str) | st.sampled_from(
+    ["nan", "inf", "x", ""]) for _ in range(3)]).map(",".join)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(labels=mostly(st.none(), TRUTH_FILE),
+       score_junk=mostly(st.none(), st.tuples(st.integers(0, 3), JUNK_SCORE_LINE)),
+       pitch=mostly(st.none(), st.just(b""), st.binary(max_size=48),
+                    st.lists(JUNK_PITCH_ROW, min_size=1, max_size=3).map(
+                        lambda rows: csv_bytes("t,f0,confidence", rows))),
+       correction=st.booleans())
+@example(labels=None, score_junk=None, pitch=b"t,f0,confidence\nnan,0,0\n",
+         correction=True)  # once a ValueError traceback from the pitch replay
+@example(labels=None, score_junk=(0, b'{"index": 0, "classes": ["a", "b", "c", "d", "e"], '
+                                     b'"scores": null}\n'),
+         pitch=None, correction=False)  # once a TypeError traceback from the scores
+def test_train_hmm_on_any_session_files_exits_0_or_2_with_one_line(
+        hmm_corpus, labels, score_junk, pitch, correction):
+    """``labels.csv``, ``scores.jsonl`` and ``pitch.csv`` of one session are
+    kept, replaced or broken (``b""`` removes ``pitch.csv``)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data")
+        shutil.copytree(hmm_corpus, data)
+        session = os.path.join(data, "s1")
+        if labels is not None:
+            with open(os.path.join(session, "labels.csv"), "wb") as fh:
+                fh.write(labels)
+        if score_junk is not None:
+            at, line = score_junk
+            with open(os.path.join(session, "scores.jsonl"), "rb") as fh:
+                lines = fh.read().splitlines(keepends=True)
+            lines[at:at + 1] = [line]
+            with open(os.path.join(session, "scores.jsonl"), "wb") as fh:
+                fh.write(b"".join(lines))
+        if pitch == b"":
+            os.remove(os.path.join(session, "pitch.csv"))
+        elif pitch is not None:
+            with open(os.path.join(session, "pitch.csv"), "wb") as fh:
+                fh.write(pitch)
+        config = os.path.join(tmp, "config.json")
+        PipelineConfig().replace(dtw_threshold=30.0,
+                                 enable_correction=correction).save(config)
+        code, err = run_quietly(["train-hmm", "--data", data, "--config", config,
+                                 "--out", os.path.join(tmp, "hmm.json")])
+    assert_one_line_outcome("train-hmm", code, err)
 
 
 class TestDeterminism:

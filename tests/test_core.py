@@ -1,7 +1,9 @@
 """Tests for domain types, session handling, segmentation, and file IO."""
 
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +187,58 @@ class TestSessionValidation:
     def test_duration_prefers_audio(self):
         sess = make_session(duration_s=10.0)
         assert sess.duration_s == pytest.approx(10.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["imu_t", "accel", "gyro", "audio"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        sess = make_session()
+        array = getattr(sess, name).copy()
+        array.flat[array.size // 2] = value
+        setattr(sess, name, array)
+        with pytest.raises(ParameterError, match="non-finite"):
+            sess.validate()
+
+    @pytest.mark.parametrize("name", ["accel", "gyro", "audio"])
+    def test_huge_finite_values_accepted(self, name):
+        """Their squares overflow, so the elementwise check must decide,
+        without a floating-point warning."""
+        sess = make_session()
+        array = getattr(sess, name).copy()
+        array.flat[::97] = 1e200
+        array.flat[1::89] = -3e199
+        setattr(sess, name, array)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(array.ravel() @ array.ravel()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sess.validate()
+
+
+#: Values the finiteness check must tell apart: non-finite, finite but with an
+#: overflowing square, signed zero and subnormals.
+SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 1.4e154, -0.0,
+                           5e-324, 2.2e-308, 0.0])
+
+
+def test_all_finite_equals_isfinite_all():
+    rng = np.random.default_rng(8)
+    shapes = [(0,), (1,), (7,), (64,), (33, 3), (5, 4, 3)]
+    overflowed_but_finite = 0
+    for trial in range(400):
+        x = rng.normal(0.0, 1.0, shapes[trial % len(shapes)])
+        hits = rng.random(x.shape) < rng.choice([0.0, 0.02, 0.3, 1.0])
+        pool = SPECIAL_VALUES if trial % 2 else SPECIAL_VALUES[3:]  # finite only
+        x[hits] = rng.choice(pool, int(hits.sum()))
+        views = [x, x[::2], x[::-1], x.T]
+        if x.ndim > 1:
+            views += [x[:, 1:], x[..., ::-2]]
+        for view in views:
+            want = bool(np.isfinite(view).all())
+            assert core._all_finite(view) is want
+            with np.errstate(over="ignore"):
+                squares = float(view.ravel() @ view.ravel())
+            overflowed_but_finite += want and not math.isfinite(squares)
+    assert overflowed_but_finite > 50  # the elementwise fallback ran
 
 
 class TestSegmentation:

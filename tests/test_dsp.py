@@ -5,7 +5,7 @@ import pytest
 import scipy.signal
 
 from musereact import dsp
-from musereact.core import InsufficientDataError, ParameterError
+from musereact.core import InsufficientDataError, ParameterError, Session, second_bounds
 from musereact.harness import dtw_loop_oracle, dtw_oracle
 
 
@@ -38,6 +38,32 @@ class TestMovementLevel:
         accel = rng.normal(0, 0.1, (50, 3))
         mags = np.linalg.norm(accel, axis=1)
         assert dsp.movement_level(accel) == pytest.approx(np.std(mags), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_table_equals_per_second_levels(self, seed):
+        """A jittered session whose seconds hold 0, 1, 69, 70 and 71 samples:
+        each table entry is the level of its second's slice, bit for bit,
+        and NaN where that slice has fewer than 2 samples."""
+        rng = np.random.default_rng(seed)
+        counts = rng.permutation([0, 1, 2, 69, 70, 71] * 4 + [70] * 12)
+        t = np.concatenate([second + (np.arange(n) + rng.uniform(0.0, 0.6, n)) / n
+                            for second, n in enumerate(counts)])
+        accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0.0, 0.05, (len(t), 3))
+        session = Session("s", "u", "g", "office", imu_t=t, accel=accel,
+                          gyro=np.zeros_like(accel))
+        session.validate()
+        bounds = second_bounds(session)
+        assert np.diff(bounds).tolist() == counts[:len(bounds) - 1].tolist()
+        levels = dsp.movement_levels(session.accel, bounds)
+        assert levels.shape == (len(bounds) - 1,)
+        for level, lo, hi in zip(levels, bounds, bounds[1:]):
+            if hi - lo < 2:
+                assert np.isnan(level)
+                with pytest.raises(InsufficientDataError):
+                    dsp.movement_level(accel[lo:hi])
+            else:
+                oracle = float(np.std(np.linalg.norm(accel[lo:hi], axis=1)))
+                assert level == oracle == dsp.movement_level(accel[lo:hi])
 
 
 class TestSoundLevel:

@@ -47,6 +47,12 @@ H = ReactionLabel.HEAD_MOTION
 
 CONFIG = PipelineConfig().replace(dtw_threshold=30.0)
 
+#: The "overflowing" variant squares 1e200 on purpose, in the pipelines and
+#: in the oracles alike.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in multiply:RuntimeWarning",
+    "ignore:invalid value encountered in subtract:RuntimeWarning")
+
 
 def mask_segments(session):
     """Oracle: segments cut with one boolean mask per second (copies)."""
@@ -127,11 +133,22 @@ def _gap(session):
     return _retime(session, t, keep)
 
 
+def _overflowing(session):
+    """Finite accelerations whose squares overflow: the movement table holds
+    NaN for their seconds, and the prefilters recompute those levels."""
+    accel = session.accel.copy()
+    t = session.imu_t
+    accel[(t >= 12) & (t < 13)] *= 1e200
+    accel[np.flatnonzero(t >= 20)[3]] = [-1e200, 0.0, 0.0]
+    return dataclasses.replace(session, accel=accel)
+
+
 VARIANTS = {
     "jittered": _jittered,
     "on_integer_seconds": _on_integer_seconds,
     "starts_after_zero": _starts_after_zero,
     "gap": _gap,
+    "overflowing": _overflowing,
 }
 
 
@@ -186,6 +203,10 @@ def test_motion_equals_oracle(variant):
         assert [d.split(":")[0] for d in diagnostics] == ["second 10", "second 14"]
     if name == "starts_after_zero":
         assert diagnostics[0].startswith("second 0:")
+    if name == "overflowing":
+        levels = dsp.movement_levels(session.accel, second_bounds(session))
+        assert np.isnan(levels[[12, 20]]).all()
+        assert labels[12] == labels[20] == N and not diagnostics
 
 
 def test_vocal_equals_oracle(variant, generated, monkeypatch):

@@ -324,6 +324,16 @@ class TestFilePitchTracker:
         with pytest.raises(InsufficientDataError):
             tracker.track(None, 44100, 5.0)
 
+    @pytest.mark.parametrize("row", ["nan,100.0,0.9", "inf,100.0,0.9",
+                                     "0.1,-inf,0.9", "0.1,100.0,nan"])
+    def test_non_finite_field_names_the_line(self, tmp_path, row):
+        """A NaN or infinite time used to pass the grid check and then end
+        in a ValueError or OverflowError when a second was tracked."""
+        path = tmp_path / "pitch.csv"
+        path.write_text(f"t,f0,confidence\n0.0,100.0,0.9\n{row}\n")
+        with pytest.raises(ParseError, match=r"pitch\.csv: line 3: non-finite field"):
+            FilePitchTracker.from_file(path)
+
 
 class TestAutocorrelationPitchTracker:
     def test_pure_tone(self):
