@@ -63,9 +63,7 @@ def load_config(path: str | None) -> PipelineConfig:
     """Resolve the pipeline config: flag, then environment, then defaults."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
-        return PipelineConfig()
-    return PipelineConfig.load(path)
+    return PipelineConfig() if path is None else PipelineConfig.load(path)
 
 
 # ---------------------------------------------------------------------------

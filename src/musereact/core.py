@@ -189,8 +189,9 @@ _JSON_FIELD_TYPES = {
 class PipelineConfig:
     """Every tunable threshold of the detection pipelines, with defaults.
 
-    The defaults reproduce the published operating point; a JSON round trip
-    is provided so deployments can ship a single config document.
+    The defaults reproduce the published operating point and are written only
+    here.  Every instance is valid: construction, and so :meth:`replace`,
+    :meth:`from_dict` and :meth:`load`, runs :meth:`validate`.
     """
 
     # --- vocal pipeline: prefilters -------------------------------------
@@ -210,7 +211,7 @@ class PipelineConfig:
     ambiguous_classes: tuple[str, ...] = ("speech", "music")
 
     # --- vocal pipeline: music-information correction -------------------
-    dtw_threshold: float = 130.0
+    dtw_threshold: float = 30.0
     note_window_margin_s: float = 0.5
     pitch_conf_threshold: float = 0.5
 
@@ -230,7 +231,8 @@ class PipelineConfig:
     enable_correction: bool = True
     enable_smoothing: bool = True
 
-    _TUPLE_FIELDS = ("singing_classes", "whistling_classes", "ambiguous_classes")
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` if any value is out of range."""
@@ -238,36 +240,42 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "tuple[str, ...]" and (
+                    not value or any(not isinstance(v, str) or not v for v in value)):
+                raise ConfigError(f"{f.name} must be a non-empty tuple of names")
         for low, high in (
             ("vocal_movement_low_g", "vocal_movement_high_g"),
             ("motion_movement_low_g", "motion_movement_high_g"),
         ):
             if not 0 <= getattr(self, low) < getattr(self, high):
                 raise ConfigError(f"need 0 <= {low} < {high}")
-        if not 0 < self.audio_lowpass_hz < CLASSIFIER_RATE_HZ / 2:
-            raise ConfigError("audio_lowpass_hz must sit below Nyquist")
-        if not 0 < self.imu_lowpass_hz < IMU_RATE_HZ / 2:
-            raise ConfigError("imu_lowpass_hz must sit below Nyquist")
-        if self.relax_top_k < 1:
-            raise ConfigError("relax_top_k must be >= 1")
-        if self.smoothing_window < 1:
-            raise ConfigError("smoothing_window must be >= 1")
-        if self.dtw_threshold < 0:
-            raise ConfigError("dtw_threshold must be >= 0")
+        for name, nyquist in (("audio_lowpass_hz", CLASSIFIER_RATE_HZ / 2),
+                              ("imu_lowpass_hz", IMU_RATE_HZ / 2)):
+            if not 0 < getattr(self, name) < nyquist:
+                raise ConfigError(f"{name} must sit below Nyquist")
+        for name, least in (("relax_top_k", 1), ("smoothing_window", 1),
+                            ("note_window_margin_s", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        from . import dsp, musicinfo  # here, as both modules import this one
+        # A segment's DTW distance is at most UNVOICED_COST per window frame
+        # (a window outnumbers its 10 pitch frames), so no higher threshold rejects.
+        reach = dsp.UNVOICED_COST * musicinfo.longest_note_window(self.note_window_margin_s)
+        if not 0 <= self.dtw_threshold < reach:
+            raise ConfigError(f"dtw_threshold must lie in [0, {reach:g}) at "
+                              f"note_window_margin_s {self.note_window_margin_s:g}")
+        if not self.pitch_conf_threshold > 0:  # a silent frame: f0 0 at confidence 0
+            raise ConfigError("pitch_conf_threshold must be > 0")
         if not 0 <= self.motion_decision_threshold <= 1:
             raise ConfigError("motion_decision_threshold must lie in [0, 1]")
-        for name in self._TUPLE_FIELDS:
-            values = getattr(self, name)
-            if not values or any(not isinstance(v, str) or not v for v in values):
-                raise ConfigError(f"{name} must be a non-empty tuple of names")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """A validated config from a JSON object's fields; an unknown key or a
-        value not of its field's JSON type raises :class:`ConfigError`."""
+        """A config from a JSON object's fields; an unknown key or a value not
+        of its field's JSON type raises :class:`ConfigError`."""
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - set(types))
         if unknown:
@@ -281,9 +289,7 @@ class PipelineConfig:
                 values[name] = convert(value)
             except OverflowError:  # a JSON integer beyond float range
                 raise ConfigError(f"{name} must be finite") from None
-        config = cls(**values)
-        config.validate()
-        return config
+        return cls(**values)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PipelineConfig":

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 import numpy as np
 import scipy.signal
 
-from .core import CLASSIFIER_RATE_HZ, InsufficientDataError, ParameterError
+from .core import CLASSIFIER_RATE_HZ, InsufficientDataError, ParameterError, PipelineConfig
 
 #: Chroma symbol for frames whose pitch confidence fell below threshold.
 UNVOICED = -1
@@ -73,7 +73,8 @@ def movement_levels(accel: np.ndarray, bounds) -> np.ndarray:
     return levels
 
 
-def sound_level_db(audio: np.ndarray, calibration_db: float = 94.0) -> float:
+def sound_level_db(audio: np.ndarray,
+                   calibration_db: float = PipelineConfig.db_calibration) -> float:
     """RMS level of an audio window mapped to an absolute dB SPL estimate.
 
     ``calibration_db`` is the SPL a full-scale RMS of 1.0 corresponds to on
@@ -212,9 +213,8 @@ def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
 # chroma
 # ---------------------------------------------------------------------------
 
-def hz_to_chroma(
-    f0_hz: float, confidence: float, conf_threshold: float = 0.5
-) -> int:
+def hz_to_chroma(f0_hz: float, confidence: float,
+                 conf_threshold: float = PipelineConfig.pitch_conf_threshold) -> int:
     """Map a pitch estimate to a pitch class 0..11, or :data:`UNVOICED`.
 
     Frames whose confidence falls below ``conf_threshold`` are unvoiced and
@@ -231,7 +231,8 @@ def hz_to_chroma(
 
 
 def chroma_sequence(
-    f0s: np.ndarray, confidences: np.ndarray, conf_threshold: float = 0.5
+    f0s: np.ndarray, confidences: np.ndarray,
+    conf_threshold: float = PipelineConfig.pitch_conf_threshold,
 ) -> np.ndarray:
     """Vector form of :func:`hz_to_chroma` over parallel f0/confidence arrays."""
     f0s = np.asarray(f0s, dtype=float)

@@ -54,8 +54,8 @@ _MAX_LAG = 12
 
 
 def motion_prefilter(
-    accel: np.ndarray, low_g: float = 0.0092, high_g: float = 0.114,
-    level: float = math.nan,
+    accel: np.ndarray, low_g: float = PipelineConfig.motion_movement_low_g,
+    high_g: float = PipelineConfig.motion_movement_high_g, level: float = math.nan,
 ) -> bool:
     """True when movement level rules the second out (closed pass interval).
 
@@ -357,7 +357,6 @@ def run_motion_pipeline(
     The windows left are scored :data:`MOTION_BLOCK` at a time.  Per-second
     stage errors downgrade to ``non_reaction`` with a diagnostic.
     """
-    config.validate()
     session.validate()
     if classifier is None:
         classifier = HeuristicMotionClassifier()

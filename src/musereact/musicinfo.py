@@ -22,6 +22,7 @@ from .core import (
     EmptyWindowError,
     ParameterError,
     ParseError,
+    PipelineConfig,
     read_csv_rows,
 )
 from .dsp import UNVOICED
@@ -52,9 +53,8 @@ class NoteTrack:
         return len(self.symbols) * NOTE_HOP_S
 
 
-def note_window(
-    track: NoteTrack, t0: float, t1: float, margin_s: float = 0.5
-) -> np.ndarray:
+def note_window(track: NoteTrack, t0: float, t1: float,
+                margin_s: float = PipelineConfig.note_window_margin_s) -> np.ndarray:
     """Slice of the reference melody around the song interval ``[t0, t1)``.
 
     The window is widened by ``margin_s`` on each side to absorb tempo and
@@ -74,6 +74,13 @@ def note_window(
             f"{track.duration_s:.1f} s track {track.song_id!r}"
         )
     return track.symbols[first:last].copy()
+
+
+def longest_note_window(margin_s: float) -> float:
+    """Most symbols :func:`note_window` returns for a one-second interval: the
+    whole frames in ``1 + 2 * margin_s`` s plus one, as rounding each end may
+    add half a frame (the slack absorbs float error there: 21 at 0.5 s)."""
+    return float(np.floor((1.0 + 2.0 * margin_s) / NOTE_HOP_S + 1e-6)) + 1.0
 
 
 def save_note_track(path: str | os.PathLike, track: NoteTrack) -> None:

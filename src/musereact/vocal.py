@@ -3,21 +3,21 @@
 The pipeline runs a cascade per one-second segment, cheapest stage first:
 
 1. movement prefilter  -- wearers who sing or whistle also move a little;
-   an acceleration-magnitude spread outside [0.0104, 0.12] g settles the
-   segment as ``non_reaction`` without touching the audio.
-2. sound prefilter     -- segments quieter than 49 dB cannot contain an
-   audible vocal reaction.
+   a movement level outside ``[vocal_movement_low_g, vocal_movement_high_g]``
+   settles the segment as ``non_reaction`` without touching the audio.
+2. sound prefilter     -- segments quieter than ``sound_db_threshold``
+   cannot contain an audible vocal reaction.
 3. sound-event classifier on a 96x64 log-mel patch (any
    :class:`SoundEventClassifier`; deployments replay per-segment score
    files, tests plug in synthetic classifiers).
 4. label mapping with rank relaxation -- confident top-1 classes map
-   directly; low-margin results are scanned down to rank 5 for anything
-   vocal-like and deferred as *uncertain*.
+   directly; low-margin results are scanned down to rank ``relax_top_k``
+   for anything vocal-like and deferred as *uncertain*.
 5. music-aware correction -- deferred segments are accepted only if the
    wearer's pitch contour warps onto the reference melody around the
-   current song position (DTW over chroma, threshold 130).
-6. HMM smoothing -- a Viterbi decode over the trailing six observations
-   removes isolated flips.
+   current song position (DTW over chroma, at most ``dtw_threshold``).
+6. HMM smoothing -- a Viterbi decode over the trailing ``smoothing_window``
+   observations removes isolated flips.
 
 ``run_vocal_pipeline`` wires the stages together and reports per-stage
 filtering statistics; each stage is also exposed on its own.
@@ -144,22 +144,21 @@ def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
+        try:  # ScoreVector's own ParameterError is a ValueError too
             obj = json.loads(line)
             index = int(obj["index"])
             names = [str(n) for n in obj["classes"]]
             raw = np.asarray(obj["scores"], dtype=float)
+            if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
+                raise ValueError("need >= 5 parallel class/score entries")
+            if not np.isfinite(raw).all() or (raw < 0).any() or raw.sum() <= 0:
+                raise ValueError("scores must be >= 0, sum > 0")
+            vector = ScoreVector(tuple(names), raw / raw.sum())
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
-            raise ParseError(
-                f"{path}: line {lineno}: need >= 5 parallel class/score entries"
-            )
-        if not np.isfinite(raw).all() or (raw < 0).any() or raw.sum() <= 0:
-            raise ParseError(f"{path}: line {lineno}: scores must be >= 0, sum > 0")
         if index in out:
             raise ParseError(f"{path}: line {lineno}: duplicate index {index}")
-        out[index] = ScoreVector(tuple(names), raw / raw.sum())
+        out[index] = vector
     return out
 
 
@@ -181,6 +180,9 @@ def save_score_file(path: str | os.PathLike, scores_by_index: dict[int, ScoreVec
 
 PITCH_HOP_S = 0.1
 PITCH_FRAMES_PER_SEGMENT = 10
+#: f0 range :class:`AutocorrelationPitchTracker` searches: sung and whistled pitch.
+PITCH_MIN_HZ = 80.0
+PITCH_MAX_HZ = 1000.0
 _PITCH_HEADER = ["t", "f0", "confidence"]
 
 
@@ -252,12 +254,6 @@ class AutocorrelationPitchTracker(PitchTracker):
     near 1 for clean periodic signals and near 0 for noise or silence.
     """
 
-    def __init__(self, min_hz: float = 80.0, max_hz: float = 1000.0):
-        if not 0 < min_hz < max_hz:
-            raise ParameterError("need 0 < min_hz < max_hz")
-        self.min_hz = min_hz
-        self.max_hz = max_hz
-
     def track(self, audio, sample_rate, t_start: float = 0.0):
         if audio is None:
             raise InsufficientDataError("pitch tracking needs segment audio")
@@ -267,8 +263,8 @@ class AutocorrelationPitchTracker(PitchTracker):
             raise InsufficientDataError(
                 f"need {frame * PITCH_FRAMES_PER_SEGMENT} samples, got {len(audio)}"
             )
-        lag_min = max(1, int(round(sample_rate / self.max_hz)))
-        lag_max = min(frame - 1, int(round(sample_rate / self.min_hz)))
+        lag_min = max(1, int(round(sample_rate / PITCH_MAX_HZ)))
+        lag_max = min(frame - 1, int(round(sample_rate / PITCH_MIN_HZ)))
         if lag_min >= lag_max:
             raise ParameterError("pitch range too narrow for this sample rate")
         frames = audio[:frame * PITCH_FRAMES_PER_SEGMENT].reshape(-1, frame)
@@ -291,8 +287,8 @@ class AutocorrelationPitchTracker(PitchTracker):
 # ---------------------------------------------------------------------------
 
 def vocal_motion_prefilter(
-    accel: np.ndarray, low_g: float = 0.0104, high_g: float = 0.12,
-    level: float = math.nan,
+    accel: np.ndarray, low_g: float = PipelineConfig.vocal_movement_low_g,
+    high_g: float = PipelineConfig.vocal_movement_high_g, level: float = math.nan,
 ) -> bool:
     """True when the movement level rules out a vocal reaction.
 
@@ -310,8 +306,8 @@ def vocal_motion_prefilter(
 
 def vocal_sound_prefilter(
     audio: np.ndarray,
-    threshold_db: float = 49.0,
-    calibration_db: float = 94.0,
+    threshold_db: float = PipelineConfig.sound_db_threshold,
+    calibration_db: float = PipelineConfig.db_calibration,
 ) -> bool:
     """True when the segment is too quiet to contain an audible reaction."""
     if audio is None:
@@ -383,26 +379,25 @@ def correct_with_music(
     pitch_tracker: PitchTracker,
     t_start_session: float,
     t_start_song: float,
-    dtw_threshold: float = 130.0,
-    margin_s: float = 0.5,
-    conf_threshold: float = 0.5,
+    config: PipelineConfig = PipelineConfig(),
 ) -> ReactionLabel:
     """Settle a deferred label by comparing the wearer's pitch to the melody.
 
     The tracker's chroma contour for the segment is DTW-aligned against the
     reference melody around the song position ``[t_start_song,
-    t_start_song + 1)`` (widened by ``margin_s``).  A distance above
-    ``dtw_threshold`` rejects the segment as ``non_reaction``; otherwise an
-    ambiguous label becomes ``singing_humming`` and an uncertain label
-    becomes its candidate.
+    t_start_song + 1)``, widened by ``config.note_window_margin_s``.  A
+    distance above ``config.dtw_threshold`` rejects the segment as
+    ``non_reaction``; otherwise an ambiguous label becomes
+    ``singing_humming`` and an uncertain label becomes its candidate.
     """
     if label.kind is LabelKind.FINAL:
         raise ParameterError("correction applies to ambiguous/uncertain labels only")
     f0s, confs = pitch_tracker.track(audio, sample_rate, t_start_session)
-    observed = dsp.chroma_sequence(f0s, confs, conf_threshold)
-    reference = note_window(note_track, t_start_song, t_start_song + 1.0, margin_s)
+    observed = dsp.chroma_sequence(f0s, confs, config.pitch_conf_threshold)
+    reference = note_window(note_track, t_start_song, t_start_song + 1.0,
+                            config.note_window_margin_s)
     distance = dsp.dtw_distance(observed, reference)
-    if distance > dtw_threshold:
+    if distance > config.dtw_threshold:
         return ReactionLabel.NON_REACTION
     if label.kind is LabelKind.AMBIGUOUS:
         return ReactionLabel.SINGING_HUMMING
@@ -618,7 +613,6 @@ def run_vocal_pipeline(
     segment to ``non_reaction`` and is reported in ``diagnostics`` instead
     of aborting the session.
     """
-    config.validate()
     if config.enable_correction:
         if pitch_tracker is None:
             raise ConfigError("correction is enabled but no pitch tracker was given")
@@ -704,12 +698,7 @@ def _classify_segment(segment, level, session, classifier, pitch_tracker,
         stats.corrected += 1
         settled = correct_with_music(
             label, segment.audio, segment.audio_rate, note_track, pitch_tracker,
-            t_start_session=segment.t_start,
-            t_start_song=session.start_offset_in_song + segment.t_start,
-            dtw_threshold=config.dtw_threshold,
-            margin_s=config.note_window_margin_s,
-            conf_threshold=config.pitch_conf_threshold,
-        )
+            segment.t_start, session.start_offset_in_song + segment.t_start, config)
         return settled, STAGE_CLASSIFIER
 
     # Correction disabled: resolve deferred labels by their best guess.

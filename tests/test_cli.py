@@ -318,6 +318,20 @@ class TestJsonlReaders:
         assert err.startswith(f"musereact detect: error: {scores}: line 2: ")
         assert len(err.splitlines()) == 1
 
+    def test_detect_scores_duplicate_class_names(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        scores = os.path.join(session, "scores.jsonl")
+        with open(scores, "rb") as fh:
+            first, *rest = fh.read().splitlines(keepends=True)
+        line = (b'{"index": 9, "classes": ["a", "b", "a", "d", "e"], '
+                b'"scores": [1, 1, 1, 1, 1]}\n')
+        with open(scores, "wb") as fh:
+            fh.write(b"".join([first, line, *rest]))
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {scores}: line 2: class names must be unique\n")
+
 
 class TestEventEndBound:
     """An event ending past ``core.MAX_SESSION_S`` is a data error naming the
@@ -655,6 +669,8 @@ class TestDetectConfig:
         ({"dtw_threshold": None}, "dtw_threshold must be a number"),
         ({"singing_classes": 5}, "singing_classes must be a list of names"),
         ({"enable_correction": "no"}, "enable_correction must be true or false"),
+        ({"note_window_margin_s": -1.0}, "note_window_margin_s must be >= 0"),
+        ({"dtw_threshold": 130}, "dtw_threshold must lie in [0, 126) at note_window_margin_s 0.5"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 """Tests for domain types, session handling, segmentation, and file IO."""
 
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from musereact import core, engage, motion, musicinfo, vocal
+from musereact import core, engage, harness, motion, musicinfo, vocal
 from musereact.core import (
     AlignmentError,
     ConfigError,
@@ -142,6 +145,101 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_dict({"dtw_threshold": 42.0})
         assert cfg.dtw_threshold == 42.0
         assert cfg.margin_threshold == PipelineConfig().margin_threshold
+
+    def test_every_constructor_validates(self, tmp_path):
+        with pytest.raises(ConfigError, match="^relax_top_k must be >= 1$"):
+            PipelineConfig().replace(relax_top_k=0)
+        with pytest.raises(ConfigError, match="^smoothing_window must be >= 1$"):
+            PipelineConfig(smoothing_window=0)
+        path = tmp_path / "config.json"
+        path.write_text('{"relax_top_k": 0}')
+        with pytest.raises(ConfigError, match="^relax_top_k must be >= 1$"):
+            PipelineConfig.load(path)
+
+    def test_negative_note_window_margin_rejected(self):
+        with pytest.raises(ConfigError, match="^note_window_margin_s must be >= 0$"):
+            PipelineConfig(note_window_margin_s=-1.0)
+        PipelineConfig(note_window_margin_s=0.0)
+
+    def test_pitch_conf_threshold_must_be_positive(self):
+        """A tracker reports a silent frame as f0 0 at confidence 0; a
+        threshold of 0 would call it voiced, and correction could not map it."""
+        with pytest.raises(ConfigError, match="^pitch_conf_threshold must be > 0$"):
+            PipelineConfig(pitch_conf_threshold=0.0)
+        PipelineConfig(pitch_conf_threshold=1e-9)
+
+    @pytest.mark.parametrize("margin, reach", [(0.0, 66.0), (0.5, 126.0), (1.0, 186.0)])
+    def test_dtw_threshold_must_be_able_to_reject(self, margin, reach):
+        """Ten unvoiced frames against the longest window ``note_window`` can
+        return cost 6 per window frame; a threshold at that distance or above
+        could never reject a segment."""
+        PipelineConfig(note_window_margin_s=margin, dtw_threshold=reach - 0.1)
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(note_window_margin_s=margin, dtw_threshold=reach)
+        assert str(err.value) == (f"dtw_threshold must lie in [0, {reach:g}) "
+                                  f"at note_window_margin_s {margin:g}")
+
+    def test_default_dtw_threshold_can_reject(self):
+        assert PipelineConfig().dtw_threshold == 30.0
+        with pytest.raises(ConfigError):
+            PipelineConfig(dtw_threshold=130.0)
+
+    def test_pipelines_do_not_validate_again(self, monkeypatch):
+        gen = harness.generate_session(harness.SyntheticSpec(
+            "s", "u0", "tune", duration_s=8, script=((2, 7, S),), seed=1))
+        config = PipelineConfig()
+
+        def fail(self):
+            raise AssertionError("validate ran again")
+        monkeypatch.setattr(PipelineConfig, "validate", fail)
+        vocal.run_vocal_pipeline(
+            gen.session, gen.classifier(), gen.pitch_tracker(),
+            musicinfo.MusicInfoStore({"tune": gen.note_track}), config=config)
+        motion.run_motion_pipeline(gen.session, config=config)
+
+
+#: Values of each config field's type, small numbers drawn often.
+FIELD_VALUE = {
+    "float": st.floats() | st.floats(-0.5, 1.5) | st.floats(-2.0, 200.0),
+    "int": st.integers() | st.integers(-2, 10),
+    "bool": st.booleans(),
+    "tuple[str, ...]": st.lists(st.text(max_size=8), max_size=3).map(tuple),
+}
+
+#: Keyword arguments for ``PipelineConfig``: up to four fields, each of its type.
+CONFIG_FIELDS = st.lists(
+    st.sampled_from(dataclasses.fields(PipelineConfig)),
+    unique_by=lambda f: f.name, max_size=4,
+).flatmap(lambda fields: st.fixed_dictionaries(
+    {f.name: FIELD_VALUE[f.type] for f in fields}))
+
+
+@pytest.fixture(scope="module")
+def ten_second_session():
+    """A 10 s singing session whose deferred seconds reach correction."""
+    return harness.generate_session(harness.SyntheticSpec(
+        "prop", "u0", "tune", "cafe", duration_s=10, script=((2, 9, S),), seed=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fields=CONFIG_FIELDS)
+@example(fields={"note_window_margin_s": -1.0})
+def test_a_config_that_constructs_runs_both_pipelines(ten_second_session, fields):
+    """Either construction raises ConfigError, or both pipelines run over the
+    session with no per-second diagnostics and no warnings."""
+    try:
+        config = PipelineConfig(**fields)
+    except ConfigError:
+        return
+    gen = ten_second_session
+    hmm = vocal.train_hmm([(gen.vocal_truth, gen.vocal_truth)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = vocal.run_vocal_pipeline(
+            gen.session, gen.classifier(), gen.pitch_tracker(),
+            musicinfo.MusicInfoStore({"tune": gen.note_track}), hmm, config)
+        moved = motion.run_motion_pipeline(gen.session, config=config)
+    assert result.diagnostics == [] and moved.diagnostics == []
 
 
 class TestSessionValidation:

@@ -70,6 +70,19 @@ class TestNoteWindow:
         window = note_window(track, 3.0, 4.0, margin_s=1e308)
         np.testing.assert_array_equal(window, track.symbols)
 
+    @pytest.mark.parametrize("margin", [0.0, 0.05, 0.13, 0.25, 0.5, 0.55, 1.0, 2.37])
+    def test_longest_window_is_the_longest_returned(self, margin):
+        """Over song positions on a 0.05 s grid, the longest one-second window
+        is exactly :func:`longest_note_window`: rounding both ends can add a
+        frame (21 at the default 0.5 s, not 20)."""
+        track = make_track(n=4000)
+        longest = max(len(note_window(track, k * 0.05, k * 0.05 + 1.0, margin))
+                      for k in range(1, 4000))
+        assert longest == musicinfo.longest_note_window(margin)
+
+    def test_longest_window_of_an_unbounded_margin(self):
+        assert musicinfo.longest_note_window(1e308) == float("inf")
+
 
 class TestNoteTrackIO:
     def test_round_trip(self, tmp_path):

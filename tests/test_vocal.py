@@ -24,7 +24,7 @@ from musereact.harness import (
     pitch_loop_oracle,
     viterbi_oracle,
 )
-from musereact.musicinfo import MusicInfoStore, NoteTrack
+from musereact.musicinfo import MusicInfoStore, NoteTrack, note_window
 from musereact.vocal import (
     AutocorrelationPitchTracker,
     FilePitchTracker,
@@ -267,7 +267,8 @@ class TestCorrection:
         tracker = ConstantPitchTracker(symbols[15:25])  # matches song second 1.5..2.5
         out = correct_with_music(
             PipelineLabel.ambiguous(), None, 44100, track, tracker,
-            t_start_session=0.0, t_start_song=1.7, dtw_threshold=30.0)
+            t_start_session=0.0, t_start_song=1.7,
+            config=PipelineConfig(dtw_threshold=30.0))
         assert out is S
 
     def test_matching_contour_resolves_uncertain_to_candidate(self):
@@ -276,7 +277,8 @@ class TestCorrection:
         tracker = ConstantPitchTracker([7] * 10)
         out = correct_with_music(
             PipelineLabel.uncertain(W), None, 44100, track, tracker,
-            t_start_session=0.0, t_start_song=1.0, dtw_threshold=30.0)
+            t_start_session=0.0, t_start_song=1.0,
+            config=PipelineConfig(dtw_threshold=30.0))
         assert out is W
 
     def test_unvoiced_segment_rejected(self):
@@ -285,7 +287,8 @@ class TestCorrection:
         tracker = ConstantPitchTracker([UNVOICED] * 10)
         out = correct_with_music(
             PipelineLabel.ambiguous(), None, 44100, track, tracker,
-            t_start_session=0.0, t_start_song=1.0, dtw_threshold=30.0)
+            t_start_session=0.0, t_start_song=1.0,
+            config=PipelineConfig(dtw_threshold=30.0))
         assert out is N
 
     def test_threshold_is_inclusive(self):
@@ -295,12 +298,26 @@ class TestCorrection:
         tracker = ConstantPitchTracker([UNVOICED] * 10)
         out = correct_with_music(
             PipelineLabel.uncertain(S), None, 44100, track, tracker,
-            t_start_session=0.0, t_start_song=0.0, dtw_threshold=60.0)
+            t_start_session=0.0, t_start_song=0.0,
+            config=PipelineConfig(dtw_threshold=60.0))
         assert out is S
         rejected = correct_with_music(
             PipelineLabel.uncertain(S), None, 44100, track, tracker,
-            t_start_session=0.0, t_start_song=0.0, dtw_threshold=59.9)
+            t_start_session=0.0, t_start_song=0.0,
+            config=PipelineConfig(dtw_threshold=59.9))
         assert rejected is N
+
+    def test_default_threshold_rejects_unvoiced_against_the_longest_window(self):
+        """At the default margin a one-second window can hold 21 frames, so
+        ten unvoiced frames reach a distance of 6 * 21 = 126; the default
+        threshold must sit below that to reject them."""
+        track = self.make_track(np.arange(100) % 12)
+        t_song = 51 * 0.05
+        assert len(note_window(track, t_song, t_song + 1.0)) == 21
+        out = correct_with_music(
+            PipelineLabel.ambiguous(), None, 44100, track,
+            ConstantPitchTracker([UNVOICED] * 10), 0.0, t_song)
+        assert out is N
 
 
 class TestFilePitchTracker:
@@ -372,12 +389,10 @@ class TestAutocorrelationPitchTracker:
             else:
                 frames.append(np.full(frame, 0.0 if kind == "silent" else 0.25))
         audio = np.concatenate(frames + [rng.normal(0, 0.1, 17)])
-        for tracker, (lo, hi) in [(AutocorrelationPitchTracker(), (80.0, 1000.0)),
-                                  (AutocorrelationPitchTracker(150.0, 600.0), (150.0, 600.0))]:
-            f0s, confs = tracker.track(audio, sr, 0.0)
-            want_f0s, want_confs = pitch_loop_oracle(audio, sr, lo, hi)
-            np.testing.assert_array_equal(f0s, want_f0s)
-            np.testing.assert_allclose(confs, want_confs, rtol=0, atol=1e-12)
+        f0s, confs = AutocorrelationPitchTracker().track(audio, sr, 0.0)
+        want_f0s, want_confs = pitch_loop_oracle(audio, sr, 80.0, 1000.0)
+        np.testing.assert_array_equal(f0s, want_f0s)
+        np.testing.assert_allclose(confs, want_confs, rtol=0, atol=1e-12)
 
 
 class TestHmmTraining:
