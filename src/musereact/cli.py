@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import core, engage, harness, motion, musicinfo, vocal
-from .core import PipelineConfig, ReactionLabel
+from .core import PipelineConfig
 
 CONFIG_ENV_VAR = "MUSEREACT_CONFIG"
 

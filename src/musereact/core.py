@@ -3,10 +3,10 @@
 A recording *session* bundles the two streams an earbud provides while a
 person listens to music: a 6-axis IMU stream (3-axis accelerometer in g,
 3-axis gyroscope in deg/s) sampled at a nominal 70 Hz, and an optional mono
-audio stream at 44.1 kHz.  Detection pipelines consume the session as a
-series of one-second :class:`SensorSegment` windows and emit one
-:class:`ReactionLabel` per second, which callers usually coalesce into
-:class:`ReactionEvent` spans.
+audio stream at 44.1 kHz.  Detection pipelines walk the session's whole
+seconds, cut at :func:`second_bounds`, and emit one :class:`ReactionLabel`
+per second, which callers usually coalesce into :class:`ReactionEvent`
+spans.
 
 This module also defines the exception hierarchy, the single
 :class:`PipelineConfig` object that carries every tunable threshold, and the
@@ -252,7 +252,7 @@ class PipelineConfig:
         for name, nyquist in (("audio_lowpass_hz", CLASSIFIER_RATE_HZ / 2),
                               ("imu_lowpass_hz", IMU_RATE_HZ / 2)):
             if not 0 < getattr(self, name) < nyquist:
-                raise ConfigError(f"{name} must sit below Nyquist")
+                raise ConfigError(f"{name} must lie in (0, {nyquist:g}), below Nyquist")
         for name, least in (("relax_top_k", 1), ("smoothing_window", 1),
                             ("note_window_margin_s", 0)):
             if getattr(self, name) < least:
@@ -437,7 +437,8 @@ def segment_session(session: Session) -> list[SensorSegment]:
 
     Selection is linear in the session length (see :func:`second_bounds`),
     and every segment array is a view into the session's arrays: callers
-    must copy a segment's data before mutating it.
+    must copy a segment's data before mutating it.  A public helper: the
+    pipelines slice the session at :func:`second_bounds` and do not use it.
     """
     session.validate()
     bounds = second_bounds(session)

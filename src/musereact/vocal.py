@@ -19,8 +19,9 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
 6. HMM smoothing -- a Viterbi decode over the trailing ``smoothing_window``
    observations removes isolated flips.
 
-``run_vocal_pipeline`` wires the stages together and reports per-stage
-filtering statistics; each stage is also exposed on its own.
+``run_vocal_pipeline`` walks the session's second table once, records the
+stage that settled each second and counts the filtering statistics from
+that record; each stage is also exposed on its own.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .core import (
     read_json,
     read_text,
     second_bounds,
-    segment_session,
+    segment_session,  # unused here; benchmarks/layers.py traces vocal.segment_session
 )
 from . import dsp
 from .musicinfo import MusicInfoStore, NoteTrack, note_window
@@ -151,9 +152,13 @@ def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
             raw = np.asarray(obj["scores"], dtype=float)
             if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
                 raise ValueError("need >= 5 parallel class/score entries")
-            if not np.isfinite(raw).all() or (raw < 0).any() or raw.sum() <= 0:
-                raise ValueError("scores must be >= 0, sum > 0")
-            vector = ScoreVector(tuple(names), raw / raw.sum())
+            if not np.isfinite(raw).all() or (raw < 0).any():
+                raise ValueError("scores must be finite and >= 0")
+            with np.errstate(over="ignore"):
+                total = raw.sum()
+            if not 0 < total < math.inf:
+                raise ValueError(f"scores must have a finite sum > 0, got {total:g}")
+            vector = ScoreVector(tuple(names), raw / total)
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
         if index in out:
@@ -622,89 +627,79 @@ def run_vocal_pipeline(
     else:
         note_track = None
 
-    stats = FilteringStats()
-    diagnostics: list[str] = []
-    observed: list[ReactionLabel] = []
-    final: list[ReactionLabel] = []
+    session.validate()
+    bounds = second_bounds(session)
+    levels = dsp.movement_levels(session.accel, bounds)
+    rate = session.audio_rate
+    total = len(bounds) - 1
+    corrected = 0  # seconds that reached stage 5, failed ones included
 
-    segments = segment_session(session)
-    levels = dsp.movement_levels(session.accel, second_bounds(session))
-    for segment in segments:
-        stats.total_segments += 1
-        try:
-            label, stage = _classify_segment(
-                segment, levels[segment.index], session, classifier, pitch_tracker,
-                note_track, config, stats
-            )
-        except Error as exc:
-            label, stage = ReactionLabel.NON_REACTION, STAGE_ERROR
-            stats.errors += 1
-            diagnostics.append(f"segment {segment.index}: {exc}")
-        stats.stages.append(stage)
-        if stage == STAGE_MOTION_FILTER:
-            stats.motion_filtered += 1
-        elif stage == STAGE_SOUND_FILTER:
-            stats.sound_filtered += 1
-        elif stage == STAGE_CLASSIFIER:
-            stats.classified += 1
-        observed.append(label)
+    def settle(i):
+        """Second ``i`` through stages 1-5; returns (stage that settled it, label)."""
+        nonlocal corrected
+        audio = None if session.audio is None else session.audio[i * rate:(i + 1) * rate]
+        if config.enable_motion_filter and vocal_motion_prefilter(
+            session.accel[bounds[i]:bounds[i + 1]],
+            config.vocal_movement_low_g, config.vocal_movement_high_g, levels[i],
+        ):
+            return STAGE_MOTION_FILTER, ReactionLabel.NON_REACTION
+        if (config.enable_sound_filter and audio is not None
+                and vocal_sound_prefilter(
+                    audio, config.sound_db_threshold, config.db_calibration)):
+            return STAGE_SOUND_FILTER, ReactionLabel.NON_REACTION
 
-        if config.enable_smoothing and hmm is not None:
-            window = observed[-config.smoothing_window:]
-            final.append(smooth(window, hmm))
+        patch = None
+        if classifier.needs_patch:
+            if audio is None:
+                raise InsufficientDataError("classifier needs audio but session has none")
+            patch = dsp.log_mel_patch(preprocess_segment_audio(audio, rate, config))
+        scores = classifier.classify(patch, i)
+        if config.enable_relaxation:
+            label = relax_rank(scores, config)
         else:
-            final.append(label)
+            label = map_labels(scores, config)
+
+        if label.kind is LabelKind.FINAL:
+            return STAGE_CLASSIFIER, label.label
+        if config.enable_correction:
+            corrected += 1
+            return STAGE_CLASSIFIER, correct_with_music(
+                label, audio, rate, note_track, pitch_tracker,
+                float(i), session.start_offset_in_song + i, config)
+        # Correction disabled: resolve deferred labels by their best guess.
+        if label.kind is LabelKind.AMBIGUOUS:
+            return STAGE_CLASSIFIER, ReactionLabel.SINGING_HUMMING
+        return STAGE_CLASSIFIER, label.candidate
+
+    stages = [STAGE_ERROR] * total
+    observed = [ReactionLabel.NON_REACTION] * total
+    errors: dict[int, Error] = {}
+    for i in range(total):
+        try:
+            stages[i], observed[i] = settle(i)
+        except Error as exc:
+            errors[i] = exc
+
+    final = list(observed)
+    if config.enable_smoothing and hmm is not None:
+        window = config.smoothing_window
+        final = [smooth(observed[max(0, i + 1 - window):i + 1], hmm) for i in range(total)]
 
     return VocalResult(
         labels=final,
         observed=observed,
         events=merge_labels_to_events(final),
-        stats=stats,
-        diagnostics=diagnostics,
+        stats=FilteringStats(
+            total_segments=total,
+            motion_filtered=stages.count(STAGE_MOTION_FILTER),
+            sound_filtered=stages.count(STAGE_SOUND_FILTER),
+            classified=stages.count(STAGE_CLASSIFIER),
+            corrected=corrected,
+            errors=len(errors),
+            stages=stages,
+        ),
+        diagnostics=[f"segment {i}: {errors[i]}" for i in sorted(errors)],
     )
-
-
-def _classify_segment(segment, level, session, classifier, pitch_tracker,
-                      note_track, config, stats):
-    """One segment through stages 1-5; returns (label, stage that settled it)."""
-    if config.enable_motion_filter and vocal_motion_prefilter(
-        segment.accel, config.vocal_movement_low_g, config.vocal_movement_high_g,
-        level,
-    ):
-        return ReactionLabel.NON_REACTION, STAGE_MOTION_FILTER
-
-    if (config.enable_sound_filter and segment.audio is not None
-            and vocal_sound_prefilter(
-                segment.audio, config.sound_db_threshold, config.db_calibration)):
-        return ReactionLabel.NON_REACTION, STAGE_SOUND_FILTER
-
-    patch = None
-    if classifier.needs_patch:
-        if segment.audio is None:
-            raise InsufficientDataError("classifier needs audio but session has none")
-        prepared = preprocess_segment_audio(segment.audio, segment.audio_rate, config)
-        patch = dsp.log_mel_patch(prepared)
-    scores = classifier.classify(patch, segment.index)
-
-    if config.enable_relaxation:
-        label = relax_rank(scores, config)
-    else:
-        label = map_labels(scores, config)
-
-    if label.kind is LabelKind.FINAL:
-        return label.label, STAGE_CLASSIFIER
-
-    if config.enable_correction:
-        stats.corrected += 1
-        settled = correct_with_music(
-            label, segment.audio, segment.audio_rate, note_track, pitch_tracker,
-            segment.t_start, session.start_offset_in_song + segment.t_start, config)
-        return settled, STAGE_CLASSIFIER
-
-    # Correction disabled: resolve deferred labels by their best guess.
-    if label.kind is LabelKind.AMBIGUOUS:
-        return ReactionLabel.SINGING_HUMMING, STAGE_CLASSIFIER
-    return label.candidate, STAGE_CLASSIFIER
 
 
 def preprocess_segment_audio(

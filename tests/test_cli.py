@@ -332,6 +332,21 @@ class TestJsonlReaders:
         assert capsys.readouterr().err == (
             f"musereact detect: error: {scores}: line 2: class names must be unique\n")
 
+    def test_detect_scores_overflowing_sum(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        scores = os.path.join(session, "scores.jsonl")
+        with open(scores, "rb") as fh:
+            first, *rest = fh.read().splitlines(keepends=True)
+        line = (b'{"index": 9, "classes": ["a", "b", "c", "d", "e"], '
+                b'"scores": [1e308, 1e308, 1e308, 1e308, 1e308]}\n')
+        with open(scores, "wb") as fh:
+            fh.write(b"".join([first, line, *rest]))
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {scores}: line 2: "
+            "scores must have a finite sum > 0, got inf\n")
+
 
 class TestEventEndBound:
     """An event ending past ``core.MAX_SESSION_S`` is a data error naming the

@@ -136,6 +136,28 @@ class TestPipelineConfig:
             PipelineConfig.from_dict(doc)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("audio_lowpass_hz", 0.0, "audio_lowpass_hz must lie in (0, 8000), below Nyquist"),
+        ("audio_lowpass_hz", 8000.0, "audio_lowpass_hz must lie in (0, 8000), below Nyquist"),
+        ("audio_lowpass_hz", 7999.0, None),
+        ("audio_lowpass_hz", 1e-3, None),
+        ("imu_lowpass_hz", 0.0, "imu_lowpass_hz must lie in (0, 35), below Nyquist"),
+        ("imu_lowpass_hz", 35.0, "imu_lowpass_hz must lie in (0, 35), below Nyquist"),
+        ("imu_lowpass_hz", 34.9, None),
+        ("imu_lowpass_hz", 1e-3, None),
+        ("motion_decision_threshold", -0.01, "motion_decision_threshold must lie in [0, 1]"),
+        ("motion_decision_threshold", 1.01, "motion_decision_threshold must lie in [0, 1]"),
+        ("motion_decision_threshold", 0.0, None),
+        ("motion_decision_threshold", 1.0, None),
+    ])
+    def test_range_bounds(self, name, value, message):
+        if message is None:
+            assert getattr(PipelineConfig().replace(**{name: value}), name) == value
+        else:
+            with pytest.raises(ConfigError) as err:
+                PipelineConfig().replace(**{name: value})
+            assert str(err.value) == message
+
     def test_json_integers_fill_float_fields(self):
         cfg = PipelineConfig.from_dict({"dtw_threshold": 30, "smoothing_window": 4})
         assert cfg == PipelineConfig().replace(dtw_threshold=30.0, smoothing_window=4)

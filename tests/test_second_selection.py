@@ -5,7 +5,10 @@ Both pipelines pick each second's IMU samples through ``core.second_bounds``
 before it: a boolean mask over the whole IMU array for every second, and a
 count of the samples before each second's end for the motion window.  The
 motion oracle also classifies one window at a time, where the pipeline
-scores the windows in blocks of ``MOTION_BLOCK``.
+scores the windows in blocks of ``MOTION_BLOCK``.  The vocal oracle runs the
+public stage functions on mask-cut segments and smooths each second as it
+is labeled, where the pipeline smooths in one pass at the end; recording
+classifier and tracker wrappers check that every stage saw the same audio.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ from musereact.core import (
     IMU_RATE_HZ,
     Error,
     InsufficientDataError,
+    LabelKind,
     PipelineConfig,
     ReactionLabel,
     SensorSegment,
@@ -101,6 +105,44 @@ def mask_motion(session, classifier, config):
             label = N
         labels.append(label)
     return labels, stats, diagnostics
+
+
+def mask_vocal(session, classifier, pitch_tracker, note_track, hmm, config):
+    """Oracle: the vocal cascade on mask-cut segments, one public stage
+    function at a time, smoothing each second as it is labeled."""
+    stats, observed, labels, diagnostics = vocal.FilteringStats(), [], [], []
+    for segment in mask_segments(session):
+        stats.total_segments += 1
+        try:
+            if vocal.vocal_motion_prefilter(segment.accel, config.vocal_movement_low_g,
+                                            config.vocal_movement_high_g):
+                stage, label = vocal.STAGE_MOTION_FILTER, N
+                stats.motion_filtered += 1
+            elif vocal.vocal_sound_prefilter(segment.audio, config.sound_db_threshold,
+                                             config.db_calibration):
+                stage, label = vocal.STAGE_SOUND_FILTER, N
+                stats.sound_filtered += 1
+            else:
+                patch = dsp.log_mel_patch(vocal.preprocess_segment_audio(
+                    segment.audio, segment.audio_rate, config))
+                deferred = vocal.relax_rank(classifier.classify(patch, segment.index), config)
+                label = deferred.label
+                if deferred.kind is not LabelKind.FINAL:
+                    stats.corrected += 1
+                    label = vocal.correct_with_music(
+                        deferred, segment.audio, segment.audio_rate, note_track,
+                        pitch_tracker, segment.t_start,
+                        session.start_offset_in_song + segment.t_start, config)
+                stage = vocal.STAGE_CLASSIFIER
+                stats.classified += 1
+        except Error as exc:
+            stage, label = vocal.STAGE_ERROR, N
+            stats.errors += 1
+            diagnostics.append(f"segment {segment.index}: {exc}")
+        stats.stages.append(stage)
+        observed.append(label)
+        labels.append(vocal.smooth(observed[-config.smoothing_window:], hmm))
+    return labels, observed, stats, diagnostics
 
 
 def _retime(session, imu_t, keep=None):
@@ -209,26 +251,61 @@ def test_motion_equals_oracle(variant):
         assert labels[12] == labels[20] == N and not diagnostics
 
 
-def test_vocal_equals_oracle(variant, generated, monkeypatch):
+class RecordingPatchClassifier(vocal.SoundEventClassifier):
+    """Replays recorded scores, keeping every log-mel patch it is shown."""
+
+    def __init__(self, scores):
+        self.replay = vocal.ScoreFileClassifier(scores)
+        self.patches = {}
+
+    def classify(self, patch, index):
+        self.patches[index] = patch
+        return self.replay.classify(None, index)
+
+
+class RecordingTracker(vocal.AutocorrelationPitchTracker):
+    """The autocorrelation tracker, keeping the audio of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def track(self, audio, sample_rate, t_start=0.0):
+        self.calls.append((t_start, sample_rate, np.array(audio)))
+        return super().track(audio, sample_rate, t_start)
+
+
+#: Sticky states and noisy observations: smoothing flips isolated seconds.
+HMM = vocal.HmmParams(
+    states=(N, S, ReactionLabel.WHISTLING),
+    initial=np.full(3, 1 / 3),
+    transition=np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]),
+    emission=np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]),
+)
+
+
+def test_vocal_equals_oracle(variant, generated):
     name, session = variant
-
-    def run():
-        return vocal.run_vocal_pipeline(
-            session, generated.classifier(),
-            pitch_tracker=generated.pitch_tracker(),
-            note_store=MusicInfoStore({"tune": generated.note_track}),
-            config=CONFIG,
-        )
-
-    got = run()
-    monkeypatch.setattr(vocal, "segment_session", mask_segments)
-    want = run()
-    assert got.labels == want.labels
-    assert got.observed == want.observed
-    assert got.stats == want.stats
-    assert got.diagnostics == want.diagnostics
+    store = MusicInfoStore({"tune": generated.note_track})
+    got_classifier, got_tracker = RecordingPatchClassifier(generated.scores), RecordingTracker()
+    got = vocal.run_vocal_pipeline(session, got_classifier, got_tracker, store, HMM, CONFIG)
+    classifier, tracker = RecordingPatchClassifier(generated.scores), RecordingTracker()
+    labels, observed, stats, diagnostics = mask_vocal(
+        session, classifier, tracker, generated.note_track, HMM, CONFIG)
+    assert got.labels == labels
+    assert got.observed == observed
+    assert got.stats == stats
+    assert got.diagnostics == diagnostics
+    assert sorted(got_classifier.patches) == sorted(classifier.patches)
+    for index, patch in classifier.patches.items():
+        np.testing.assert_array_equal(got_classifier.patches[index], patch)
+    assert len(got_tracker.calls) == len(tracker.calls) == stats.corrected > 0
+    for (got_t, got_rate, got_audio), (t, rate, audio) in zip(got_tracker.calls, tracker.calls):
+        assert (got_t, got_rate) == (t, rate)
+        np.testing.assert_array_equal(got_audio, audio)
+    assert stats.motion_filtered and stats.sound_filtered and stats.classified
+    assert labels != observed
     if name == "gap":
-        assert [d.split(":")[0] for d in got.diagnostics] == ["segment 10", "segment 14"]
+        assert [d.split(":")[0] for d in diagnostics] == ["segment 10", "segment 14"]
 
 
 def steady_session(classified, gap_at=None):
