@@ -38,9 +38,11 @@ import io
 import json
 import math
 import os
+import struct
 import sys
+import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io.wavfile
@@ -116,57 +118,23 @@ def parse_label(text: str) -> ReactionLabel:
         raise ParameterError(f"unknown reaction label {text!r}") from None
 
 
-class LabelKind(str, enum.Enum):
-    """Decidedness of an intermediate vocal-pipeline label."""
-
-    FINAL = "final"
-    AMBIGUOUS = "ambiguous"
-    UNCERTAIN = "uncertain"
-
-
 @dataclass(frozen=True)
 class PipelineLabel:
-    """Intermediate vocal label: decided, or deferred to music correction.
+    """A second's vocal label after stage 4: final, or a deferred candidate.
 
-    ``final(label)`` is a settled decision.  ``ambiguous()`` means the
-    classifier heard speech/music and the pipeline must decide later whether
-    the wearer was actually singing along.  ``uncertain(candidate)`` carries
-    the reaction class a low-margin classification hinted at.
+    With ``deferred`` False, ``label`` is the second's decision.  With it
+    True, ``label`` is the vocal reaction (``singing_humming`` or
+    ``whistling``) that music correction must confirm, or reject as
+    ``non_reaction``.
     """
 
-    kind: LabelKind
-    label: ReactionLabel | None = None
-    candidate: ReactionLabel | None = None
+    label: ReactionLabel
+    deferred: bool = False
 
     def __post_init__(self):
-        if self.kind is LabelKind.FINAL:
-            if self.label is None or self.candidate is not None:
-                raise ParameterError("final label requires label= only")
-        elif self.kind is LabelKind.AMBIGUOUS:
-            if self.label is not None or self.candidate is not None:
-                raise ParameterError("ambiguous label carries no payload")
-        else:
-            if self.candidate is None or self.label is not None:
-                raise ParameterError("uncertain label requires candidate= only")
-            if self.candidate not in (
-                ReactionLabel.SINGING_HUMMING,
-                ReactionLabel.WHISTLING,
-            ):
-                raise ParameterError(
-                    f"uncertain candidate must be a vocal reaction, got {self.candidate}"
-                )
-
-    @classmethod
-    def final(cls, label: ReactionLabel) -> "PipelineLabel":
-        return cls(LabelKind.FINAL, label=label)
-
-    @classmethod
-    def ambiguous(cls) -> "PipelineLabel":
-        return cls(LabelKind.AMBIGUOUS)
-
-    @classmethod
-    def uncertain(cls, candidate: ReactionLabel) -> "PipelineLabel":
-        return cls(LabelKind.UNCERTAIN, candidate=candidate)
+        if self.deferred and self.label not in VOCAL_STATES[1:]:  # vocal reactions
+            raise ParameterError(
+                f"a deferred label must be a vocal reaction, got {self.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +211,12 @@ class PipelineConfig:
             if f.type == "tuple[str, ...]" and (
                     not value or any(not isinstance(v, str) or not v for v in value)):
                 raise ConfigError(f"{f.name} must be a non-empty tuple of names")
+        owners: dict[str, str] = {}  # the stage-4 rank scan needs disjoint lists
+        for name in ("singing_classes", "whistling_classes", "ambiguous_classes"):
+            for cls in getattr(self, name):
+                first = owners.setdefault(cls.lower(), name)
+                if first != name:
+                    raise ConfigError(f"class {cls!r} is in both {first} and {name}")
         for low, high in (
             ("vocal_movement_low_g", "vocal_movement_high_g"),
             ("motion_movement_low_g", "motion_movement_high_g"),
@@ -597,7 +571,14 @@ def load_session_dir(path: str | os.PathLike) -> Session:
     audio = None
     wav_path = os.path.join(path, "audio.wav")
     if os.path.exists(wav_path):
-        audio_rate, pcm = scipy.io.wavfile.read(wav_path)
+        with warnings.catch_warnings():
+            # scipy warns, and returns what it read, when the data chunk ends early
+            warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
+            warnings.filterwarnings("error", "Reached EOF", scipy.io.wavfile.WavFileWarning)
+            try:
+                audio_rate, pcm = scipy.io.wavfile.read(wav_path)
+            except (ValueError, struct.error, scipy.io.wavfile.WavFileWarning):
+                raise ParseError(f"{wav_path}: not a readable WAV file") from None
         if pcm.ndim != 1:
             raise ParseError(f"{wav_path}: expected mono audio")
         if pcm.dtype != np.int16:
@@ -613,7 +594,10 @@ def load_session_dir(path: str | os.PathLike) -> Session:
         audio=audio, audio_rate=audio_rate,
         start_offset_in_song=float(offset),
     )
-    session.validate()
+    try:
+        session.validate()
+    except Error as exc:  # same type, naming the session directory
+        raise type(exc)(f"{path}: {exc}") from None
     return session
 
 

@@ -10,10 +10,11 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
 3. sound-event classifier on a 96x64 log-mel patch (any
    :class:`SoundEventClassifier`; deployments replay per-segment score
    files, tests plug in synthetic classifiers).
-4. label mapping with rank relaxation -- confident top-1 classes map
-   directly; low-margin results are scanned down to rank ``relax_top_k``
-   for anything vocal-like and deferred as *uncertain*.
-5. music-aware correction -- deferred segments are accepted only if the
+4. label mapping with rank relaxation -- each second's label is final, or
+   a vocal candidate deferred to correction: a confident top-1 maps
+   directly (speech/music defers as singing); a low-margin result defers
+   the first vocal class among the top ``relax_top_k`` ranks.
+5. music-aware correction -- a deferred candidate stands only if the
    wearer's pitch contour warps onto the reference melody around the
    current song position (DTW over chroma, at most ``dtw_threshold``).
 6. HMM smoothing -- a Viterbi decode over the trailing ``smoothing_window``
@@ -40,7 +41,6 @@ from .core import (
     ConfigError,
     Error,
     InsufficientDataError,
-    LabelKind,
     ParameterError,
     ParseError,
     PipelineConfig,
@@ -324,31 +324,34 @@ def vocal_sound_prefilter(
 # label mapping and rank relaxation
 # ---------------------------------------------------------------------------
 
-def _name_sets(config: PipelineConfig):
-    return (
-        frozenset(n.lower() for n in config.singing_classes),
-        frozenset(n.lower() for n in config.whistling_classes),
-        frozenset(n.lower() for n in config.ambiguous_classes),
-    )
+def _scan_ranks(scores: ScoreVector, config: PipelineConfig, depth: int,
+                deferred: bool) -> PipelineLabel:
+    """The first vocal class among the top ``depth`` ranks, deferred when
+    ``deferred`` or when it is speech/music (a singing candidate), else a
+    final ``non_reaction``; exact because the class lists are disjoint."""
+    singing, whistling = ReactionLabel.SINGING_HUMMING, ReactionLabel.WHISTLING
+    classes = {}
+    for names, label, defer in ((config.singing_classes, singing, deferred),
+                                (config.whistling_classes, whistling, deferred),
+                                (config.ambiguous_classes, singing, True)):
+        classes.update((n.lower(), (label, defer)) for n in names)
+    for idx in scores.ranked()[:depth]:
+        found = classes.get(scores.class_names[idx].lower())
+        if found is not None:
+            return PipelineLabel(*found)
+    return PipelineLabel(ReactionLabel.NON_REACTION)
 
 
 def map_labels(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -> PipelineLabel:
     """Map the top-1 class to a pipeline label.
 
-    Singing-type names decide ``singing_humming``, whistling-type names
-    decide ``whistling``, speech/music defer as *ambiguous* (the wearer may
-    be singing along -- or somebody nearby is talking), anything else is
+    Singing-type names give a final ``singing_humming``, whistling-type
+    names a final ``whistling``.  Speech/music gives a ``singing_humming``
+    candidate deferred to correction (the wearer may be singing along -- or
+    somebody nearby is talking).  Anything else is a final
     ``non_reaction``.  Matching is case-insensitive.
     """
-    singing, whistling, ambiguous = _name_sets(config)
-    name = scores.class_names[scores.ranked()[0]].lower()
-    if name in singing:
-        return PipelineLabel.final(ReactionLabel.SINGING_HUMMING)
-    if name in whistling:
-        return PipelineLabel.final(ReactionLabel.WHISTLING)
-    if name in ambiguous:
-        return PipelineLabel.ambiguous()
-    return PipelineLabel.final(ReactionLabel.NON_REACTION)
+    return _scan_ranks(scores, config, 1, deferred=False)
 
 
 def relax_rank(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -> PipelineLabel:
@@ -356,20 +359,13 @@ def relax_rank(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -
 
     When the top-1 score leads its runner-up by at least
     ``config.margin_threshold`` the plain mapping applies.  Otherwise the
-    ranks 1..k are scanned for the first vocal-like class, which is deferred
-    as *uncertain* with the matching candidate; if none appears the segment
-    is ``non_reaction``.
+    ranks 1..``relax_top_k`` are scanned for the first vocal-like class,
+    whose reaction is deferred to correction as a candidate; if none
+    appears the second is a final ``non_reaction``.
     """
     if scores.margin() >= config.margin_threshold:
         return map_labels(scores, config)
-    singing, whistling, ambiguous = _name_sets(config)
-    for idx in scores.ranked()[:config.relax_top_k]:
-        name = scores.class_names[idx].lower()
-        if name in whistling:
-            return PipelineLabel.uncertain(ReactionLabel.WHISTLING)
-        if name in singing or name in ambiguous:
-            return PipelineLabel.uncertain(ReactionLabel.SINGING_HUMMING)
-    return PipelineLabel.final(ReactionLabel.NON_REACTION)
+    return _scan_ranks(scores, config, config.relax_top_k, deferred=True)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +387,11 @@ def correct_with_music(
     The tracker's chroma contour for the segment is DTW-aligned against the
     reference melody around the song position ``[t_start_song,
     t_start_song + 1)``, widened by ``config.note_window_margin_s``.  A
-    distance above ``config.dtw_threshold`` rejects the segment as
-    ``non_reaction``; otherwise an ambiguous label becomes
-    ``singing_humming`` and an uncertain label becomes its candidate.
+    distance above ``config.dtw_threshold`` rejects the candidate as
+    ``non_reaction``; otherwise the candidate reaction is the label.
     """
-    if label.kind is LabelKind.FINAL:
-        raise ParameterError("correction applies to ambiguous/uncertain labels only")
+    if not label.deferred:
+        raise ParameterError("correction applies to deferred labels only")
     f0s, confs = pitch_tracker.track(audio, sample_rate, t_start_session)
     observed = dsp.chroma_sequence(f0s, confs, config.pitch_conf_threshold)
     reference = note_window(note_track, t_start_song, t_start_song + 1.0,
@@ -404,9 +399,7 @@ def correct_with_music(
     distance = dsp.dtw_distance(observed, reference)
     if distance > config.dtw_threshold:
         return ReactionLabel.NON_REACTION
-    if label.kind is LabelKind.AMBIGUOUS:
-        return ReactionLabel.SINGING_HUMMING
-    return label.candidate
+    return label.label
 
 
 # ---------------------------------------------------------------------------
@@ -654,22 +647,14 @@ def run_vocal_pipeline(
                 raise InsufficientDataError("classifier needs audio but session has none")
             patch = dsp.log_mel_patch(preprocess_segment_audio(audio, rate, config))
         scores = classifier.classify(patch, i)
-        if config.enable_relaxation:
-            label = relax_rank(scores, config)
-        else:
-            label = map_labels(scores, config)
+        label = (relax_rank if config.enable_relaxation else map_labels)(scores, config)
 
-        if label.kind is LabelKind.FINAL:
-            return STAGE_CLASSIFIER, label.label
-        if config.enable_correction:
+        if label.deferred and config.enable_correction:
             corrected += 1
             return STAGE_CLASSIFIER, correct_with_music(
                 label, audio, rate, note_track, pitch_tracker,
                 float(i), session.start_offset_in_song + i, config)
-        # Correction disabled: resolve deferred labels by their best guess.
-        if label.kind is LabelKind.AMBIGUOUS:
-            return STAGE_CLASSIFIER, ReactionLabel.SINGING_HUMMING
-        return STAGE_CLASSIFIER, label.candidate
+        return STAGE_CLASSIFIER, label.label  # with correction off, candidates stand
 
     stages = [STAGE_ERROR] * total
     observed = [ReactionLabel.NON_REACTION] * total

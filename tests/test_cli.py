@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -675,6 +676,37 @@ class TestMetaJson:
         assert self._detect_with_meta(tmp_path, **fields)[0] == 0
 
 
+class TestAudioWav:
+    """A malformed ``audio.wav`` exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("cut", [
+        lambda wav: b"", lambda wav: b"hello",
+        lambda wav: wav[:4], lambda wav: wav[:12], lambda wav: wav[:20],
+        lambda wav: wav[:-1001],  # the data chunk ends early
+    ], ids=["empty", "not_riff", "cut_4", "cut_12", "cut_20", "short_data"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, cut):
+        wav = os.path.join(small_session(tmp_path / "data"), "audio.wav")
+        with open(wav, "rb") as fh:
+            data = fh.read()
+        with open(wav, "wb") as fh:
+            fh.write(cut(data))
+        assert main(["detect", "--session", os.path.dirname(wav), "--pipeline", "motion",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {wav}: not a readable WAV file\n")
+
+    def test_session_error_names_the_directory(self, tmp_path, capsys):
+        """Audio 5 s longer than the 3 s of IMU: the alignment check fails."""
+        session = small_session(tmp_path / "data")
+        scipy.io.wavfile.write(os.path.join(session, "audio.wav"), 44100,
+                               np.zeros(8 * 44100, dtype=np.int16))
+        assert main(["detect", "--session", session, "--pipeline", "motion",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {session}: "
+            "audio and IMU spans disagree by 5.00 s (> 1 s)\n")
+
+
 class TestDetectConfig:
     """A bad ``--config`` document exits 2 with one line naming the key."""
 
@@ -686,6 +718,8 @@ class TestDetectConfig:
         ({"enable_correction": "no"}, "enable_correction must be true or false"),
         ({"note_window_margin_s": -1.0}, "note_window_margin_s must be >= 0"),
         ({"dtw_threshold": 130}, "dtw_threshold must lie in [0, 126) at note_window_margin_s 0.5"),
+        ({"singing_classes": ["singing", "Whistling"]},
+         "class 'whistling' is in both singing_classes and whistling_classes"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"

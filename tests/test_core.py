@@ -15,7 +15,6 @@ from musereact import core, engage, harness, motion, musicinfo, vocal
 from musereact.core import (
     AlignmentError,
     ConfigError,
-    LabelKind,
     ParameterError,
     ParseError,
     PipelineConfig,
@@ -71,23 +70,17 @@ class TestReactionLabel:
 
 class TestPipelineLabel:
     def test_final_holds_label(self):
-        lab = PipelineLabel.final(S)
-        assert lab.kind is LabelKind.FINAL
+        lab = PipelineLabel(S)
         assert lab.label is S
-        assert lab.candidate is None
+        assert lab.deferred is False
 
     def test_uncertain_candidate_restricted(self):
-        assert PipelineLabel.uncertain(S).candidate is S
-        assert PipelineLabel.uncertain(W).candidate is W
-        with pytest.raises(ParameterError):
-            PipelineLabel.uncertain(H)
-        with pytest.raises(ParameterError):
-            PipelineLabel.uncertain(N)
-
-    def test_ambiguous_has_no_payload(self):
-        lab = PipelineLabel.ambiguous()
-        assert lab.kind is LabelKind.AMBIGUOUS
-        assert lab.label is None and lab.candidate is None
+        assert PipelineLabel(S, deferred=True).label is S
+        assert PipelineLabel(W, deferred=True).label is W
+        for label in (H, N):
+            with pytest.raises(ParameterError) as err:
+                PipelineLabel(label, deferred=True)
+            assert str(err.value) == f"a deferred label must be a vocal reaction, got {label}"
 
 
 class TestPipelineConfig:
@@ -157,6 +150,23 @@ class TestPipelineConfig:
             with pytest.raises(ConfigError) as err:
                 PipelineConfig().replace(**{name: value})
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"singing_classes": ("singing", "Whistling")},
+         "class 'whistling' is in both singing_classes and whistling_classes"),
+        ({"ambiguous_classes": ("SPEECH", "Humming")},
+         "class 'Humming' is in both singing_classes and ambiguous_classes"),
+        ({"whistling_classes": ("whistle",), "ambiguous_classes": ("Whistle", "music")},
+         "class 'Whistle' is in both whistling_classes and ambiguous_classes"),
+    ])
+    def test_class_lists_must_not_overlap(self, fields, message):
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig().replace(**fields)
+        assert str(err.value) == message
+
+    def test_repeats_inside_one_class_list_are_accepted(self):
+        cfg = PipelineConfig().replace(singing_classes=("singing", "Singing", "singing"))
+        assert cfg.singing_classes == ("singing", "Singing", "singing")
 
     def test_json_integers_fill_float_fields(self):
         cfg = PipelineConfig.from_dict({"dtw_threshold": 30, "smoothing_window": 4})

@@ -22,7 +22,6 @@ from musereact.core import (
     IMU_RATE_HZ,
     Error,
     InsufficientDataError,
-    LabelKind,
     PipelineConfig,
     ReactionLabel,
     SensorSegment,
@@ -127,7 +126,7 @@ def mask_vocal(session, classifier, pitch_tracker, note_track, hmm, config):
                     segment.audio, segment.audio_rate, config))
                 deferred = vocal.relax_rank(classifier.classify(patch, segment.index), config)
                 label = deferred.label
-                if deferred.kind is not LabelKind.FINAL:
+                if deferred.deferred:
                     stats.corrected += 1
                     label = vocal.correct_with_music(
                         deferred, segment.audio, segment.audio_rate, note_track,

@@ -3,12 +3,13 @@ rank relaxation, music-aware correction, HMM smoothing, and the cascade."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from musereact import vocal
 from musereact.core import (
     ConfigError,
     InsufficientDataError,
-    LabelKind,
     ParameterError,
     ParseError,
     PipelineConfig,
@@ -175,17 +176,15 @@ class TestLabelMapping:
         ("Singing", S), ("Humming", S), ("Whistling", W), ("Whistle", W),
     ])
     def test_direct_classes(self, name, expected):
-        label = map_labels(scores_for(**{name: 0.9}))
-        assert label.kind is LabelKind.FINAL
-        assert label.label is expected
+        assert map_labels(scores_for(**{name: 0.9})) == PipelineLabel(expected)
 
     @pytest.mark.parametrize("name", ["Speech", "Music"])
     def test_ambiguous_classes(self, name):
-        assert map_labels(scores_for(**{name: 0.9})).kind is LabelKind.AMBIGUOUS
+        assert map_labels(scores_for(**{name: 0.9})) == PipelineLabel(S, deferred=True)
 
     def test_irrelevant_class_is_non_reaction(self):
         label = map_labels(scores_for(Typing=0.9))
-        assert label == PipelineLabel.final(N)
+        assert label == PipelineLabel(N)
 
     def test_case_insensitive(self):
         sv = ScoreVector(class_names=["SINGING", "typing"], scores=np.array([0.9, 0.1]))
@@ -195,33 +194,31 @@ class TestLabelMapping:
 class TestRankRelaxation:
     def test_confident_margin_maps_directly(self):
         label = relax_rank(scores_for(Singing=0.95))
-        assert label == PipelineLabel.final(S)
+        assert label == PipelineLabel(S)
 
     def test_low_margin_whistle_in_top5(self):
         sv = scores_for(Typing=0.4, Whistle=0.3)
-        label = relax_rank(sv)
-        assert label.kind is LabelKind.UNCERTAIN
-        assert label.candidate is W
+        assert relax_rank(sv) == PipelineLabel(W, deferred=True)
 
     def test_low_margin_singing_in_top5(self):
         sv = scores_for(Typing=0.4, Humming=0.3)
-        assert relax_rank(sv) == PipelineLabel.uncertain(S)
+        assert relax_rank(sv) == PipelineLabel(S, deferred=True)
 
     def test_low_margin_ambiguous_counts_as_singing_candidate(self):
         sv = scores_for(Typing=0.4, Speech=0.3)
-        assert relax_rank(sv) == PipelineLabel.uncertain(S)
+        assert relax_rank(sv) == PipelineLabel(S, deferred=True)
 
     def test_rank_order_decides_candidate(self):
         # whistle ranks above humming, so the candidate is whistling
         sv = scores_for(Typing=0.4, Whistle=0.3, Humming=0.2)
-        assert relax_rank(sv).candidate is W
+        assert relax_rank(sv) == PipelineLabel(W, deferred=True)
 
     def test_no_vocal_class_in_top5(self):
         sv = ScoreVector(
             class_names=["Typing", "Silence", "Vehicle", "Animal", "Traffic", "Whistle"],
             scores=np.array([0.30, 0.25, 0.20, 0.12, 0.08, 0.05]),
         )
-        assert relax_rank(sv) == PipelineLabel.final(N)
+        assert relax_rank(sv) == PipelineLabel(N)
 
     def test_boundary_margin_counts_as_confident(self):
         # 0.9375 and 0.0625 are exact binary fractions, so the margin is
@@ -229,9 +226,9 @@ class TestRankRelaxation:
         sv = ScoreVector(class_names=["Speech", "Typing"],
                          scores=np.array([0.9375, 0.0625]))
         config = PipelineConfig().replace(margin_threshold=0.875)
-        assert relax_rank(sv, config).kind is LabelKind.AMBIGUOUS
+        assert relax_rank(sv, config) == PipelineLabel(S, deferred=True)
         just_above = PipelineConfig().replace(margin_threshold=0.8750001)
-        assert relax_rank(sv, just_above) == PipelineLabel.uncertain(S)
+        assert relax_rank(sv, just_above) == PipelineLabel(S, deferred=True)
 
 
 class ConstantPitchTracker(vocal.PitchTracker):
@@ -258,7 +255,7 @@ class TestCorrection:
         track = self.make_track([0] * 40)
         with pytest.raises(ParameterError):
             correct_with_music(
-                PipelineLabel.final(S), None, 44100, track,
+                PipelineLabel(S), None, 44100, track,
                 ConstantPitchTracker([0] * 10), 0.0, 1.0)
 
     def test_matching_contour_resolves_ambiguous_to_singing(self):
@@ -266,7 +263,7 @@ class TestCorrection:
         track = self.make_track(symbols)
         tracker = ConstantPitchTracker(symbols[15:25])  # matches song second 1.5..2.5
         out = correct_with_music(
-            PipelineLabel.ambiguous(), None, 44100, track, tracker,
+            PipelineLabel(S, deferred=True), None, 44100, track, tracker,
             t_start_session=0.0, t_start_song=1.7,
             config=PipelineConfig(dtw_threshold=30.0))
         assert out is S
@@ -276,7 +273,7 @@ class TestCorrection:
         track = self.make_track(symbols)
         tracker = ConstantPitchTracker([7] * 10)
         out = correct_with_music(
-            PipelineLabel.uncertain(W), None, 44100, track, tracker,
+            PipelineLabel(W, deferred=True), None, 44100, track, tracker,
             t_start_session=0.0, t_start_song=1.0,
             config=PipelineConfig(dtw_threshold=30.0))
         assert out is W
@@ -286,7 +283,7 @@ class TestCorrection:
         track = self.make_track(np.arange(40) % 12)
         tracker = ConstantPitchTracker([UNVOICED] * 10)
         out = correct_with_music(
-            PipelineLabel.ambiguous(), None, 44100, track, tracker,
+            PipelineLabel(S, deferred=True), None, 44100, track, tracker,
             t_start_session=0.0, t_start_song=1.0,
             config=PipelineConfig(dtw_threshold=30.0))
         assert out is N
@@ -297,12 +294,12 @@ class TestCorrection:
         track = self.make_track(np.full(10, 0))
         tracker = ConstantPitchTracker([UNVOICED] * 10)
         out = correct_with_music(
-            PipelineLabel.uncertain(S), None, 44100, track, tracker,
+            PipelineLabel(S, deferred=True), None, 44100, track, tracker,
             t_start_session=0.0, t_start_song=0.0,
             config=PipelineConfig(dtw_threshold=60.0))
         assert out is S
         rejected = correct_with_music(
-            PipelineLabel.uncertain(S), None, 44100, track, tracker,
+            PipelineLabel(S, deferred=True), None, 44100, track, tracker,
             t_start_session=0.0, t_start_song=0.0,
             config=PipelineConfig(dtw_threshold=59.9))
         assert rejected is N
@@ -315,9 +312,91 @@ class TestCorrection:
         t_song = 51 * 0.05
         assert len(note_window(track, t_song, t_song + 1.0)) == 21
         out = correct_with_music(
-            PipelineLabel.ambiguous(), None, 44100, track,
+            PipelineLabel(S, deferred=True), None, 44100, track,
             ConstantPitchTracker([UNVOICED] * 10), 0.0, t_song)
         assert out is N
+
+
+def three_kind_oracle(scores, config, relax):
+    """Stages 4-5 as three label kinds, written out separately: ("final",
+    label), ("ambiguous", None) for a speech/music top-1, or ("uncertain",
+    candidate) for a low-margin second with a vocal class in the top ranks."""
+    lower = [n.lower() for n in scores.class_names]
+    order = sorted(range(len(lower)), key=lambda i: -scores.scores[i])
+    singing = {n.lower() for n in config.singing_classes}
+    whistling = {n.lower() for n in config.whistling_classes}
+    ambiguous = {n.lower() for n in config.ambiguous_classes}
+    margin = scores.scores[order[0]] - scores.scores[order[1]]
+    if not relax or margin >= config.margin_threshold:
+        top = lower[order[0]]
+        if top in singing:
+            return "final", S
+        if top in whistling:
+            return "final", W
+        if top in ambiguous:
+            return "ambiguous", None
+        return "final", N
+    for i in order[:config.relax_top_k]:
+        if lower[i] in whistling:
+            return "uncertain", W
+        if lower[i] in singing or lower[i] in ambiguous:
+            return "uncertain", S
+    return "final", N
+
+
+def resolve_oracle(kind, label, accepted):
+    """The second's label after correction: ``accepted`` is whether the pitch
+    contour passes DTW, None when correction is off."""
+    if kind == "final":
+        return label
+    if accepted is False:
+        return N
+    return S if kind == "ambiguous" else label
+
+
+#: Class names the mapping test draws from; each lands in at most one list.
+POOL = ("sing", "hum", "whistle", "tweet", "speech", "music", "typing", "silence")
+CASES = (str.lower, str.upper, str.title)
+
+
+@st.composite
+def mapping_case(draw):
+    """A score vector with ties, a disjoint class-list config and a margin."""
+    groups = draw(st.lists(st.integers(0, 3), min_size=len(POOL), max_size=len(POOL)))
+    lists = []
+    for g in range(3):  # 0 singing, 1 whistling, 2 ambiguous, 3 none
+        names = [draw(st.sampled_from(CASES))(n) for n, k in zip(POOL, groups) if k == g]
+        if names:  # sometimes repeat a name inside its list
+            names += draw(st.lists(st.sampled_from(names), max_size=1))
+        lists.append(tuple(names) or (f"unused{g}",))
+    config = PipelineConfig().replace(
+        singing_classes=lists[0], whistling_classes=lists[1], ambiguous_classes=lists[2],
+        relax_top_k=draw(st.integers(1, 9)),
+        margin_threshold=draw(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.9, 1.0])
+                              | st.floats(0.0, 1.0)))
+    names = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=len(POOL), unique=True))
+    weights = np.array(draw(st.lists(st.integers(0, 8), min_size=len(names),
+                                     max_size=len(names)).filter(any)), dtype=float)
+    scores = ScoreVector([draw(st.sampled_from(CASES))(n) for n in names],
+                         weights / weights.sum())
+    return scores, config
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=mapping_case())
+def test_stage_4_and_5_match_the_three_kind_oracle(case):
+    scores, config = case
+    track = NoteTrack(song_id="tune", symbols=np.full(40, 7))
+    accept, reject = ConstantPitchTracker([7] * 10), ConstantPitchTracker([UNVOICED] * 10)
+    for relax, label in ((False, map_labels(scores, config)),
+                         (True, relax_rank(scores, config))):
+        kind, expected = three_kind_oracle(scores, config, relax)
+        assert label.deferred is (kind != "final")
+        assert label.label is resolve_oracle(kind, expected, None)
+        for tracker, accepted in ((accept, True), (reject, False)):
+            if label.deferred:
+                out = correct_with_music(label, None, 44100, track, tracker, 0.0, 1.0, config)
+                assert out is resolve_oracle(kind, expected, accepted)
 
 
 class TestFilePitchTracker:
