@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -198,6 +199,66 @@ class TestDetect:
                      "--session", str(data_dir / "sess_b"), "--out", str(out)])
         assert code == 0
         assert (out / "sess_b.motion.jsonl").is_file()
+
+
+def _rewrite_lines(path, keep):
+    """Keep the lines of a text file for which ``keep(number, line)`` holds."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line for n, line in enumerate(lines) if keep(n, line)))
+
+
+class TestStatsJson:
+    """The bytes of ``stats.json`` on a session where every kind of stage
+    fails somewhere: a dropped ``scores.jsonl`` line (the classifier fails on
+    second 5), one IMU sample left in second 17 (both movement prefilters
+    fail) and ``pitch.csv`` cut at 8 s (correction fails from second 8)."""
+
+    SHA256 = "2ac0a0a1adc42fee234f8d0062fec64496f74e74d40ed81cb669ffcddf74f6bf"
+    VOCAL_DIAGNOSTICS = [
+        "segment 5: no recorded scores for segment 5",
+        "segment 8: recorded pitch does not cover [8, 9) s",
+        "segment 9: recorded pitch does not cover [9, 10) s",
+        "segment 10: recorded pitch does not cover [10, 11) s",
+        "segment 12: recorded pitch does not cover [12, 13) s",
+        "segment 17: movement level needs at least 2 samples",
+        "segment 23: recorded pitch does not cover [23, 24) s",
+        "segment 25: recorded pitch does not cover [25, 26) s",
+        "segment 26: recorded pitch does not cover [26, 27) s",
+        "segment 27: recorded pitch does not cover [27, 28) s",
+        "segment 28: recorded pitch does not cover [28, 29) s",
+    ]
+    MOTION_DIAGNOSTICS = ["second 17: movement level needs at least 2 samples"]
+
+    def test_faulted_session_writes_the_recorded_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MUSEREACT_CONFIG", raising=False)
+        spec = harness.SyntheticSpec(
+            "sess", "u0", "tune", "cafe", duration_s=30,
+            script=((3, 12, S), (15, 21, H), (22, 28, ReactionLabel.WHISTLING)),
+            start_offset_in_song=2, seed=4)
+        session = harness.write_corpus(tmp_path / "data", [spec])[0]
+        _rewrite_lines(os.path.join(session, "scores.jsonl"),
+                       lambda n, line: json.loads(line)["index"] != 5)
+        second_17 = []
+
+        def first_sample_of_second_17(n, line):
+            if n == 0 or not 17 <= float(line.split(",")[0]) < 18:
+                return True
+            second_17.append(n)
+            return len(second_17) == 1
+
+        _rewrite_lines(os.path.join(session, "imu.csv"), first_sample_of_second_17)
+        assert len(second_17) == 70
+        _rewrite_lines(os.path.join(session, "pitch.csv"),
+                       lambda n, line: n == 0 or float(line.split(",")[0]) < 8)
+
+        assert main(["detect", "--session", session, "--out", str(tmp_path / "out")]) == 0
+        data = (tmp_path / "out" / "sess.stats.json").read_bytes()
+        stats = json.loads(data)
+        assert stats["vocal"]["diagnostics"] == self.VOCAL_DIAGNOSTICS
+        assert stats["motion"]["diagnostics"] == self.MOTION_DIAGNOSTICS
+        assert hashlib.sha256(data).hexdigest() == self.SHA256
 
 
 class TestEval:
