@@ -8,6 +8,7 @@ relaxation, chroma correction against the song's note track, and HMM
 smoothing of the per-second labels.
 """
 
+from musereact import core
 from musereact.core import PipelineConfig, ReactionLabel
 from musereact.harness import SyntheticSpec, evaluate, generate_session
 from musereact.musicinfo import MusicInfoStore
@@ -42,16 +43,17 @@ print("truth:    ", "".join(lab.value[0] for lab in g.vocal_truth))
 print("detected: ", "".join(lab.value[0] for lab in result.labels))
 
 # Most quiet seconds never reach the classifier -- the prefilters drop
-# them first, which is where the battery savings come from.
+# them first, which is where the battery savings come from.  The result
+# records the last stage each second entered; every count comes from it.
 stats = result.stats
-print(f"\nsegments: {stats.total_segments}, "
-      f"motion-filtered: {stats.motion_filtered}, "
-      f"sound-filtered: {stats.sound_filtered}, "
-      f"classified: {stats.classified}, "
-      f"corrected: {stats.corrected}")
+print(f"\nsegments: {len(stats.stages)}, "
+      f"motion-filtered: {stats.count(core.Stage.MOTION_FILTER)}, "
+      f"sound-filtered: {stats.count(core.Stage.SOUND_FILTER)}, "
+      f"classified: {stats.count(core.Stage.CLASSIFIER, core.Stage.CORRECTION)}, "
+      f"corrected: {stats.stages.count(core.Stage.CORRECTION)}")
 
 print("\nevents:")
-for event in result.events:
+for event in core.merge_labels_to_events(result.labels):
     print(f"  {event.label.value:15s} [{event.t_start:5.1f}, {event.t_end:5.1f})")
 
 report = evaluate(g.vocal_truth, result.labels)

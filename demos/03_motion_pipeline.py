@@ -9,6 +9,7 @@ units of per-axis statistics, and a classifier over those units.
 
 import numpy as np
 
+from musereact import core
 from musereact.core import ReactionLabel
 from musereact.harness import SyntheticSpec, evaluate, generate_session
 from musereact import motion
@@ -30,9 +31,9 @@ print("detected: ", "".join(lab.value[0] for lab in result.labels))
 
 # The window needs 7 s of history, so the first seconds are a cold
 # start and always come out as non-reaction.
-print(f"\ncold-start seconds: {result.stats.cold_start}")
-print(f"prefiltered: {result.stats.prefiltered}, "
-      f"classified: {result.stats.classified}")
+print(f"\ncold-start seconds: {result.stats.count(core.Stage.COLD_START)}")
+print(f"prefiltered: {result.stats.count(core.Stage.MOTION_FILTER)}, "
+      f"classified: {result.stats.count(core.Stage.CLASSIFIER)}")
 report = evaluate(g.motion_truth, result.labels)
 print(f"head-motion F1: {report.per_class[H].f1:.3f}")
 
@@ -49,7 +50,7 @@ still_spec = SyntheticSpec(
     place="office", duration_s=30, script=(), activity="still", seed=12,
 )
 still_result = motion.run_motion_pipeline(generate_session(still_spec).session)
-ratio = still_result.stats.prefiltered / still_result.stats.total_seconds
-print(f"\nstill session: {still_result.stats.total_seconds} s, "
-      f"filtering ratio {ratio:.2f}, "
-      f"classifier calls {still_result.stats.classified}")
+still = still_result.stats
+print(f"\nstill session: {len(still.stages)} s, "
+      f"filtering ratio {still.filtering_ratio:.2f}, "
+      f"classifier calls {still.count(core.Stage.CLASSIFIER)}")

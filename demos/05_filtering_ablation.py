@@ -8,12 +8,13 @@ smoothing.  In a chatty cafe the raw classifier confuses speech and
 music with singing; the later stages claw most of that back.
 """
 
-from musereact.core import PipelineConfig, ReactionLabel
+from musereact.core import PipelineConfig, ReactionLabel, Stage
 from musereact.harness import evaluate, generate_session, make_vocal_corpus
 from musereact.musicinfo import MusicInfoStore
 from musereact import vocal
 
 N = ReactionLabel.NON_REACTION
+PREFILTERS = (Stage.MOTION_FILTER, Stage.SOUND_FILTER)
 
 full_cfg = PipelineConfig().replace(dtw_threshold=30.0, enable_smoothing=False)
 map_cfg = PipelineConfig().replace(
@@ -32,12 +33,13 @@ for spec in make_vocal_corpus(num_sessions=10, place="cafe", base_seed=1):
     truth_all.extend(g.vocal_truth)
     mapped_all.extend(r_map.labels)
     pairs.append((g.vocal_truth, r_full.observed))
-    stats_tot += r_full.stats.total_segments
-    stats_filt += r_full.stats.motion_filtered + r_full.stats.sound_filtered
+    record = r_full.stats
+    stats_tot += len(record.stages)
+    stats_filt += record.count(*PREFILTERS)
     reactions_filtered += sum(
-        1 for i, stage in enumerate(r_full.stats.stages)
-        if stage in (vocal.STAGE_MOTION_FILTER, vocal.STAGE_SOUND_FILTER)
-        and g.vocal_truth[i] is not N)
+        1 for i, stage in enumerate(record.stages)
+        if stage in PREFILTERS
+        and i not in record.failures and g.vocal_truth[i] is not N)
 
 # Train the smoothing HMM on this corpus's own noisy outputs, then
 # re-run smoothing as a second pass over the observed labels.

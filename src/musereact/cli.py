@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import functools
 import json
 import os
@@ -25,7 +24,7 @@ import sys
 import numpy as np
 
 from . import core, engage, harness, motion, musicinfo, vocal
-from .core import PipelineConfig
+from .core import PipelineConfig, Stage
 
 CONFIG_ENV_VAR = "MUSEREACT_CONFIG"
 
@@ -120,6 +119,33 @@ def _vocal_inputs(session_dir: str, config: PipelineConfig, notes_dir: str | Non
     return classifier, tracker, store
 
 
+#: Each cascade's ``stats.json`` section: the word its diagnostics use for a
+#: second, the key of the second count, and each key counting stages.
+_STATS_JSON = {
+    "vocal": ("segment", "total_segments", {
+        "motion_filtered": (Stage.MOTION_FILTER,), "sound_filtered": (Stage.SOUND_FILTER,),
+        "classified": (Stage.CLASSIFIER, Stage.CORRECTION)}),
+    "motion": ("second", "total_seconds", {
+        "prefiltered": (Stage.MOTION_FILTER,), "cold_start": (Stage.COLD_START,),
+        "classified": (Stage.CLASSIFIER,)}),
+}
+
+
+def _stats_section(name: str, record: core.CascadeStats) -> dict:
+    """The ``stats.json`` section of cascade ``name``, derived from its record."""
+    word, total_key, counts = _STATS_JSON[name]
+    section = {key: record.count(*stages) for key, stages in counts.items()}
+    section.update({total_key: len(record.stages), "errors": record.errors,
+                    "filtering_ratio": record.filtering_ratio, "diagnostics": [
+                        f"{word} {i}: {record.failures[i]}" for i in sorted(record.failures)]})
+    if name == "vocal":  # corrected counts failed seconds; stages show them as errors
+        section["corrected"] = record.stages.count(Stage.CORRECTION)
+        section["stages"] = ["error" if i in record.failures else
+                             Stage.CLASSIFIER if stage is Stage.CORRECTION else stage
+                             for i, stage in enumerate(record.stages)]
+    return section
+
+
 def _detect_one(session_dir: str, *, pipeline: str, config: PipelineConfig,
                 hmm: vocal.HmmParams | None,
                 seq_classifier: motion.SequenceClassifier | None,
@@ -143,10 +169,8 @@ def _detect_one(session_dir: str, *, pipeline: str, config: PipelineConfig,
     stats: dict = {"session_id": session.session_id}
     events = {}
     for name, result in results.items():
-        stats[name] = {**dataclasses.asdict(result.stats),
-                       "filtering_ratio": result.stats.filtering_ratio,
-                       "diagnostics": result.diagnostics}
-        events[name] = result.events
+        stats[name] = _stats_section(name, result.stats)
+        events[name] = core.merge_labels_to_events(result.labels)
     if pipeline == "both":
         events["combined"] = core.merge_labels_to_events(engage.combine_timelines(
             results["vocal"].labels, results["motion"].labels))

@@ -137,6 +137,55 @@ class PipelineLabel:
                 f"a deferred label must be a vocal reaction, got {self.label}")
 
 
+class Stage(str, enum.Enum):
+    """A stage a second can enter: the vocal cascade runs both prefilters,
+    the classifier and (for a deferred label) correction; the motion cascade
+    its movement prefilter, then a cold start (no full window) or the classifier."""
+
+    MOTION_FILTER = "motion_filter"
+    SOUND_FILTER = "sound_filter"
+    COLD_START = "cold_start"
+    CLASSIFIER = "classifier"
+    CORRECTION = "correction"
+
+
+@dataclass(frozen=True)
+class CascadeStats:
+    """What happened to each second of a cascade run, from which every count
+    is derived: ``stages[i]`` is the last stage second ``i`` entered, and
+    ``failures`` maps each second whose stage raised (and so is labeled
+    ``non_reaction``) to its error."""
+
+    stages: list[Stage]
+    failures: dict[int, Error]
+
+    def count(self, *stages: Stage) -> int:
+        """Seconds settled in one of ``stages``; failed seconds are left out."""
+        return sum(stage in stages and i not in self.failures
+                   for i, stage in enumerate(self.stages))
+
+    @property
+    def errors(self) -> int:
+        return len(self.failures)
+
+    @property
+    def filtering_ratio(self) -> float:
+        """Fraction of seconds a prefilter settled, so no classifier ran."""
+        if not self.stages:
+            return 0.0
+        return self.count(Stage.MOTION_FILTER, Stage.SOUND_FILTER) / len(self.stages)
+
+
+@dataclass(frozen=True)
+class CascadeResult:
+    """Per-second labels, the labels before smoothing (the labels themselves
+    where nothing smooths) and the record of the run."""
+
+    labels: list[ReactionLabel]
+    observed: list[ReactionLabel]
+    stats: CascadeStats
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -576,9 +625,13 @@ def load_session_dir(path: str | os.PathLike) -> Session:
             warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
             warnings.filterwarnings("error", "Reached EOF", scipy.io.wavfile.WavFileWarning)
             try:
-                audio_rate, pcm = scipy.io.wavfile.read(wav_path)
+                wav_rate, pcm = scipy.io.wavfile.read(wav_path)
             except (ValueError, struct.error, scipy.io.wavfile.WavFileWarning):
                 raise ParseError(f"{wav_path}: not a readable WAV file") from None
+        if "audio_rate" in meta and wav_rate != audio_rate:
+            raise ParseError(f"{meta_path}: audio_rate {audio_rate} disagrees with "
+                             f"the {wav_rate} Hz of {wav_path}")
+        audio_rate = wav_rate
         if pcm.ndim != 1:
             raise ParseError(f"{wav_path}: expected mono audio")
         if pcm.dtype != np.int16:

@@ -6,7 +6,8 @@ gyro window (low-passed at 5 Hz) is summarized into 70 motion units x 18
 statistical features and scored by a sequence classifier.  Each window labels
 only its final second, so the output advances one second at a time; the
 first six seconds of a session have no full window yet and stay
-``non_reaction``.
+``non_reaction``.  Each second's last stage (``motion_filter``, ``cold_start``
+or ``classifier``) and any failure land in a :class:`core.CascadeStats`.
 
 Two classifiers are provided: an LSTM runner that evaluates serialized
 weights, and a self-contained heuristic scorer that detects the periodicity a
@@ -25,14 +26,15 @@ import numpy as np
 
 from .core import (
     IMU_RATE_HZ,
+    CascadeResult,
+    CascadeStats,
+    Stage,
     Error,
     ParameterError,
     ParseError,
     PipelineConfig,
-    ReactionEvent,
     ReactionLabel,
     Session,
-    merge_labels_to_events,
     read_json,
     second_bounds,
 )
@@ -318,44 +320,20 @@ class HeuristicMotionClassifier(SequenceClassifier):
 # the assembled pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MotionStats:
-    """Where each second of the session stopped in the motion cascade."""
-
-    total_seconds: int = 0
-    prefiltered: int = 0
-    classified: int = 0
-    cold_start: int = 0
-    errors: int = 0
-
-    @property
-    def filtering_ratio(self) -> float:
-        if self.total_seconds == 0:
-            return 0.0
-        return self.prefiltered / self.total_seconds
-
-
-@dataclass
-class MotionResult:
-    labels: list[ReactionLabel]
-    events: list[ReactionEvent]
-    stats: MotionStats
-    diagnostics: list[str]
-
-
 def run_motion_pipeline(
     session: Session,
     classifier: SequenceClassifier | None = None,
     config: PipelineConfig = PipelineConfig(),
-) -> MotionResult:
+) -> CascadeResult:
     """Label every full second of a session as head_motion / non_reaction.
 
     The gyro stream is low-passed once (first-order, 5 Hz); each second is
     then labeled from the trailing 490-sample window ending at that second's
     boundary.  Seconds without a full window (the first six of a session)
     and seconds rejected by the movement prefilter are ``non_reaction``.
-    The windows left are scored :data:`MOTION_BLOCK` at a time.  Per-second
-    stage errors downgrade to ``non_reaction`` with a diagnostic.
+    The windows left are scored :data:`MOTION_BLOCK` at a time.  A stage
+    error downgrades its second to ``non_reaction`` and lands in
+    ``stats.failures``; nothing smooths, so ``observed`` is ``labels``.
     """
     session.validate()
     if classifier is None:
@@ -366,9 +344,8 @@ def run_motion_pipeline(
 
     bounds = second_bounds(session)
     levels = dsp.movement_levels(session.accel, bounds)
-    stats = MotionStats(total_seconds=len(bounds) - 1)
-    errors: dict[int, Error] = {}
-    pending: list[tuple[int, int]] = []  # (second, end of its window)
+    stages = [Stage.MOTION_FILTER] * (len(bounds) - 1)
+    failures: dict[int, Error] = {}
     for second, (start, boundary) in enumerate(zip(bounds, bounds[1:])):
         try:
             if config.enable_motion_filter and motion_prefilter(
@@ -376,38 +353,29 @@ def run_motion_pipeline(
                 config.motion_movement_low_g, config.motion_movement_high_g,
                 levels[second],
             ):
-                stats.prefiltered += 1
-            elif boundary < WINDOW_SAMPLES:
-                stats.cold_start += 1
-            else:
-                pending.append((second, boundary))
+                continue
         except Error as exc:
-            errors[second] = exc
+            failures[second] = exc
+            continue
+        stages[second] = Stage.CLASSIFIER if boundary >= WINDOW_SAMPLES else Stage.COLD_START
 
-    labels = [ReactionLabel.NON_REACTION] * stats.total_seconds
+    labels = [ReactionLabel.NON_REACTION] * len(stages)
+    pending = [second for second, stage in enumerate(stages) if stage == Stage.CLASSIFIER]
     offsets = np.arange(-WINDOW_SAMPLES, 0)
     for first in range(0, len(pending), MOTION_BLOCK):
         block = pending[first:first + MOTION_BLOCK]
-        ends = np.array([boundary for _, boundary in block])
+        ends = np.array([bounds[second + 1] for second in block])
         units = extract_motion_units(gyro_filtered[ends[:, None] + offsets])
         try:
             scores = classifier.classify_many(units)
         except Error:  # redo the block window by window; only failing seconds downgrade
             scores = [_p_head_or_error(classifier, window) for window in units]
-        for (second, _), p_head in zip(block, scores, strict=True):
+        for second, p_head in zip(block, scores, strict=True):
             if isinstance(p_head, Error):
-                errors[second] = p_head
-            else:
-                stats.classified += 1
-                if p_head > config.motion_decision_threshold:
-                    labels[second] = ReactionLabel.HEAD_MOTION
-    stats.errors = len(errors)
-    return MotionResult(
-        labels=labels,
-        events=merge_labels_to_events(labels),
-        stats=stats,
-        diagnostics=[f"second {second}: {errors[second]}" for second in sorted(errors)],
-    )
+                failures[second] = p_head
+            elif p_head > config.motion_decision_threshold:
+                labels[second] = ReactionLabel.HEAD_MOTION
+    return CascadeResult(labels, labels, CascadeStats(stages, failures))
 
 
 def _p_head_or_error(classifier, units):

@@ -20,9 +20,9 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
 6. HMM smoothing -- a Viterbi decode over the trailing ``smoothing_window``
    observations removes isolated flips.
 
-``run_vocal_pipeline`` walks the session's second table once, records the
-stage that settled each second and counts the filtering statistics from
-that record; each stage is also exposed on its own.
+``run_vocal_pipeline`` walks the session's second table once and records, in
+a :class:`core.CascadeStats`, the last stage each second entered and each
+failure; each stage is also exposed on its own.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .core import (
     CLASSIFIER_RATE_HZ,
+    CascadeResult,
+    CascadeStats,
     ConfigError,
     Error,
     InsufficientDataError,
@@ -45,11 +47,10 @@ from .core import (
     ParseError,
     PipelineConfig,
     PipelineLabel,
-    ReactionEvent,
     ReactionLabel,
     Session,
+    Stage,
     VOCAL_STATES,
-    merge_labels_to_events,
     read_csv_rows,
     read_json,
     read_text,
@@ -147,7 +148,9 @@ def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
             continue
         try:  # ScoreVector's own ParameterError is a ValueError too
             obj = json.loads(line)
-            index = int(obj["index"])
+            index = obj["index"]
+            if type(index) is not int:  # not a float, bool or string
+                raise ValueError("index must be an integer")
             names = [str(n) for n in obj["classes"]]
             raw = np.asarray(obj["scores"], dtype=float)
             if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
@@ -557,43 +560,6 @@ def smooth(window: list[ReactionLabel], hmm: HmmParams) -> ReactionLabel:
 # the assembled pipeline
 # ---------------------------------------------------------------------------
 
-STAGE_MOTION_FILTER = "motion_filter"
-STAGE_SOUND_FILTER = "sound_filter"
-STAGE_CLASSIFIER = "classifier"
-STAGE_ERROR = "error"
-
-
-@dataclass
-class FilteringStats:
-    """Where each segment left the cascade (the energy story of the system)."""
-
-    total_segments: int = 0
-    motion_filtered: int = 0
-    sound_filtered: int = 0
-    classified: int = 0
-    corrected: int = 0
-    errors: int = 0
-    stages: list[str] = field(default_factory=list)
-
-    @property
-    def filtering_ratio(self) -> float:
-        """Fraction of segments settled before the classifier ran."""
-        if self.total_segments == 0:
-            return 0.0
-        return (self.motion_filtered + self.sound_filtered) / self.total_segments
-
-
-@dataclass
-class VocalResult:
-    """Per-second output of the vocal pipeline plus processing diagnostics."""
-
-    labels: list[ReactionLabel]           # final (post-smoothing) labels
-    observed: list[ReactionLabel]         # pre-smoothing labels
-    events: list[ReactionEvent]
-    stats: FilteringStats
-    diagnostics: list[str]
-
-
 def run_vocal_pipeline(
     session: Session,
     classifier: SoundEventClassifier,
@@ -601,15 +567,15 @@ def run_vocal_pipeline(
     note_store: MusicInfoStore | None = None,
     hmm: HmmParams | None = None,
     config: PipelineConfig = PipelineConfig(),
-) -> VocalResult:
+) -> CascadeResult:
     """Run the full vocal cascade over a session, one label per second.
 
     Correction (stage 5) needs both a pitch tracker and a note track for
     ``session.song_id``; enabling it without either raises
     :class:`ConfigError` up front.  Smoothing runs only when a trained
-    ``hmm`` is supplied.  A stage error inside one segment downgrades that
-    segment to ``non_reaction`` and is reported in ``diagnostics`` instead
-    of aborting the session.
+    ``hmm`` is supplied.  A stage error inside one second downgrades it to
+    ``non_reaction`` and lands in ``stats.failures`` instead of aborting the
+    session.
     """
     if config.enable_correction:
         if pitch_tracker is None:
@@ -625,22 +591,23 @@ def run_vocal_pipeline(
     levels = dsp.movement_levels(session.accel, bounds)
     rate = session.audio_rate
     total = len(bounds) - 1
-    corrected = 0  # seconds that reached stage 5, failed ones included
+    stages = [Stage.MOTION_FILTER] * total
 
     def settle(i):
-        """Second ``i`` through stages 1-5; returns (stage that settled it, label)."""
-        nonlocal corrected
+        """Second ``i`` through stages 1-5, entering each in ``stages[i]``."""
         audio = None if session.audio is None else session.audio[i * rate:(i + 1) * rate]
         if config.enable_motion_filter and vocal_motion_prefilter(
             session.accel[bounds[i]:bounds[i + 1]],
             config.vocal_movement_low_g, config.vocal_movement_high_g, levels[i],
         ):
-            return STAGE_MOTION_FILTER, ReactionLabel.NON_REACTION
+            return ReactionLabel.NON_REACTION
+        stages[i] = Stage.SOUND_FILTER
         if (config.enable_sound_filter and audio is not None
                 and vocal_sound_prefilter(
                     audio, config.sound_db_threshold, config.db_calibration)):
-            return STAGE_SOUND_FILTER, ReactionLabel.NON_REACTION
+            return ReactionLabel.NON_REACTION
 
+        stages[i] = Stage.CLASSIFIER
         patch = None
         if classifier.needs_patch:
             if audio is None:
@@ -650,41 +617,25 @@ def run_vocal_pipeline(
         label = (relax_rank if config.enable_relaxation else map_labels)(scores, config)
 
         if label.deferred and config.enable_correction:
-            corrected += 1
-            return STAGE_CLASSIFIER, correct_with_music(
+            stages[i] = Stage.CORRECTION
+            return correct_with_music(
                 label, audio, rate, note_track, pitch_tracker,
                 float(i), session.start_offset_in_song + i, config)
-        return STAGE_CLASSIFIER, label.label  # with correction off, candidates stand
+        return label.label  # with correction off, candidates stand
 
-    stages = [STAGE_ERROR] * total
     observed = [ReactionLabel.NON_REACTION] * total
-    errors: dict[int, Error] = {}
+    failures: dict[int, Error] = {}
     for i in range(total):
         try:
-            stages[i], observed[i] = settle(i)
+            observed[i] = settle(i)
         except Error as exc:
-            errors[i] = exc
+            failures[i] = exc
 
-    final = list(observed)
+    labels = observed
     if config.enable_smoothing and hmm is not None:
         window = config.smoothing_window
-        final = [smooth(observed[max(0, i + 1 - window):i + 1], hmm) for i in range(total)]
-
-    return VocalResult(
-        labels=final,
-        observed=observed,
-        events=merge_labels_to_events(final),
-        stats=FilteringStats(
-            total_segments=total,
-            motion_filtered=stages.count(STAGE_MOTION_FILTER),
-            sound_filtered=stages.count(STAGE_SOUND_FILTER),
-            classified=stages.count(STAGE_CLASSIFIER),
-            corrected=corrected,
-            errors=len(errors),
-            stages=stages,
-        ),
-        diagnostics=[f"segment {i}: {errors[i]}" for i in sorted(errors)],
-    )
+        labels = [smooth(observed[max(0, i + 1 - window):i + 1], hmm) for i in range(total)]
+    return CascadeResult(labels, observed, CascadeStats(stages, failures))
 
 
 def preprocess_segment_audio(

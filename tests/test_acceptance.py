@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from musereact import dsp, engage, motion, vocal
+from musereact import core, dsp, engage, motion, vocal
 from musereact.cli import main
 from musereact.core import PipelineConfig, ReactionLabel, VOCAL_STATES
 from musereact.harness import (SyntheticSpec, dtw_oracle, evaluate,
@@ -154,11 +154,12 @@ def test_criterion_05_filtering_ablation():
             truth_all.extend(g.vocal_truth)
             mapped_all.extend(r_map.labels)
             pairs.append((g.vocal_truth, r_full.observed))
-            stats_tot += r_full.stats.total_segments
-            stats_filt += r_full.stats.motion_filtered + r_full.stats.sound_filtered
+            prefilters = (core.Stage.MOTION_FILTER, core.Stage.SOUND_FILTER)
+            stats_tot += len(r_full.stats.stages)
+            stats_filt += r_full.stats.count(*prefilters)
             bad_filtered += sum(
                 1 for i, stage in enumerate(r_full.stats.stages)
-                if stage in (vocal.STAGE_MOTION_FILTER, vocal.STAGE_SOUND_FILTER)
+                if stage in prefilters and i not in r_full.stats.failures
                 and g.vocal_truth[i] is not N)
         hmm = vocal.train_hmm(pairs)
         smoothed = []
@@ -255,8 +256,8 @@ def test_criterion_08_motion_end_to_end():
                 place="office", duration_s=30, script=(), activity=activity,
                 seed=900 + i)
             r = motion.run_motion_pipeline(generate_session(spec).session)
-            total += r.stats.total_seconds
-            filtered += r.stats.prefiltered
+            total += len(r.stats.stages)
+            filtered += r.stats.count(core.Stage.MOTION_FILTER)
     ratio = filtered / total
     elapsed = time.monotonic() - t0
     assert f1 >= 0.8

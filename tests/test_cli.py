@@ -188,8 +188,9 @@ class TestDetect:
             vocal.ScoreFileClassifier.from_file(os.path.join(session_dir, "scores.jsonl")),
             pitch_tracker=vocal.AutocorrelationPitchTracker(),
             note_store=musicinfo.MusicInfoStore.from_dir(tmp_path / "data" / "notes"))
-        assert expected.stats.corrected > 0
-        assert core.load_events_jsonl(out / "sess.vocal.jsonl") == expected.events
+        assert expected.stats.count(core.Stage.CORRECTION) > 0
+        assert core.load_events_jsonl(out / "sess.vocal.jsonl") == (
+            core.merge_labels_to_events(expected.labels))
 
     def test_env_var_supplies_config(self, corpus, monkeypatch):
         tmp_path, data_dir, config_path = corpus
@@ -379,6 +380,21 @@ class TestJsonlReaders:
         err = capsys.readouterr().err
         assert err.startswith(f"musereact detect: error: {scores}: line 2: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("index", [b"1.7", b"1.0", b"true", b'"2"', b"null", b"[1]"])
+    def test_detect_scores_index_must_be_an_integer(self, tmp_path, capsys, index):
+        session = small_session(tmp_path / "data")
+        scores = os.path.join(session, "scores.jsonl")
+        with open(scores, "rb") as fh:
+            first, *rest = fh.read().splitlines(keepends=True)
+        line = (b'{"index": ' + index + b', "classes": ["a", "b", "c", "d", "e"], '
+                b'"scores": [1, 1, 1, 1, 1]}\n')
+        with open(scores, "wb") as fh:
+            fh.write(b"".join([first, line, *rest]))
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {scores}: line 2: index must be an integer\n")
 
     def test_detect_scores_duplicate_class_names(self, tmp_path, capsys):
         session = small_session(tmp_path / "data")
@@ -680,8 +696,10 @@ class TestNonObjectJson:
 class TestMetaJson:
     """``meta.json`` fields that name files or feed arithmetic are checked: exit 2."""
 
-    def _detect_with_meta(self, tmp_path, **fields):
+    def _detect_with_meta(self, tmp_path, without_wav=False, **fields):
         session = small_session(tmp_path / "data")
+        if without_wav:
+            os.remove(os.path.join(session, "audio.wav"))
         meta_path = os.path.join(session, "meta.json")
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -731,10 +749,33 @@ class TestMetaJson:
             f"musereact detect: error: {meta_path}: "
             "start_offset_in_song must be a finite number\n")
 
-    @pytest.mark.parametrize("fields", [{"audio_rate": 1}, {"start_offset_in_song": -2},
+    @pytest.mark.parametrize("fields", [{"audio_rate": 44100}, {"start_offset_in_song": -2},
                                         {"start_offset_in_song": 1.5e308}])
     def test_numbers_in_range_are_accepted(self, tmp_path, fields):
         assert self._detect_with_meta(tmp_path, **fields)[0] == 0
+
+    def test_any_audio_rate_is_accepted_without_audio_wav(self, tmp_path):
+        assert self._detect_with_meta(tmp_path, without_wav=True, audio_rate=1)[0] == 0
+
+    @pytest.mark.parametrize("value", [16000, 44099, 1])
+    def test_audio_rate_must_match_audio_wav(self, tmp_path, capsys, value):
+        """The 44,100 Hz of the session's WAV header against another rate."""
+        code, meta_path, _ = self._detect_with_meta(tmp_path, audio_rate=value)
+        assert code == 2
+        wav = os.path.join(os.path.dirname(meta_path), "audio.wav")
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {meta_path}: audio_rate {value} disagrees with "
+            f"the 44100 Hz of {wav}\n")
+
+    def test_audio_rate_defaults_to_the_wav_rate(self, tmp_path):
+        session = small_session(tmp_path / "data")
+        meta_path = os.path.join(session, "meta.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        del meta["audio_rate"]
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        assert core.load_session_dir(session).audio_rate == 44100
 
 
 class TestAudioWav:

@@ -271,7 +271,7 @@ def test_a_config_that_constructs_runs_both_pipelines(ten_second_session, fields
             gen.session, gen.classifier(), gen.pitch_tracker(),
             musicinfo.MusicInfoStore({"tune": gen.note_track}), hmm, config)
         moved = motion.run_motion_pipeline(gen.session, config=config)
-    assert result.diagnostics == [] and moved.diagnostics == []
+    assert result.stats.failures == {} and moved.stats.failures == {}
 
 
 class TestSessionValidation:

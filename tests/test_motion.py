@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from musereact import dsp, motion
-from musereact.core import ParameterError, PipelineConfig, ReactionLabel
+from musereact.core import (
+    ParameterError,
+    PipelineConfig,
+    ReactionLabel,
+    Stage,
+    merge_labels_to_events,
+)
 from musereact.harness import SyntheticSpec, evaluate, generate_session, lstm_loop_oracle
 from musereact.motion import (
     HeuristicMotionClassifier,
@@ -303,7 +309,7 @@ class TestMotionPipeline:
         result = run_motion_pipeline(generated.session)
         assert result.labels == [N] * 20
         assert result.stats.filtering_ratio == pytest.approx(1.0)
-        assert result.stats.classified == 0
+        assert result.stats.count(Stage.CLASSIFIER) == 0
 
     def test_exercise_session_fully_filtered(self):
         spec = SyntheticSpec(
@@ -322,8 +328,8 @@ class TestMotionPipeline:
         generated = generate_session(spec)
         result = run_motion_pipeline(generated.session)
         assert result.labels == [N] * 5
-        assert result.stats.classified == 0
-        assert result.stats.prefiltered + result.stats.cold_start == 5
+        assert result.stats.count(Stage.CLASSIFIER) == 0
+        assert result.stats.count(Stage.MOTION_FILTER, Stage.COLD_START) == 5
 
     def test_cold_start_seconds_are_non_reaction(self):
         spec = motion_spec(duration_s=30, script=((0, 20, H),), seed=6)
@@ -338,7 +344,7 @@ class TestMotionPipeline:
         report = evaluate(generated.motion_truth, result.labels)
         per_class = {c: m for c, m in report.per_class.items()}
         assert per_class[H].f1 > 0.85
-        assert H in {e.label for e in result.events}
+        assert H in {e.label for e in merge_labels_to_events(result.labels)}
 
     def test_never_emits_vocal_labels(self):
         generated = generate_session(motion_spec(seed=12))
@@ -350,8 +356,8 @@ class TestMotionPipeline:
         generated = generate_session(motion_spec(seed=13))
         result = run_motion_pipeline(generated.session)
         st = result.stats
-        assert st.total_seconds == 45
-        assert st.prefiltered + st.cold_start + st.classified + st.errors == 45
+        assert len(st.stages) == 45
+        assert st.count(Stage.MOTION_FILTER, Stage.COLD_START, Stage.CLASSIFIER) + st.errors == 45
 
     def test_lstm_classifier_plugs_in(self):
         generated = generate_session(motion_spec(duration_s=15, script=((4, 12, H),)))
@@ -364,5 +370,5 @@ class TestMotionPipeline:
         generated = generate_session(motion_spec(duration_s=20, script=((8, 16, H),)))
         config = PipelineConfig().replace(enable_motion_filter=False)
         result = run_motion_pipeline(generated.session, config=config)
-        assert result.stats.prefiltered == 0
-        assert result.stats.classified == 20 - result.stats.cold_start
+        assert result.stats.count(Stage.MOTION_FILTER) == 0
+        assert result.stats.count(Stage.CLASSIFIER) == 20 - result.stats.count(Stage.COLD_START)

@@ -26,6 +26,7 @@ from musereact.core import (
     ReactionLabel,
     SensorSegment,
     Session,
+    Stage,
     second_bounds,
     segment_session,
 )
@@ -36,7 +37,6 @@ from musereact.motion import (
     HeuristicMotionClassifier,
     LstmClassifier,
     LstmWeights,
-    MotionStats,
     SequenceClassifier,
     extract_motion_units,
     motion_prefilter,
@@ -75,73 +75,103 @@ def mask_segments(session):
 
 
 def mask_motion(session, classifier, config):
-    """Oracle: the motion cascade with per-second masks and sample counts."""
+    """Oracle: the motion cascade with per-second masks and sample counts.
+
+    Returns the labels, the stage each second last entered, the hand counts
+    and the message of each failed second."""
     session.validate()
     gyro_filtered = dsp.lowpass_first_order(
         session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz)
     window = WINDOW_SAMPLES
-    stats, labels, diagnostics = MotionStats(), [], []
+    counts = dict.fromkeys(("total", "prefiltered", "cold_start", "classified", "errors"), 0)
+    labels, stages, failures = [], [], {}
     for second in range(int(math.floor(session.duration_s + 1e-9))):
-        stats.total_seconds += 1
+        counts["total"] += 1
         mask = (session.imu_t >= second) & (session.imu_t < second + 1)
         boundary = int(np.count_nonzero(session.imu_t < second + 1))
+        stage, label = Stage.MOTION_FILTER, N
         try:
             if motion_prefilter(session.accel[mask], config.motion_movement_low_g,
                                 config.motion_movement_high_g):
-                stats.prefiltered += 1
-                label = N
+                counts["prefiltered"] += 1
             elif boundary < window:
-                stats.cold_start += 1
-                label = N
+                stage = Stage.COLD_START
+                counts["cold_start"] += 1
             else:
+                stage = Stage.CLASSIFIER
                 units = extract_motion_units(gyro_filtered[boundary - window:boundary])
                 p_head, _ = classifier.classify(units)
-                stats.classified += 1
+                counts["classified"] += 1
                 label = H if p_head > config.motion_decision_threshold else N
         except Error as exc:
-            stats.errors += 1
-            diagnostics.append(f"second {second}: {exc}")
-            label = N
+            counts["errors"] += 1
+            failures[second] = str(exc)
         labels.append(label)
-    return labels, stats, diagnostics
+        stages.append(stage)
+    return labels, stages, counts, failures
+
+
+def assert_motion_record(result, stages, counts, failures):
+    """The pipeline's record equals the oracle's, and its derived counts
+    equal the oracle's hand counts."""
+    record = result.stats
+    assert record.stages == stages
+    assert {i: str(exc) for i, exc in record.failures.items()} == failures
+    assert result.observed is result.labels
+    assert counts == {
+        "total": len(record.stages),
+        "prefiltered": record.count(Stage.MOTION_FILTER),
+        "cold_start": record.count(Stage.COLD_START),
+        "classified": record.count(Stage.CLASSIFIER),
+        "errors": record.errors,
+    }
+    assert record.filtering_ratio == counts["prefiltered"] / counts["total"]
 
 
 def mask_vocal(session, classifier, pitch_tracker, note_track, hmm, config):
     """Oracle: the vocal cascade on mask-cut segments, one public stage
-    function at a time, smoothing each second as it is labeled."""
-    stats, observed, labels, diagnostics = vocal.FilteringStats(), [], [], []
+    function at a time, smoothing each second as it is labeled.
+
+    Returns the labels, the observed labels, the stage each second last
+    entered, the hand counts and the message of each failed second."""
+    counts = dict.fromkeys(("total", "motion_filtered", "sound_filtered", "classified",
+                            "corrected", "errors"), 0)
+    observed, labels, stages, failures = [], [], [], {}
     for segment in mask_segments(session):
-        stats.total_segments += 1
+        counts["total"] += 1
+        stage, label = Stage.MOTION_FILTER, N
         try:
             if vocal.vocal_motion_prefilter(segment.accel, config.vocal_movement_low_g,
                                             config.vocal_movement_high_g):
-                stage, label = vocal.STAGE_MOTION_FILTER, N
-                stats.motion_filtered += 1
-            elif vocal.vocal_sound_prefilter(segment.audio, config.sound_db_threshold,
-                                             config.db_calibration):
-                stage, label = vocal.STAGE_SOUND_FILTER, N
-                stats.sound_filtered += 1
+                counts["motion_filtered"] += 1
             else:
-                patch = dsp.log_mel_patch(vocal.preprocess_segment_audio(
-                    segment.audio, segment.audio_rate, config))
-                deferred = vocal.relax_rank(classifier.classify(patch, segment.index), config)
-                label = deferred.label
-                if deferred.deferred:
-                    stats.corrected += 1
-                    label = vocal.correct_with_music(
-                        deferred, segment.audio, segment.audio_rate, note_track,
-                        pitch_tracker, segment.t_start,
-                        session.start_offset_in_song + segment.t_start, config)
-                stage = vocal.STAGE_CLASSIFIER
-                stats.classified += 1
+                stage = Stage.SOUND_FILTER
+                if vocal.vocal_sound_prefilter(segment.audio, config.sound_db_threshold,
+                                               config.db_calibration):
+                    counts["sound_filtered"] += 1
+                else:
+                    stage = Stage.CLASSIFIER
+                    patch = dsp.log_mel_patch(vocal.preprocess_segment_audio(
+                        segment.audio, segment.audio_rate, config))
+                    deferred = vocal.relax_rank(
+                        classifier.classify(patch, segment.index), config)
+                    label = deferred.label
+                    if deferred.deferred:
+                        stage = Stage.CORRECTION
+                        counts["corrected"] += 1
+                        label = vocal.correct_with_music(
+                            deferred, segment.audio, segment.audio_rate, note_track,
+                            pitch_tracker, segment.t_start,
+                            session.start_offset_in_song + segment.t_start, config)
+                    counts["classified"] += 1
         except Error as exc:
-            stage, label = vocal.STAGE_ERROR, N
-            stats.errors += 1
-            diagnostics.append(f"segment {segment.index}: {exc}")
-        stats.stages.append(stage)
+            label = N
+            counts["errors"] += 1
+            failures[segment.index] = str(exc)
+        stages.append(stage)
         observed.append(label)
         labels.append(vocal.smooth(observed[-config.smoothing_window:], hmm))
-    return labels, observed, stats, diagnostics
+    return labels, observed, stages, counts, failures
 
 
 def _retime(session, imu_t, keep=None):
@@ -236,18 +266,17 @@ def test_motion_equals_oracle(variant):
     name, session = variant
     classifier = HeuristicMotionClassifier()
     result = run_motion_pipeline(session, classifier, CONFIG)
-    labels, stats, diagnostics = mask_motion(session, classifier, CONFIG)
+    labels, stages, counts, failures = mask_motion(session, classifier, CONFIG)
     assert result.labels == labels
-    assert result.stats == stats
-    assert result.diagnostics == diagnostics
+    assert_motion_record(result, stages, counts, failures)
     if name == "gap":
-        assert [d.split(":")[0] for d in diagnostics] == ["second 10", "second 14"]
+        assert sorted(failures) == [10, 14]
     if name == "starts_after_zero":
-        assert diagnostics[0].startswith("second 0:")
+        assert 0 in failures
     if name == "overflowing":
         levels = dsp.movement_levels(session.accel, second_bounds(session))
         assert np.isnan(levels[[12, 20]]).all()
-        assert labels[12] == labels[20] == N and not diagnostics
+        assert labels[12] == labels[20] == N and not failures
 
 
 class RecordingPatchClassifier(vocal.SoundEventClassifier):
@@ -288,23 +317,34 @@ def test_vocal_equals_oracle(variant, generated):
     got_classifier, got_tracker = RecordingPatchClassifier(generated.scores), RecordingTracker()
     got = vocal.run_vocal_pipeline(session, got_classifier, got_tracker, store, HMM, CONFIG)
     classifier, tracker = RecordingPatchClassifier(generated.scores), RecordingTracker()
-    labels, observed, stats, diagnostics = mask_vocal(
+    labels, observed, stages, counts, failures = mask_vocal(
         session, classifier, tracker, generated.note_track, HMM, CONFIG)
     assert got.labels == labels
     assert got.observed == observed
-    assert got.stats == stats
-    assert got.diagnostics == diagnostics
+    record = got.stats
+    assert record.stages == stages
+    assert {i: str(exc) for i, exc in record.failures.items()} == failures
+    assert counts == {
+        "total": len(record.stages),
+        "motion_filtered": record.count(Stage.MOTION_FILTER),
+        "sound_filtered": record.count(Stage.SOUND_FILTER),
+        "classified": record.count(Stage.CLASSIFIER, Stage.CORRECTION),
+        "corrected": record.stages.count(Stage.CORRECTION),
+        "errors": record.errors,
+    }
+    assert record.filtering_ratio == (
+        (counts["motion_filtered"] + counts["sound_filtered"]) / counts["total"])
     assert sorted(got_classifier.patches) == sorted(classifier.patches)
     for index, patch in classifier.patches.items():
         np.testing.assert_array_equal(got_classifier.patches[index], patch)
-    assert len(got_tracker.calls) == len(tracker.calls) == stats.corrected > 0
+    assert len(got_tracker.calls) == len(tracker.calls) == counts["corrected"] > 0
     for (got_t, got_rate, got_audio), (t, rate, audio) in zip(got_tracker.calls, tracker.calls):
         assert (got_t, got_rate) == (t, rate)
         np.testing.assert_array_equal(got_audio, audio)
-    assert stats.motion_filtered and stats.sound_filtered and stats.classified
+    assert counts["motion_filtered"] and counts["sound_filtered"] and counts["classified"]
     assert labels != observed
     if name == "gap":
-        assert [d.split(":")[0] for d in diagnostics] == ["segment 10", "segment 14"]
+        assert sorted(failures) == [10, 14]
 
 
 def steady_session(classified, gap_at=None):
@@ -373,16 +413,14 @@ def test_motion_blocks_equal_per_second_oracle(classified, kind):
             for s in chosen])
 
     result = run_motion_pipeline(session, classifier, CONFIG)
-    labels, stats, diagnostics = mask_motion(session, classifier, CONFIG)
+    labels, stages, counts, failures = mask_motion(session, classifier, CONFIG)
     assert result.labels == labels
-    assert result.stats == stats
-    assert result.diagnostics == diagnostics
+    assert_motion_record(result, stages, counts, failures)
     if kind == "lstm":
         full, rest = divmod(classified, MOTION_BLOCK)
         assert classifier.blocks == [MOTION_BLOCK] * full + [rest] * (rest > 0)
     if kind == "raising":
-        assert [d.split(":")[0] for d in diagnostics] == [
-            f"second {second}" for second in sorted([gap_at, *chosen])]
-        assert stats.classified == classified - len(chosen)
+        assert sorted(failures) == sorted([gap_at, *chosen])
+        assert counts["classified"] == classified - len(chosen)
     if classified > 20:
         assert H in labels[6:] and N in labels[6:]

@@ -15,7 +15,9 @@ from musereact.core import (
     PipelineConfig,
     PipelineLabel,
     ReactionLabel,
+    Stage,
     VOCAL_STATES,
+    merge_labels_to_events,
 )
 from musereact.dsp import UNVOICED
 from musereact.harness import (
@@ -633,7 +635,7 @@ class TestVocalPipeline:
         )
         report = evaluate(generated.vocal_truth, result.labels)
         assert report.macro_f1 > 0.85
-        labels_in_events = {e.label for e in result.events}
+        labels_in_events = {e.label for e in merge_labels_to_events(result.labels)}
         assert S in labels_in_events and W in labels_in_events
 
     def test_correction_enabled_requires_tracker_and_store(self):
@@ -676,7 +678,8 @@ class TestVocalPipeline:
         )
         assert result.labels[7] is N
         assert result.stats.errors == 1
-        assert any("segment 7" in d for d in result.diagnostics)
+        assert list(result.stats.failures) == [7]
+        assert result.stats.stages[7] == Stage.CLASSIFIER
 
     def test_stats_account_for_every_segment(self):
         generated = generate_session(singing_spec(seed=21))
@@ -688,11 +691,11 @@ class TestVocalPipeline:
             config=config,
         )
         st = result.stats
-        assert st.total_segments == 30
+        stages = (Stage.MOTION_FILTER, Stage.SOUND_FILTER, Stage.CLASSIFIER, Stage.CORRECTION)
         assert len(st.stages) == 30
-        assert st.motion_filtered + st.sound_filtered + st.classified + st.errors == 30
+        assert st.count(*stages) + st.errors == 30
         assert st.filtering_ratio == pytest.approx(
-            (st.motion_filtered + st.sound_filtered) / 30)
+            st.count(Stage.MOTION_FILTER, Stage.SOUND_FILTER) / 30)
 
     def test_never_emits_head_motion(self):
         generated = generate_session(singing_spec(seed=33))
