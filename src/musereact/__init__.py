@@ -8,7 +8,8 @@ those reactions into engagement signals.
 ## What's inside
 
 - `musereact.core` -- the shared data model: sessions, one-second segments,
-  reaction labels/events, the pipeline configuration, on-disk formats.
+  reaction labels/events, the per-second record of a cascade run, the
+  pipeline configuration, on-disk formats.
 - `musereact.dsp` -- signal primitives: movement/sound levels, first-order
   low-pass, polyphase resampling, 96x64 log-mel patches, pitch-class
   (chroma) conversion and DTW over chroma sequences.

@@ -135,9 +135,10 @@ def _stats_section(name: str, record: core.CascadeStats) -> dict:
     """The ``stats.json`` section of cascade ``name``, derived from its record."""
     word, total_key, counts = _STATS_JSON[name]
     section = {key: record.count(*stages) for key, stages in counts.items()}
+    failures = sorted(record.failures.items())
     section.update({total_key: len(record.stages), "errors": record.errors,
-                    "filtering_ratio": record.filtering_ratio, "diagnostics": [
-                        f"{word} {i}: {record.failures[i]}" for i in sorted(record.failures)]})
+                    "filtering_ratio": record.filtering_ratio,
+                    "diagnostics": [f"{word} {i}: {exc}" for i, exc in failures]})
     if name == "vocal":  # corrected counts failed seconds; stages show them as errors
         section["corrected"] = record.stages.count(Stage.CORRECTION)
         section["stages"] = ["error" if i in record.failures else

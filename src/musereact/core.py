@@ -170,10 +170,8 @@ class CascadeStats:
 
     @property
     def filtering_ratio(self) -> float:
-        """Fraction of seconds a prefilter settled, so no classifier ran."""
-        if not self.stages:
-            return 0.0
-        return self.count(Stage.MOTION_FILTER, Stage.SOUND_FILTER) / len(self.stages)
+        """Fraction of seconds a prefilter settled, so no classifier ran (0 for none)."""
+        return self.count(Stage.MOTION_FILTER, Stage.SOUND_FILTER) / max(len(self.stages), 1)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,7 @@ def test_criterion_05_filtering_ablation():
     map_cfg = PipelineConfig().replace(
         enable_relaxation=False, enable_correction=False, enable_smoothing=False)
     worst_gap, worst_ratio = np.inf, np.inf
+    prefilters = (core.Stage.MOTION_FILTER, core.Stage.SOUND_FILTER)
     for seed in range(10):
         specs = make_vocal_corpus(num_sessions=30, place="cafe", base_seed=seed)
         truth_all, mapped_all = [], []
@@ -154,7 +155,6 @@ def test_criterion_05_filtering_ablation():
             truth_all.extend(g.vocal_truth)
             mapped_all.extend(r_map.labels)
             pairs.append((g.vocal_truth, r_full.observed))
-            prefilters = (core.Stage.MOTION_FILTER, core.Stage.SOUND_FILTER)
             stats_tot += len(r_full.stats.stages)
             stats_filt += r_full.stats.count(*prefilters)
             bad_filtered += sum(

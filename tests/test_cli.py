@@ -381,49 +381,41 @@ class TestJsonlReaders:
         assert err.startswith(f"musereact detect: error: {scores}: line 2: ")
         assert len(err.splitlines()) == 1
 
+    @staticmethod
+    def detect_with_line_2(tmp_path, capsys, line):
+        """Exit code and stderr of a vocal ``detect`` whose ``scores.jsonl``
+        has ``line`` put in as line 2, with the expected error prefix."""
+        session = small_session(tmp_path / "data")
+        scores = os.path.join(session, "scores.jsonl")
+        with open(scores, "rb") as fh:
+            first, *rest = fh.read().splitlines(keepends=True)
+        with open(scores, "wb") as fh:
+            fh.write(b"".join([first, line, *rest]))
+        code = main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err, f"musereact detect: error: {scores}: line 2: "
+
     @pytest.mark.parametrize("index", [b"1.7", b"1.0", b"true", b'"2"', b"null", b"[1]"])
     def test_detect_scores_index_must_be_an_integer(self, tmp_path, capsys, index):
-        session = small_session(tmp_path / "data")
-        scores = os.path.join(session, "scores.jsonl")
-        with open(scores, "rb") as fh:
-            first, *rest = fh.read().splitlines(keepends=True)
-        line = (b'{"index": ' + index + b', "classes": ["a", "b", "c", "d", "e"], '
-                b'"scores": [1, 1, 1, 1, 1]}\n')
-        with open(scores, "wb") as fh:
-            fh.write(b"".join([first, line, *rest]))
-        assert main(["detect", "--session", session, "--pipeline", "vocal",
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"musereact detect: error: {scores}: line 2: index must be an integer\n")
+        code, err, where = self.detect_with_line_2(tmp_path, capsys, (
+            b'{"index": ' + index + b', "classes": ["a", "b", "c", "d", "e"], '
+            b'"scores": [1, 1, 1, 1, 1]}\n'))
+        assert code == 2
+        assert err == where + "index must be an integer\n"
 
     def test_detect_scores_duplicate_class_names(self, tmp_path, capsys):
-        session = small_session(tmp_path / "data")
-        scores = os.path.join(session, "scores.jsonl")
-        with open(scores, "rb") as fh:
-            first, *rest = fh.read().splitlines(keepends=True)
-        line = (b'{"index": 9, "classes": ["a", "b", "a", "d", "e"], '
-                b'"scores": [1, 1, 1, 1, 1]}\n')
-        with open(scores, "wb") as fh:
-            fh.write(b"".join([first, line, *rest]))
-        assert main(["detect", "--session", session, "--pipeline", "vocal",
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"musereact detect: error: {scores}: line 2: class names must be unique\n")
+        code, err, where = self.detect_with_line_2(tmp_path, capsys, (
+            b'{"index": 9, "classes": ["a", "b", "a", "d", "e"], '
+            b'"scores": [1, 1, 1, 1, 1]}\n'))
+        assert code == 2
+        assert err == where + "class names must be unique\n"
 
     def test_detect_scores_overflowing_sum(self, tmp_path, capsys):
-        session = small_session(tmp_path / "data")
-        scores = os.path.join(session, "scores.jsonl")
-        with open(scores, "rb") as fh:
-            first, *rest = fh.read().splitlines(keepends=True)
-        line = (b'{"index": 9, "classes": ["a", "b", "c", "d", "e"], '
-                b'"scores": [1e308, 1e308, 1e308, 1e308, 1e308]}\n')
-        with open(scores, "wb") as fh:
-            fh.write(b"".join([first, line, *rest]))
-        assert main(["detect", "--session", session, "--pipeline", "vocal",
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"musereact detect: error: {scores}: line 2: "
-            "scores must have a finite sum > 0, got inf\n")
+        code, err, where = self.detect_with_line_2(tmp_path, capsys, (
+            b'{"index": 9, "classes": ["a", "b", "c", "d", "e"], '
+            b'"scores": [1e308, 1e308, 1e308, 1e308, 1e308]}\n'))
+        assert code == 2
+        assert err == where + "scores must have a finite sum > 0, got inf\n"
 
 
 class TestEventEndBound:
