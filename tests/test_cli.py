@@ -262,6 +262,105 @@ class TestStatsJson:
         assert hashlib.sha256(data).hexdigest() == self.SHA256
 
 
+class TestArtifactBytes:
+    """The sha256 of every file the CLI writes, end to end: ``simulate`` on a
+    cafe session with every reaction and a still session, then ``detect`` in
+    both output modes, ``train-hmm``, ``eval --stats`` and ``recommend``.
+    A refactor must leave them unchanged; a different numpy or scipy build
+    may move them and needs them re-recorded."""
+
+    SPEC = {"sessions": [
+        {"session_id": "cafe", "subject_id": "u0", "song_id": "tune", "place": "cafe",
+         "duration_s": 30, "start_offset_in_song": 3, "script": [
+             [2, 9, "singing_humming"], [11, 19, "head_motion"], [21, 27, "whistling"]]},
+        {"session_id": "still", "subject_id": "u1", "song_id": "tune", "place": "lounge",
+         "activity": "still", "duration_s": 12},
+    ]}
+
+    SHA256 = {
+        "data/cafe/audio.wav":
+            "ab7e5390e91052ac68b0620bdb95d58658d69328c4307f4e3e96824846e51693",
+        "data/cafe/imu.csv":
+            "3ffe14a589515502ae6f29ebb431fa0e92cbfe0a933e4fe23bf5bc2783330d75",
+        "data/cafe/labels.csv":
+            "d2f7eeab4526144ad5e82b63df4f48ff5530a534a9bf62ef6d10ebfc4f878a67",
+        "data/cafe/meta.json":
+            "89e5a94ff2bc79ae87e572d704e5fbb4038c1ee875dbf2c0fe146590ed1e967d",
+        "data/cafe/pitch.csv":
+            "fdc7fe7554b63b427ae70073ce6eda89ae61f2b2d702b6a6e75b1e75a906c1a9",
+        "data/cafe/scores.jsonl":
+            "ed9d06ba916f107d18b5048e65d25eabbdfa68e658e2fdf650494a1c3edcc9df",
+        "data/notes/tune.csv":
+            "afd152711ef465a56c0242ec3d82c11791bd8381e7fb4c23303d57bee060e02f",
+        "data/still/audio.wav":
+            "f219320d2044786185c1a3fc1b92f6459a826bb3603bfe87b93d238ed15c9577",
+        "data/still/imu.csv":
+            "7615d97c217f75a2d3727cabe0b383f7853ceecc470e15674d0afe2d4ede37f4",
+        "data/still/labels.csv":
+            "7ee7a9eb6056e4c9a2272d5f94103d4f14b7b4d66757ae2625d393f161da8c2e",
+        "data/still/meta.json":
+            "b5d5fe84b5e7bb66b797a33227d81a548b7a361e95677a267353469bfcd2a6cb",
+        "data/still/pitch.csv":
+            "aa8384ef30ddd122986ef962527c0a47cd8e19a9103ed3af2f8d0f3956968d56",
+        "data/still/scores.jsonl":
+            "b44a153d550d325862cde72a035d923544c2c6d4b46fc3506350e5d0a9351ede",
+        "hmm.json":
+            "eeeecf6e985b2645daa88115f707678725f6d237e69c8eb842184518c44e742e",
+        "out/cafe.combined.jsonl":
+            "d4272c09e833d04ac08147250630a24532f1fa884e2782a63fe92899b6cb64fe",
+        "out/cafe.motion.jsonl":
+            "53abf3115f7a784e612f7658bd369e35ab2c2ec9d3041fb23bca157676e5a777",
+        "out/cafe.stats.json":
+            "801b1445f6a0a3daa1b0aef4708877cd540b01cf129a65ba6d0c2ef916910287",
+        "out/cafe.vocal.jsonl":
+            "1b830067c691b5b8499edf50d35c6f1652a82085580d27d31d5ff7457c9a85a3",
+        "out/still.combined.jsonl":
+            "e2c1d9fccf50b42d03223f995904ffe5e4a8a1f4fe2d3226b6e34b9c91c41971",
+        "out/still.motion.jsonl":
+            "e2c1d9fccf50b42d03223f995904ffe5e4a8a1f4fe2d3226b6e34b9c91c41971",
+        "out/still.stats.json":
+            "c41259013da2e6ae620f75092d817d52ebb1648c5b0dc799b9d9961db7ca7c97",
+        "out/still.vocal.jsonl":
+            "e2c1d9fccf50b42d03223f995904ffe5e4a8a1f4fe2d3226b6e34b9c91c41971",
+        "report.json":
+            "607da651e0460cbc3e501762df535ebb513d865d876aeeb43739782d2dcf871f",
+        "single/cafe.jsonl":
+            "d4272c09e833d04ac08147250630a24532f1fa884e2782a63fe92899b6cb64fe",
+    }
+    RECOMMEND_SHA256 = "91753b08f31c9025fbce7a56d7fcba1daa59f1406bebcb1a8a439992d1ef92d4"
+
+    def test_every_written_file_has_the_recorded_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("MUSEREACT_CONFIG", raising=False)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.SPEC))
+        data, out, pool = tmp_path / "data", tmp_path / "out", tmp_path / "pool"
+        hmm, report = tmp_path / "hmm.json", tmp_path / "report.json"
+        single = tmp_path / "single" / "cafe.jsonl"
+        for argv in (
+            ["simulate", "--spec", str(spec), "--seed", "7", "--out", str(data)],
+            ["detect", "--data", str(data), "--out", str(out)],
+            ["detect", "--session", str(data / "cafe"), "--out", str(single)],
+            ["train-hmm", "--data", str(data), "--out", str(hmm)],
+            ["eval", "--pred", str(out / "cafe.vocal.jsonl"), "--task", "vocal",
+             "--truth", str(data / "cafe" / "labels.csv"),
+             "--stats", str(out / "cafe.stats.json"), "--report", str(report)],
+        ):
+            assert main(argv) == 0, argv
+        pool.mkdir()
+        for name in ("vocal", "motion", "combined"):
+            shutil.copy(out / f"cafe.{name}.jsonl", pool / f"{name}.jsonl")
+        capsys.readouterr()
+        assert main(["recommend", "--pattern", str(single), "--pool", str(pool)]) == 0
+        stdout = capsys.readouterr().out.encode()
+
+        written = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.rglob("*"))
+            if path.is_file() and path != spec and path.parent != pool}
+        assert written == self.SHA256
+        assert hashlib.sha256(stdout).hexdigest() == self.RECOMMEND_SHA256
+
+
 class TestEval:
     def run_detect(self, corpus, pipeline="vocal"):
         tmp_path, data_dir, config_path = corpus
