@@ -96,15 +96,20 @@ def _notes_dir_for(session_dir: str, explicit: str | None) -> str | None:
     return candidate if os.path.isdir(candidate) else None
 
 
-def _vocal_inputs(session_dir: str, config: PipelineConfig, notes_dir: str | None):
-    """The vocal pipeline's inputs for one session directory.
+def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfig,
+                  notes_dir: str | None):
+    """The vocal pipeline's inputs for one loaded session directory.
 
     Returns the replayed classifier, the pitch tracker (``pitch.csv`` replayed,
     else :class:`vocal.AutocorrelationPitchTracker` on the session audio) and,
     when correction is enabled, the note store (else None).
     """
-    classifier = vocal.ScoreFileClassifier.from_file(
-        os.path.join(session_dir, "scores.jsonl"))
+    path = os.path.join(session_dir, "scores.jsonl")
+    scores = vocal.load_score_file(path)
+    count = len(core.second_bounds(session)) - 1
+    if max(scores, default=-1) >= count:
+        raise core.ParseError(
+            f"{path}: index {max(scores)} is outside the session's {count} whole seconds")
     pitch_path = os.path.join(session_dir, "pitch.csv")
     tracker = (vocal.FilePitchTracker.from_file(pitch_path)
                if os.path.exists(pitch_path) else vocal.AutocorrelationPitchTracker())
@@ -116,7 +121,7 @@ def _vocal_inputs(session_dir: str, config: PipelineConfig, notes_dir: str | Non
                 f"{session_dir}: correction is enabled but no note-track "
                 f"directory was found (use --notes)")
         store = musicinfo.MusicInfoStore.from_dir(notes)
-    return classifier, tracker, store
+    return vocal.ScoreFileClassifier(scores), tracker, store
 
 
 #: Each cascade's ``stats.json`` section: the word its diagnostics use for a
@@ -160,7 +165,7 @@ def _detect_one(session_dir: str, *, pipeline: str, config: PipelineConfig,
     session = core.load_session_dir(session_dir)
     results = {}
     if pipeline in ("vocal", "both"):
-        classifier, tracker, store = _vocal_inputs(session_dir, config, notes_dir)
+        classifier, tracker, store = _vocal_inputs(session_dir, session, config, notes_dir)
         results["vocal"] = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker,
             note_store=store, hmm=hmm, config=config)
@@ -273,7 +278,7 @@ def _cmd_train_hmm(args) -> int:
     pairs = []
     for session_dir in dirs:
         session = core.load_session_dir(session_dir)
-        classifier, tracker, store = _vocal_inputs(session_dir, config, args.notes)
+        classifier, tracker, store = _vocal_inputs(session_dir, session, config, args.notes)
         result = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker, note_store=store,
             config=config)

@@ -188,16 +188,41 @@ class CascadeResult:
 # configuration
 # ---------------------------------------------------------------------------
 
-#: JSON form of each config field type: (description, check, conversion).
-#: ``type(...)`` rather than ``isinstance`` so booleans are not numbers.
+#: JSON form of each config or corpus-spec field type: (description, check,
+#: conversion).  ``type(...)`` rather than ``isinstance`` so booleans are not numbers.
 _JSON_FIELD_TYPES = {
     "float": ("a number", lambda v: type(v) in (int, float), float),
     "int": ("an integer", lambda v: type(v) is int, int),
     "bool": ("true or false", lambda v: type(v) is bool, bool),
+    "str": ("a string", lambda v: type(v) is str, str),
     "tuple[str, ...]": ("a list of names",
                         lambda v: type(v) is list and all(type(n) is str for n in v),
                         tuple),
+    "tuple[tuple[int, int, ReactionLabel], ...]": (
+        "a list of [start, end, label] spans with integer bounds",
+        lambda v: type(v) is list and all(
+            type(span) is list and [type(x) for x in span] == [int, int, str] for span in v),
+        lambda v: tuple((t0, t1, ReactionLabel(label)) for t0, t1, label in v)),
 }
+
+
+def json_fields(cls, raw: dict, kind: str) -> dict:
+    """The fields of dataclass ``cls`` that JSON object ``raw`` gives; a key of
+    no field or a value not of its field's JSON type raises :class:`ConfigError`."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {kind} keys: {', '.join(unknown)}")
+    values = {}
+    for name, value in raw.items():
+        what, accepts, convert = _JSON_FIELD_TYPES[types[name]]
+        if not accepts(value):
+            raise ConfigError(f"{name} must be {what}")
+        try:
+            values[name] = convert(value)
+        except OverflowError:  # a JSON integer beyond float range
+            raise ConfigError(f"{name} must be finite") from None
+    return values
 
 
 @dataclass(frozen=True)
@@ -297,20 +322,7 @@ class PipelineConfig:
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """A config from a JSON object's fields; an unknown key or a value not
         of its field's JSON type raises :class:`ConfigError`."""
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - set(types))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = {}
-        for name, value in raw.items():
-            what, accepts, convert = _JSON_FIELD_TYPES[types[name]]
-            if not accepts(value):
-                raise ConfigError(f"{name} must be {what}")
-            try:
-                values[name] = convert(value)
-            except OverflowError:  # a JSON integer beyond float range
-                raise ConfigError(f"{name} must be finite") from None
-        return cls(**values)
+        return cls(**json_fields(cls, raw, "config"))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PipelineConfig":
@@ -383,27 +395,20 @@ class Session:
                 raise ParameterError("audio contains non-finite values")
             if self.audio_rate <= 0:
                 raise ParameterError("audio_rate must be positive")
-            imu_span = float(self.imu_t[-1] - self.imu_t[0]) + step  # = imu_span()
-            skew = abs(self.audio_span() - imu_span)
+            imu_span = float(self.imu_t[-1] - self.imu_t[0]) + step
+            skew = abs(len(self.audio) / self.audio_rate - imu_span)
             if skew > STREAM_ALIGNMENT_TOLERANCE_S:
                 raise AlignmentError(
                     f"audio and IMU spans disagree by {skew:.2f} s "
                     f"(> {STREAM_ALIGNMENT_TOLERANCE_S:.0f} s)"
                 )
 
-    def imu_span(self) -> float:
-        dt = np.diff(self.imu_t)
-        return float(self.imu_t[-1] - self.imu_t[0] + np.median(dt))
-
-    def audio_span(self) -> float:
-        if self.audio is None:
-            raise InsufficientDataError("session has no audio stream")
-        return len(self.audio) / self.audio_rate
-
     @property
     def duration_s(self) -> float:
         """Session length in seconds (audio span when audio is present)."""
-        return self.audio_span() if self.audio is not None else self.imu_span()
+        if self.audio is not None:
+            return len(self.audio) / self.audio_rate
+        return float(self.imu_t[-1] - self.imu_t[0] + np.median(np.diff(self.imu_t)))
 
 
 def _all_finite(x: np.ndarray) -> bool:

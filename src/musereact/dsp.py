@@ -1,10 +1,9 @@
 """Signal primitives shared by the detection pipelines.
 
-Everything here is a pure function of numpy arrays: movement/sound level
-estimates used by the early-exit prefilters, the audio front end for the
-sound-event classifier (resample, first-order low-pass, 96x64 log-mel
-patch), pitch-to-chroma conversion, and dynamic time warping over chroma
-sequences with an explicit unvoiced symbol.
+Everything here is a pure function of numpy arrays: movement/sound levels
+and the one-pass movement prefilter, the audio front end for the sound-event
+classifier (resample, first-order low-pass, 96x64 log-mel patch), chroma from
+pitch, and dynamic time warping over chroma sequences with an unvoiced symbol.
 """
 
 from __future__ import annotations
@@ -40,6 +39,9 @@ PATCH_FRAMES = 96
 # prefilter levels
 # ---------------------------------------------------------------------------
 
+_TOO_FEW_SAMPLES = "movement level needs at least 2 samples"
+
+
 def movement_level(accel: np.ndarray) -> float:
     """Population standard deviation of the acceleration magnitude, in g.
 
@@ -51,7 +53,7 @@ def movement_level(accel: np.ndarray) -> float:
     if accel.ndim != 2 or accel.shape[1] != 3:
         raise ParameterError(f"accel must be (n, 3), got {accel.shape}")
     if accel.shape[0] < 2:
-        raise InsufficientDataError("movement level needs at least 2 samples")
+        raise InsufficientDataError(_TOO_FEW_SAMPLES)
     return float(movement_levels(accel, [0, accel.shape[0]])[0])
 
 
@@ -71,6 +73,17 @@ def movement_levels(accel: np.ndarray, bounds) -> np.ndarray:
         rows = np.flatnonzero(counts == n)
         levels[rows] = np.std(magnitude[starts[rows, None] + np.arange(n)], axis=1)
     return levels
+
+
+def movement_filter(accel: np.ndarray, bounds, low_g: float, high_g: float) -> tuple:
+    """Both cascades' movement prefilter over the :func:`movement_levels` table:
+    ``settled[i]`` when slice ``i``'s level is NaN or outside ``[low_g, high_g]``,
+    and ``failures`` maps each slice of 0 or 1 samples to its error."""
+    levels = movement_levels(accel, bounds)
+    settled = ~((low_g <= levels) & (levels <= high_g))
+    failures = {i: InsufficientDataError(_TOO_FEW_SAMPLES)
+                for i in np.flatnonzero(np.diff(bounds) < 2).tolist()}
+    return settled, failures
 
 
 def sound_level_db(audio: np.ndarray,

@@ -8,7 +8,7 @@ leave-one-subject-out fold splitter for the engagement studies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class EvalReport:
     accuracy: float
     confusion: np.ndarray  # rows: truth, columns: prediction
     filtering_ratio: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -75,7 +74,6 @@ class EvalReport:
         }
         if self.filtering_ratio is not None:
             out["filtering_ratio"] = self.filtering_ratio
-        out.update(self.extras)
         return out
 
     def to_json(self) -> str:

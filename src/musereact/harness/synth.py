@@ -27,12 +27,14 @@ from ..core import (
     AUDIO_RATE_HZ,
     IMU_RATE_HZ,
     MAX_SESSION_S,
+    ConfigError,
     ParameterError,
     ParseError,
     ReactionEvent,
     ReactionLabel,
     Session,
     is_plain_file_name,
+    json_fields,
     merge_labels_to_events,
     save_labels,
     save_session_dir,
@@ -598,9 +600,9 @@ def parse_corpus_spec(obj: dict, base_seed: int = 0) -> list[SyntheticSpec]:
     """Turn a corpus-description JSON object into session specs.
 
     Layout: ``{"sessions": [{"session_id", "subject_id", "song_id", "place",
-    "duration_s", "script": [[t0, t1, label], ...], ...}]}``.  Sessions
-    without an explicit ``seed`` get one derived from ``base_seed`` and
-    their position.
+    "duration_s", "script": [[t0, t1, label], ...], ...}]}``: typed
+    :class:`SyntheticSpec` fields (:func:`core.json_fields`), defaulting to the
+    spec's own, with ids and ``seed`` derived from the position and ``base_seed``.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("sessions"), list):
         raise ParseError("corpus spec must be an object with a 'sessions' list")
@@ -609,23 +611,12 @@ def parse_corpus_spec(obj: dict, base_seed: int = 0) -> list[SyntheticSpec]:
         if not isinstance(raw, dict):
             raise ParseError(f"corpus spec, session {i}: expected a JSON object")
         try:
-            script = tuple(
-                (int(t0), int(t1), ReactionLabel(label))
-                for t0, t1, label in raw.get("script", ())
-            )
-            spec = SyntheticSpec(
-                session_id=str(raw.get("session_id", f"s{i:03d}")),
-                subject_id=str(raw.get("subject_id", f"subj{i:02d}")),
-                song_id=str(raw.get("song_id", f"song{i:02d}")),
-                place=str(raw.get("place", "lounge")),
-                duration_s=int(raw.get("duration_s", 45)),
-                script=script,
-                activity=str(raw.get("activity", "sedentary")),
-                start_offset_in_song=int(raw.get("start_offset_in_song", 0)),
-                seed=int(raw["seed"]) if "seed" in raw else base_seed * 100003 + i,
-            )
+            spec = SyntheticSpec(**{
+                "session_id": f"s{i:03d}", "subject_id": f"subj{i:02d}",
+                "song_id": f"song{i:02d}", "seed": base_seed * 100003 + i,
+                **json_fields(SyntheticSpec, raw, "session")})
             spec.validate()
-        except (TypeError, ValueError, OverflowError, KeyError) as exc:  # ParameterError too
+        except (ConfigError, ValueError) as exc:  # ParameterError too
             raise ParseError(f"corpus spec, session {i}: {exc}") from None
         specs.append(spec)
     if not specs:

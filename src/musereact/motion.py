@@ -1,6 +1,7 @@
 """Rhythmic head-motion detection from the earbud gyroscope.
 
-The pipeline mirrors the vocal cascade's shape: a movement prefilter drops
+The pipeline mirrors the vocal cascade's shape: a movement prefilter, one
+:func:`dsp.movement_filter` pass over the session's level table, drops
 seconds that are clearly still or exercise-level, then a sliding seven-second
 gyro window (low-passed at 5 Hz) is summarized into 70 motion units x 18
 statistical features and scored by a sequence classifier.  Each window labels
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -57,20 +57,16 @@ _MAX_LAG = 12
 
 def motion_prefilter(
     accel: np.ndarray, low_g: float = PipelineConfig.motion_movement_low_g,
-    high_g: float = PipelineConfig.motion_movement_high_g, level: float = math.nan,
+    high_g: float = PipelineConfig.motion_movement_high_g,
 ) -> bool:
     """True when movement level rules the second out (closed pass interval).
 
     Below ``low_g`` the wearer is too still to be moving along with music;
     above ``high_g`` the motion is exercise-scale rather than a listening
-    reaction.  Boundary values pass.  ``level`` is the second's entry of
-    :func:`dsp.movement_levels` when the caller has one; NaN (the default,
-    and the table's entry for a slice it cannot level) computes it from
-    ``accel``.
+    reaction.  Boundary values pass.  Per slice; :func:`run_motion_pipeline`
+    settles every second at once with :func:`dsp.movement_filter`.
     """
-    if math.isnan(level):
-        level = dsp.movement_level(accel)
-    return not low_g <= level <= high_g
+    return not low_g <= dsp.movement_level(accel) <= high_g
 
 
 def extract_motion_units(gyro: np.ndarray) -> np.ndarray:
@@ -343,21 +339,13 @@ def run_motion_pipeline(
     )
 
     bounds = second_bounds(session)
-    levels = dsp.movement_levels(session.accel, bounds)
-    stages = [Stage.MOTION_FILTER] * (len(bounds) - 1)
-    failures: dict[int, Error] = {}
-    for second, (start, boundary) in enumerate(zip(bounds, bounds[1:])):
-        try:
-            if config.enable_motion_filter and motion_prefilter(
-                session.accel[start:boundary],
-                config.motion_movement_low_g, config.motion_movement_high_g,
-                levels[second],
-            ):
-                continue
-        except Error as exc:
-            failures[second] = exc
-            continue
-        stages[second] = Stage.CLASSIFIER if boundary >= WINDOW_SAMPLES else Stage.COLD_START
+    settled, failures = [False] * (len(bounds) - 1), {}
+    if config.enable_motion_filter:
+        settled, failures = dsp.movement_filter(
+            session.accel, bounds, config.motion_movement_low_g, config.motion_movement_high_g)
+    stages = [Stage.MOTION_FILTER if out else
+              Stage.CLASSIFIER if boundary >= WINDOW_SAMPLES else Stage.COLD_START
+              for out, boundary in zip(settled, bounds[1:])]
 
     labels = [ReactionLabel.NON_REACTION] * len(stages)
     pending = [second for second, stage in enumerate(stages) if stage == Stage.CLASSIFIER]

@@ -20,9 +20,9 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
 6. HMM smoothing -- a Viterbi decode over the trailing ``smoothing_window``
    observations removes isolated flips.
 
-``run_vocal_pipeline`` walks the session's second table once and records, in
-a :class:`core.CascadeStats`, the last stage each second entered and each
-failure; each stage is also exposed on its own.
+``run_vocal_pipeline`` settles stage 1 in one pass over the level table, then
+walks the rest from stage 2, recording in a :class:`core.CascadeStats` the last
+stage each second entered and each failure; each stage is also exposed alone.
 """
 
 from __future__ import annotations
@@ -151,6 +151,8 @@ def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
             index = obj["index"]
             if type(index) is not int:  # not a float, bool or string
                 raise ValueError("index must be an integer")
+            if index < 0:
+                raise ValueError("index must be >= 0")
             names = [str(n) for n in obj["classes"]]
             raw = np.asarray(obj["scores"], dtype=float)
             if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
@@ -296,20 +298,16 @@ class AutocorrelationPitchTracker(PitchTracker):
 
 def vocal_motion_prefilter(
     accel: np.ndarray, low_g: float = PipelineConfig.vocal_movement_low_g,
-    high_g: float = PipelineConfig.vocal_movement_high_g, level: float = math.nan,
+    high_g: float = PipelineConfig.vocal_movement_high_g,
 ) -> bool:
-    """True when the movement level rules out a vocal reaction.
+    """True when the movement level of one second rules out a vocal reaction.
 
     Passing (False) requires the level to sit inside ``[low_g, high_g]``,
     boundaries included: too still means no one is singing, too violent
-    means exercise-scale motion.  ``level`` is the second's entry of
-    :func:`dsp.movement_levels` when the caller has one; NaN (the default,
-    and the table's entry for a slice it cannot level) computes it from
-    ``accel``.
+    means exercise-scale motion.  Per slice; :func:`run_vocal_pipeline` settles
+    every second at once with :func:`dsp.movement_filter`.
     """
-    if math.isnan(level):
-        level = dsp.movement_level(accel)
-    return not low_g <= level <= high_g
+    return not low_g <= dsp.movement_level(accel) <= high_g
 
 
 def vocal_sound_prefilter(
@@ -573,9 +571,9 @@ def run_vocal_pipeline(
     Correction (stage 5) needs both a pitch tracker and a note track for
     ``session.song_id``; enabling it without either raises
     :class:`ConfigError` up front.  Smoothing runs only when a trained
-    ``hmm`` is supplied.  A stage error inside one second downgrades it to
-    ``non_reaction`` and lands in ``stats.failures`` instead of aborting the
-    session.
+    ``hmm`` is supplied, and one lacking a vocal label raises :class:`ConfigError`
+    up front.  A stage error inside one second downgrades it to ``non_reaction``
+    and lands in ``stats.failures`` instead of aborting the session.
     """
     if config.enable_correction:
         if pitch_tracker is None:
@@ -585,22 +583,24 @@ def run_vocal_pipeline(
         note_track = note_store.get(session.song_id)  # ConfigError when missing
     else:
         note_track = None
+    smoothing = config.enable_smoothing and hmm is not None
+    missing = [label for label in VOCAL_STATES if smoothing and label not in hmm.states]
+    if missing:
+        raise ConfigError(f"label {missing[0]} is not an HMM state")
 
     session.validate()
     bounds = second_bounds(session)
-    levels = dsp.movement_levels(session.accel, bounds)
     rate = session.audio_rate
     total = len(bounds) - 1
     stages = [Stage.MOTION_FILTER] * total
+    settled, failures = np.zeros(total, dtype=bool), {}
+    if config.enable_motion_filter:
+        settled, failures = dsp.movement_filter(
+            session.accel, bounds, config.vocal_movement_low_g, config.vocal_movement_high_g)
 
     def settle(i):
-        """Second ``i`` through stages 1-5, entering each in ``stages[i]``."""
+        """Second ``i`` through stages 2-5, entering each in ``stages[i]``."""
         audio = None if session.audio is None else session.audio[i * rate:(i + 1) * rate]
-        if config.enable_motion_filter and vocal_motion_prefilter(
-            session.accel[bounds[i]:bounds[i + 1]],
-            config.vocal_movement_low_g, config.vocal_movement_high_g, levels[i],
-        ):
-            return ReactionLabel.NON_REACTION
         stages[i] = Stage.SOUND_FILTER
         if (config.enable_sound_filter and audio is not None
                 and vocal_sound_prefilter(
@@ -624,15 +624,14 @@ def run_vocal_pipeline(
         return label.label  # with correction off, candidates stand
 
     observed = [ReactionLabel.NON_REACTION] * total
-    failures: dict[int, Error] = {}
-    for i in range(total):
+    for i in np.flatnonzero(~settled).tolist():
         try:
             observed[i] = settle(i)
         except Error as exc:
             failures[i] = exc
 
     labels = observed
-    if config.enable_smoothing and hmm is not None:
+    if smoothing:
         window = config.smoothing_window
         labels = [smooth(observed[max(0, i + 1 - window):i + 1], hmm) for i in range(total)]
     return CascadeResult(labels, observed, CascadeStats(stages, failures))

@@ -502,6 +502,32 @@ class TestJsonlReaders:
         assert code == 2
         assert err == where + "index must be an integer\n"
 
+    def test_detect_scores_index_must_not_be_negative(self, tmp_path, capsys):
+        code, err, where = self.detect_with_line_2(tmp_path, capsys, (
+            b'{"index": -4, "classes": ["a", "b", "c", "d", "e"], '
+            b'"scores": [1, 1, 1, 1, 1]}\n'))
+        assert code == 2
+        assert err == where + "index must be >= 0\n"
+
+    @pytest.mark.parametrize("command", ["detect", "train-hmm"])
+    @pytest.mark.parametrize("index", [3, 99])
+    def test_scores_index_outside_the_session(self, tmp_path, capsys, command, index):
+        """A 3-second session has seconds 0-2; a line for any later second
+        names the file, the index and the count."""
+        session = small_session(tmp_path / "data")
+        scores = os.path.join(session, "scores.jsonl")
+        with open(scores, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"index": index, "classes": ["a", "b", "c", "d", "e"],
+                                 "scores": [1, 1, 1, 1, 1]}) + "\n")
+        argv = {"detect": ["detect", "--session", session, "--pipeline", "vocal",
+                           "--out", str(tmp_path / "out")],
+                "train-hmm": ["train-hmm", "--data", str(tmp_path / "data"),
+                              "--out", str(tmp_path / "hmm.json")]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"musereact {command}: error: {scores}: index {index} is outside "
+            f"the session's 3 whole seconds\n")
+
     def test_detect_scores_duplicate_class_names(self, tmp_path, capsys):
         code, err, where = self.detect_with_line_2(tmp_path, capsys, (
             b'{"index": 9, "classes": ["a", "b", "a", "d", "e"], '
@@ -549,7 +575,8 @@ class TestEventEndBound:
 
 class TestCorpusSpecBounds:
     """Spec values that would write into the note directory or size arrays
-    past ``core.MAX_SESSION_S`` exit 2 with one line; nothing is written."""
+    past ``core.MAX_SESSION_S``, values of the wrong JSON type and unknown
+    keys exit 2 with one line; nothing is written."""
 
     @pytest.mark.parametrize("fields, message", [
         ({"session_id": "notes"}, "session_id 'notes' names the note directory"),
@@ -557,8 +584,25 @@ class TestCorpusSpecBounds:
         ({"duration_s": 10 ** 30}, "duration_s must lie in [1, 86400] s"),
         ({"start_offset_in_song": 86401},
          "start_offset_in_song must lie in [0, 86400] s"),
-        ({"start_offset_in_song": 1e300},
-         "start_offset_in_song must lie in [0, 86400] s"),
+        ({"start_offset_in_song": 1e300}, "start_offset_in_song must be an integer"),
+        ({"duration_s": 12.9}, "duration_s must be an integer"),
+        ({"duration_s": "12"}, "duration_s must be an integer"),
+        ({"start_offset_in_song": 2.0}, "start_offset_in_song must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"session_id": 5}, "session_id must be a string"),
+        ({"subject_id": None}, "subject_id must be a string"),
+        ({"song_id": ["tune"]}, "song_id must be a string"),
+        ({"place": 0}, "place must be a string"),
+        ({"activity": False}, "activity must be a string"),
+        ({"script": [[1.9, 4.2, "whistling"]]},
+         "script must be a list of [start, end, label] spans with integer bounds"),
+        ({"script": [[1, 4]]},
+         "script must be a list of [start, end, label] spans with integer bounds"),
+        ({"script": {"1": "whistling"}},
+         "script must be a list of [start, end, label] spans with integer bounds"),
+        ({"script": [[1, 4, "yodeling"]]}, "'yodeling' is not a valid ReactionLabel"),
+        ({"duraton_s": 12}, "unknown session keys: duraton_s"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, fields, message):
         spec = tmp_path / "spec.json"
@@ -568,6 +612,21 @@ class TestCorpusSpecBounds:
         assert capsys.readouterr().err == (
             f"musereact simulate: error: corpus spec, session 0: {message}\n")
         assert not out.exists()
+
+
+def test_detect_rejects_an_hmm_without_whistling_before_writing(tmp_path, capsys):
+    """Whistling never occurs in the session, yet an HMM that cannot decode it
+    stops ``detect`` before any output is written."""
+    session = small_session(tmp_path / "data")
+    hmm = tmp_path / "hmm.json"
+    HmmParams(states=(ReactionLabel.NON_REACTION, S), initial=[0.5, 0.5],
+              transition=np.full((2, 2), 0.5), emission=np.full((2, 2), 0.5)).save(hmm)
+    out = tmp_path / "out"
+    assert main(["detect", "--session", session, "--pipeline", "vocal",
+                 "--hmm", str(hmm), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "musereact detect: error: label whistling is not an HMM state\n")
+    assert os.listdir(out) == []
 
 
 class TestTrainHmm:

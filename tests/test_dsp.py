@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from musereact import dsp
-from musereact.core import InsufficientDataError, ParameterError, Session, second_bounds
+from musereact import dsp, motion, vocal
+from musereact.core import (
+    InsufficientDataError,
+    ParameterError,
+    PipelineConfig,
+    Session,
+    Stage,
+    second_bounds,
+)
 from musereact.harness import dtw_loop_oracle, dtw_oracle
 
 
@@ -64,6 +71,94 @@ class TestMovementLevel:
             else:
                 oracle = float(np.std(np.linalg.norm(accel[lo:hi], axis=1)))
                 assert level == oracle == dsp.movement_level(accel[lo:hi])
+
+
+@pytest.mark.filterwarnings(  # slices scaled by 1e200 overflow on purpose
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+class TestMovementFilter:
+    """``movement_filter`` settles every slice as the per-slice prefilters of
+    both cascades do: the same band test, boundaries included, and the same
+    error for a slice of 0 or 1 samples."""
+
+    @staticmethod
+    def random_table(seed):
+        """Slices of 0, 1, 2, 3 and 70 samples at spreads from still to
+        violent, a few scaled past overflow; a band whose edges are, in most
+        draws, exactly the levels of two slices."""
+        rng = np.random.default_rng(seed)
+        counts = rng.choice([0, 1, 2, 3, 70, 70, 70], size=40)
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        spread = np.repeat(10.0 ** rng.uniform(-3, 0, len(counts)), counts)
+        noise = rng.normal(0.0, 1.0, (bounds[-1], 3)) * spread[:, None]
+        accel = np.array([0.0, 0.0, 1.0]) + noise
+        for i in rng.choice(np.flatnonzero(counts >= 2), size=2, replace=False):
+            accel[bounds[i]:bounds[i + 1]] *= 1e200
+        levels = dsp.movement_levels(accel, bounds)
+        edges = rng.choice(levels[np.isfinite(levels)], size=2)
+        if rng.random() < 0.2:
+            edges = rng.uniform(0.0, 0.5, 2)
+        return accel, bounds, float(min(edges)), float(max(edges))
+
+    @staticmethod
+    def per_slice(prefilter, accel, bounds, low_g, high_g):
+        """Oracle: ``prefilter`` on each slice; one that raises is a failure,
+        and a failed slice is settled at stage 1 too."""
+        settled, failures = [], {}
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            try:
+                settled.append(prefilter(accel[lo:hi], low_g, high_g))
+            except InsufficientDataError as exc:
+                settled.append(True)
+                failures[i] = str(exc)
+        return settled, failures
+
+    @pytest.mark.parametrize("prefilter", [vocal.vocal_motion_prefilter,
+                                           motion.motion_prefilter])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_per_slice_prefilters(self, prefilter, seed):
+        accel, bounds, low_g, high_g = self.random_table(seed)
+        settled, failures = dsp.movement_filter(accel, bounds, low_g, high_g)
+        assert (settled.tolist(), {i: str(exc) for i, exc in failures.items()}) == \
+            self.per_slice(prefilter, accel, bounds, low_g, high_g)
+        assert all(type(exc) is InsufficientDataError for exc in failures.values())
+        levels = dsp.movement_levels(accel, bounds)
+        counts = np.diff(bounds)
+        assert (np.isnan(levels) & (counts >= 2)).any()  # an overflowing slice
+        assert {0, 1} <= set(counts.tolist())
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_both_cascades_settle_stage_1_from_the_table(self, enabled):
+        """With the movement filter on, each cascade leaves exactly the
+        per-slice oracle's seconds in ``motion_filter`` and fails exactly its
+        short seconds there; turned off, no second stops at stage 1."""
+        accel, bounds, low_g, high_g = self.random_table(1)
+        counts = np.diff(bounds)
+        t = np.concatenate([i + np.arange(n) / n if n else [] for i, n in enumerate(counts)])
+        t = np.append(t, len(counts))  # the last second ends with a sample
+        accel = np.vstack([accel, [0.0, 0.0, 1.0]])
+        session = Session("s", "u", "g", "office", imu_t=t, accel=accel,
+                          gyro=np.zeros_like(accel))
+        assert second_bounds(session) == bounds and low_g < high_g
+        config = PipelineConfig(
+            vocal_movement_low_g=low_g, vocal_movement_high_g=high_g,
+            motion_movement_low_g=low_g, motion_movement_high_g=high_g,
+            enable_motion_filter=enabled, enable_correction=False, enable_smoothing=False)
+        scores = vocal.ScoreVector(("speech", "a", "b", "c", "d"), [0.2] * 5)
+        classifier = vocal.ScoreFileClassifier(dict.fromkeys(range(len(counts)), scores))
+        results = {vocal.vocal_motion_prefilter:
+                   vocal.run_vocal_pipeline(session, classifier, config=config),
+                   motion.motion_prefilter: motion.run_motion_pipeline(session, config=config)}
+        settled, failures = self.per_slice(
+            vocal.vocal_motion_prefilter, session.accel, bounds, low_g, high_g)
+        assert True in settled and False in settled and failures
+        for prefilter, result in results.items():
+            record = result.stats
+            stopped = [stage is Stage.MOTION_FILTER for stage in record.stages]
+            stage_1 = {i: str(exc) for i, exc in record.failures.items()
+                       if record.stages[i] is Stage.MOTION_FILTER}
+            oracle = self.per_slice(prefilter, session.accel, bounds, low_g, high_g)
+            assert (stopped, stage_1) == (oracle if enabled else ([False] * len(stopped), {}))
 
 
 class TestSoundLevel:

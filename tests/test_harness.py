@@ -188,6 +188,11 @@ class TestCorpusSpecFile:
         assert len(specs) == 1
         assert specs[0].script == ((3, 9, S),)
 
+    def test_omitted_fields_take_the_spec_defaults(self):
+        spec, = parse_corpus_spec({"sessions": [{}]}, base_seed=2)
+        defaults = SyntheticSpec("s000", "subj00", "song00", seed=2 * 100003)
+        assert spec == defaults
+
     def test_bad_label_rejected(self):
         obj = {"sessions": [
             {"session_id": "a", "subject_id": "u", "song_id": "g",

@@ -121,6 +121,13 @@ class TestScoreFile:
         with pytest.raises(ParseError):
             vocal.load_score_file(path)
 
+    def test_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "neg.jsonl"
+        vocal.save_score_file(path, {0: scores_for(Singing=0.9), -4: scores_for(Singing=0.9)})
+        with pytest.raises(ParseError) as info:
+            vocal.load_score_file(path)
+        assert str(info.value) == f"{path}: line 1: index must be >= 0"
+
     def test_classifier_missing_index(self, tmp_path):
         path = tmp_path / "one.jsonl"
         vocal.save_score_file(path, {0: scores_for(Singing=0.9)})
@@ -643,6 +650,20 @@ class TestVocalPipeline:
         with pytest.raises(ConfigError):
             run_vocal_pipeline(generated.session, generated.classifier(),
                                config=PipelineConfig())
+
+    def test_hmm_without_a_vocal_label_rejected_up_front(self):
+        generated = generate_session(singing_spec())
+        hmm = HmmParams(states=(N, S), initial=[0.5, 0.5], transition=np.full((2, 2), 0.5),
+                        emission=np.full((2, 2), 0.5))
+        clf = CountingClassifier()
+        config = PipelineConfig().replace(enable_correction=False)
+        with pytest.raises(ConfigError) as info:
+            run_vocal_pipeline(generated.session, clf, hmm=hmm, config=config)
+        assert str(info.value) == "label whistling is not an HMM state"
+        assert clf.calls == 0
+        result = run_vocal_pipeline(generated.session, clf, hmm=hmm,
+                                    config=config.replace(enable_smoothing=False))
+        assert result.labels == result.observed  # no smoothing, so no check
 
     def test_unknown_song_rejected_up_front(self):
         generated = generate_session(singing_spec())
