@@ -22,11 +22,14 @@ tools::
         labels.csv    t_start,t_end,label ground truth (optional)
 
 Every headered CSV of the package -- ``imu.csv`` and ``labels.csv`` here,
-``pitch.csv``, note tracks and training tables elsewhere -- is read by
-:func:`read_csv_rows`.  It raises :class:`ParseError` naming the file and
-line for a missing file, bytes that are not UTF-8, an empty file, a wrong
-header or a wrong field count, and skips blank lines; each format parses
-only its own fields.
+``pitch.csv``, note tracks and training tables elsewhere -- follows the rules
+of :func:`read_csv_rows`, the reference reader and error reporter.  It raises
+:class:`ParseError` naming the file and line for a missing file, bytes that
+are not UTF-8, an empty file, a wrong header or a wrong field count, and
+skips blank lines; each format parses only its own fields.  The all-numeric
+files (``imu.csv`` and ``pitch.csv``) are read by :func:`read_csv_matrix`,
+which parses a well-formed file in bulk with ``np.loadtxt`` and hands any
+other to the row-by-row path, so its values and errors are the reference's.
 """
 
 from __future__ import annotations
@@ -584,9 +587,9 @@ def save_session_dir(path: str | os.PathLike, session: Session) -> None:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     with open(os.path.join(path, "imu.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_IMU_HEADER) + "\n")
-        for i in range(len(session.imu_t)):
-            row = [session.imu_t[i], *session.accel[i], *session.gyro[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # Python's % formatting, so each field reads as _fmt writes it.
+        np.savetxt(fh, np.column_stack([session.imu_t, session.accel, session.gyro]),
+                   fmt="%.10g", delimiter=",")
     if session.audio is not None:
         pcm = np.round(np.clip(session.audio, -1.0, 1.0) * 32767.0).astype(np.int16)
         scipy.io.wavfile.write(
@@ -611,14 +614,7 @@ def load_session_dir(path: str | os.PathLike) -> Session:
     if type(offset) not in (int, float) or not abs(offset) <= sys.float_info.max:
         raise ParseError(f"{meta_path}: start_offset_in_song must be a finite number")
 
-    imu_path = os.path.join(path, "imu.csv")
-    rows = list(read_csv_rows(imu_path, _IMU_HEADER))
-    data = np.empty((len(rows), 7), dtype=float)
-    for i, (lineno, row) in enumerate(rows):
-        try:
-            data[i] = [float(v) for v in row]
-        except ValueError:
-            raise ParseError(f"{imu_path}: line {lineno}: non-numeric field") from None
+    data = read_csv_matrix(os.path.join(path, "imu.csv"), _IMU_HEADER)
 
     audio = None
     wav_path = os.path.join(path, "audio.wav")
@@ -639,7 +635,7 @@ def load_session_dir(path: str | os.PathLike) -> Session:
             raise ParseError(f"{wav_path}: expected mono audio")
         if pcm.dtype != np.int16:
             raise ParseError(f"{wav_path}: expected 16-bit PCM, got {pcm.dtype}")
-        audio = pcm.astype(float) / 32767.0
+        audio = np.divide(pcm, 32767.0, dtype=float)  # no float64 copy of pcm first
 
     session = Session(
         session_id=session_id,
@@ -703,10 +699,10 @@ def read_csv_rows(
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield the data rows of a headered CSV file as ``(line number, fields)``.
 
-    This is the one CSV reader of the package.  It owns what every format
-    shares: the file must exist, decode as UTF-8, start with exactly
-    ``header`` (fields stripped) and give every non-blank row
-    ``len(header)`` fields; blank lines are skipped.  Faults raise
+    This is the package's reference CSV reader and its error reporter.  It
+    owns what every format shares: the file must exist, decode as UTF-8,
+    start with exactly ``header`` (fields stripped) and give every non-blank
+    row ``len(header)`` fields; blank lines are skipped.  Faults raise
     :class:`ParseError` naming the path and the line.  Field parsing is left
     to the caller; rows are yielded one at a time so that no format holds
     more than its own parsed values.
@@ -723,6 +719,42 @@ def read_csv_rows(
         if len(row) != len(header):
             raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields")
         yield lineno, row
+
+
+def read_csv_matrix(path: str | os.PathLike, header: list[str]) -> np.ndarray:
+    """The numbers of a headered CSV file as an ``(n, len(header))`` float array.
+
+    Equal to parsing every row :func:`read_csv_rows` yields with ``float()``
+    (:func:`read_csv_matrix_rows`), whose :class:`ParseError` it raises,
+    ``<path>: line N: non-numeric field`` included.  When the file starts
+    with exactly the header line, ``np.loadtxt`` parses the body in bulk;
+    anything it refuses, or shapes otherwise, goes through the row path.
+    """
+    text = read_text(path)
+    line = ",".join(header) + "\n"
+    body = text[len(line):]
+    if text.startswith(line) and body.strip("\r\n"):  # loadtxt warns on no rows
+        try:
+            # comments=None: a '#' line is a field like any other.
+            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                               ndmin=2, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == len(header):
+                return table
+    return read_csv_matrix_rows(path, header)
+
+
+def read_csv_matrix_rows(path: str | os.PathLike, header: list[str]) -> np.ndarray:
+    """:func:`read_csv_matrix`'s reference: every row parsed with ``float()``."""
+    rows = []
+    for lineno, row in read_csv_rows(path, header):
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def save_labels(path: str | os.PathLike, events: list[ReactionEvent]) -> None:

@@ -51,6 +51,7 @@ from .core import (
     Session,
     Stage,
     VOCAL_STATES,
+    read_csv_matrix,
     read_csv_rows,
     read_json,
     read_text,
@@ -219,6 +220,22 @@ class FilePitchTracker(PitchTracker):
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "FilePitchTracker":
+        """Read ``pitch.csv`` in bulk; on any fault, :meth:`_from_rows` reports
+        the first offending line."""
+        try:
+            table = read_csv_matrix(path, _PITCH_HEADER)
+        except ParseError:
+            return cls._from_rows(path)
+        if len(table) and np.isfinite(table).all():
+            t = table[:, 0]
+            # The same float operations as the grid check in _from_rows.
+            if not (np.abs(t - (t[0] + np.arange(len(t)) * PITCH_HOP_S)) > 1e-6).any():
+                return cls(t[0], table[:, 1], table[:, 2])
+        return cls._from_rows(path)
+
+    @classmethod
+    def _from_rows(cls, path: str | os.PathLike) -> "FilePitchTracker":
+        """:meth:`from_file`'s reference: ``pitch.csv`` checked row by row."""
         times, f0s, confs = [], [], []
         for lineno, row in read_csv_rows(path, _PITCH_HEADER):
             try:
@@ -253,8 +270,8 @@ def save_pitch_file(path: str | os.PathLike, f0s: np.ndarray, confs: np.ndarray)
     replays, one row per 0.1 s from t = 0."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_PITCH_HEADER) + "\n")
-        for k in range(len(f0s)):
-            fh.write(f"{k * PITCH_HOP_S:.1f},{f0s[k]:.6g},{confs[k]:.6g}\n")
+        np.savetxt(fh, np.column_stack([np.arange(len(f0s)) * PITCH_HOP_S, f0s, confs]),
+                   fmt=("%.1f", "%.6g", "%.6g"), delimiter=",")
 
 
 class AutocorrelationPitchTracker(PitchTracker):

@@ -642,6 +642,100 @@ class TestHeaderedCsvFormats:
         assert results[0] == results[1]
 
 
+_MATRIX_HEADER = ["t", "x", "y"]
+
+#: A field as files hold it, or mangle it: forms both readers take (``.5``,
+#: ``nan``, padding), forms only ``float()`` takes (``1_0``, full-width
+#: digits, quotes), and forms neither takes.
+_MATRIX_FIELDS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-2.5", ".5", "5.", "+1", "1e3", "1E-400", "1e999",
+                     "nan", "-nan", "Infinity", "-inf", "1_0", "１", '"1"', "'1'",
+                     " 1", "1 ", "\t1\t", "\xa01", "\x0b1", "", " ", "#", "#1", "1#",
+                     "\x00", "\ufeff1", "x", "0x1p3", "1d5"]),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-_ #\t\"'\x00\r\n,", max_size=6),
+)
+_MATRIX_ROWS = st.one_of(
+    st.lists(st.floats().map(repr), min_size=3, max_size=3).map(",".join),
+    st.lists(_MATRIX_FIELDS, min_size=3, max_size=3).map(",".join),
+    st.lists(_MATRIX_FIELDS, max_size=4).map(",".join),
+)
+_MATRIX_TEXTS = st.builds(
+    lambda head, rows, last_newline: "".join([head, *rows]) if last_newline
+    else "".join([head, *rows]).rstrip("\n"),
+    st.sampled_from(["t,x,y\n"] * 6 + ["t,x,y\r\n", "t,x,y", " t, x ,y\n",
+                                       "\ufefft,x,y\n", "t,x\n", ""]),
+    st.lists(st.builds(str.__add__, _MATRIX_ROWS,
+                       st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])), max_size=6),
+    st.booleans(),
+)
+
+
+def _matrix_outcome(read):
+    """The array ``read()`` returns, or the type and message of what it raises."""
+    try:
+        return read()
+    except Exception as exc:  # csv.Error too: Python 3.10 rejects a NUL
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=_MATRIX_TEXTS)
+@example(text="t,x,y\n1,2,3\n")
+@example(text='t,x,y\n"1",2,3\n')
+@example(text="t,x,y\n1_0,2,3\n")
+@example(text="t,x,y\n１,2,3\n")
+@example(text="t,x,y\n1,2,3\r4,5,6\r")
+@example(text="t,x,y\n1,2,3\n   \n4,5,6\n")
+@example(text="t,x,y\n#1,2,3\n1,2,3\n")
+@example(text="t,x,y\n1,2,3#\n")
+@example(text="t,x,y\n1,2,3,\n")
+@example(text="t,x,y\n1,2\x00,3\n")
+@example(text="\ufefft,x,y\n1,2,3\n")
+@example(text="t,x,y\n\ufeff1,2,3\n")
+@example(text="t,x,y\n")
+@example(text="t,x,y\n\n\r\n")
+@example(text="t,x,y\n1,2,3")
+@example(text="t,x,y\nnan,Infinity,-inf\n")
+@example(text="t,x,y\n.5,5.,-0\n")
+@example(text="t,x,y\n 1 ,\t2\t, 3\n")
+def test_read_csv_matrix_equals_the_row_path(tmp_path_factory, text):
+    """For any text, the bulk reader gives the row-by-row reader's array (NaN
+    and the sign of zero included), or raises its error with its message;
+    and it warns about nothing."""
+    path = tmp_path_factory.getbasetemp() / "matrix.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _matrix_outcome(lambda: core.read_csv_matrix(path, _MATRIX_HEADER))
+    want = _matrix_outcome(
+        lambda: core.read_csv_matrix_rows(path, _MATRIX_HEADER))
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype == float
+        assert got.shape == want.shape == (len(want), 3)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_written_imu_and_pitch_files_are_read_in_bulk(tmp_path, monkeypatch):
+    """``imu.csv`` and ``pitch.csv`` as the writers write them never take the
+    row path, and read as it reads them."""
+    core.save_session_dir(tmp_path, make_session(duration_s=3.0))
+    pitch_path = tmp_path / "pitch.csv"
+    vocal.save_pitch_file(pitch_path, np.linspace(0, 300, 30), np.linspace(0, 1, 30))
+    imu_rows = core.read_csv_matrix_rows(tmp_path / "imu.csv", core._IMU_HEADER)
+    pitch_rows = vocal.FilePitchTracker._from_rows(pitch_path).track(None, 0, 1.0)
+    monkeypatch.setattr(core, "read_csv_matrix_rows", None)
+    monkeypatch.setattr(vocal.FilePitchTracker, "_from_rows", None)
+    session = core.load_session_dir(tmp_path)
+    assert np.array_equal(np.column_stack([session.imu_t, session.accel, session.gyro]),
+                          imu_rows)
+    pitch = vocal.FilePitchTracker.from_file(pitch_path).track(None, 0, 1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(pitch, pitch_rows))
+
+
 #: JSON document loaders: name -> (file name, load function taking the file path).
 JSON_LOADERS = {
     "config": ("config.json", PipelineConfig.load),

@@ -440,6 +440,40 @@ class TestFilePitchTracker:
             FilePitchTracker.from_file(path)
 
 
+#: How a ``pitch.csv`` row on the grid may be written or broken, given its time.
+_PITCH_ROWS = {
+    "good": lambda t: f"{t:.1f},200,0.5",
+    "quoted": lambda t: f'"{t:.1f}",200,0.5',  # only the row path reads it
+    "nan": lambda t: f"{t:.1f},nan,0.5",
+    "inf": lambda t: "inf,200,0.5",
+    "late": lambda t: f"{t + 0.05:.2f},200,0.5",
+    "early": lambda t: f"{t - 0.05:.2f},200,0.5",
+    "non_numeric": lambda t: f"{t:.1f},x,0.5",
+    "short": lambda t: f"{t:.1f},200",
+    "blank": lambda t: "",
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t0=st.sampled_from([0.0, 0.1, 2.3, 1e6]),
+       kinds=st.lists(st.sampled_from(sorted(_PITCH_ROWS)), max_size=8))
+def test_pitch_file_read_in_bulk_equals_the_row_check(tmp_path_factory, t0, kinds):
+    """``from_file`` replays what the row-by-row reader replays, or raises its
+    error for the first offending line, whichever fault comes first."""
+    path = tmp_path_factory.getbasetemp() / "pitch.csv"
+    rows = [_PITCH_ROWS[kind](t0 + k * 0.1) for k, kind in enumerate(kinds)]
+    path.write_text("t,f0,confidence\n" + "".join(f"{row}\n" for row in rows))
+
+    def outcome(read):
+        try:
+            tracker = read(path)
+        except ParseError as exc:
+            return str(exc)
+        return tracker._t0, tracker._f0s.tolist(), tracker._confs.tolist()
+
+    assert outcome(FilePitchTracker.from_file) == outcome(FilePitchTracker._from_rows)
+
+
 class TestAutocorrelationPitchTracker:
     def test_pure_tone(self):
         sr = 16000
