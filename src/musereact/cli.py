@@ -97,13 +97,12 @@ def _notes_dir_for(session_dir: str, explicit: str | None) -> str | None:
 
 
 def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfig,
-                  notes_dir: str | None, stores: dict[str, musicinfo.MusicInfoStore]):
+                  notes_dir: str | None):
     """The vocal pipeline's inputs for one loaded session directory.
 
     Returns the replayed classifier, the pitch tracker (``pitch.csv`` replayed,
     else :class:`vocal.AutocorrelationPitchTracker` on the session audio) and,
-    when correction is enabled, the note store (else None).  ``stores`` is the
-    command's cache of note stores by real path, so each loads once per run.
+    when correction is enabled, the note store (else None).
     """
     path = os.path.join(session_dir, "scores.jsonl")
     scores = vocal.load_score_file(path)
@@ -121,10 +120,7 @@ def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfi
             raise core.ConfigError(
                 f"{session_dir}: correction is enabled but no note-track "
                 f"directory was found (use --notes)")
-        key = os.path.realpath(notes)
-        if key not in stores:
-            stores[key] = musicinfo.MusicInfoStore.from_dir(notes)
-        store = stores[key]
+        store = musicinfo.MusicInfoStore.from_dir(notes)
     return vocal.ScoreFileClassifier(scores), tracker, store
 
 
@@ -159,20 +155,17 @@ def _stats_section(name: str, record: core.CascadeStats) -> dict:
 def _detect_one(session_dir: str, *, pipeline: str, config: PipelineConfig,
                 hmm: vocal.HmmParams | None,
                 seq_classifier: motion.SequenceClassifier | None,
-                notes_dir: str | None, stores: dict[str, musicinfo.MusicInfoStore],
-                out_dir: str, out_file: str | None) -> str:
+                notes_dir: str | None, out_dir: str, out_file: str | None) -> str:
     """Worker: run the requested pipelines over one session directory.
 
     With ``out_file`` set (--out pointing at a .jsonl path) only that one
     events file is written; otherwise the session's events and stats land
-    as separate files under ``out_dir``.  ``stores`` is as for
-    :func:`_vocal_inputs`; with several workers each session gets its own copy.
+    as separate files under ``out_dir``.
     """
     session = core.load_session_dir(session_dir)
     results = {}
     if pipeline in ("vocal", "both"):
-        classifier, tracker, store = _vocal_inputs(session_dir, session, config, notes_dir,
-                                                  stores)
+        classifier, tracker, store = _vocal_inputs(session_dir, session, config, notes_dir)
         results["vocal"] = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker,
             note_store=store, hmm=hmm, config=config)
@@ -220,7 +213,7 @@ def _cmd_detect(args) -> int:
         seq_classifier = motion.LstmClassifier.from_file(args.lstm)
     detect = functools.partial(
         _detect_one, pipeline=args.pipeline, config=config, hmm=hmm,
-        seq_classifier=seq_classifier, notes_dir=args.notes, stores={}, out_dir=args.out,
+        seq_classifier=seq_classifier, notes_dir=args.notes, out_dir=args.out,
         out_file=out_file)
     # The fork start method launches every worker up front, so never more
     # workers than sessions.
@@ -282,11 +275,10 @@ def _cmd_train_hmm(args) -> int:
     dirs = core.list_session_dirs(args.data)
     if not dirs:
         raise core.ConfigError(f"no session directories under {args.data}")
-    pairs, stores = [], {}
+    pairs = []
     for session_dir in dirs:
         session = core.load_session_dir(session_dir)
-        classifier, tracker, store = _vocal_inputs(session_dir, session, config,
-                                                   args.notes, stores)
+        classifier, tracker, store = _vocal_inputs(session_dir, session, config, args.notes)
         result = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker, note_store=store,
             config=config)

@@ -270,8 +270,8 @@ def save_pitch_file(path: str | os.PathLike, f0s: np.ndarray, confs: np.ndarray)
     replays, one row per 0.1 s from t = 0."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_PITCH_HEADER) + "\n")
-        np.savetxt(fh, np.column_stack([np.arange(len(f0s)) * PITCH_HOP_S, f0s, confs]),
-                   fmt=("%.1f", "%.6g", "%.6g"), delimiter=",")
+        for k in range(len(f0s)):
+            fh.write(f"{k * PITCH_HOP_S:.1f},{f0s[k]:.6g},{confs[k]:.6g}\n")
 
 
 class AutocorrelationPitchTracker(PitchTracker):

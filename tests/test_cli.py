@@ -651,50 +651,6 @@ class TestTrainHmm:
         assert code == 0
 
 
-class TestNoteStore:
-    """``detect`` and ``train-hmm`` load each note-track directory once per
-    run, when the first session needs it."""
-
-    COMMANDS = {
-        "detect": lambda data, tmp: ["detect", "--pipeline", "vocal", "--data", str(data),
-                                     "--out", str(tmp / "out")],
-        "train-hmm": lambda data, tmp: ["train-hmm", "--data", str(data),
-                                        "--out", str(tmp / "hmm.json")],
-    }
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_loaded_once_for_two_sessions(self, corpus, monkeypatch, command):
-        tmp_path, data_dir, config_path = corpus
-        loaded = []
-        from_dir = musicinfo.MusicInfoStore.from_dir
-        monkeypatch.setattr(musicinfo.MusicInfoStore, "from_dir",
-                            lambda path: loaded.append(path) or from_dir(path))
-        argv = self.COMMANDS[command](data_dir, tmp_path) + ["--config", str(config_path)]
-        assert main(argv) == 0
-        assert loaded == [str(data_dir / "notes")]
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_malformed_note_track_exits_2_with_one_line(self, corpus, capsys, command):
-        tmp_path, data_dir, config_path = corpus
-        track = data_dir / "notes" / "tune.csv"
-        lines = track.read_text().splitlines(keepends=True)
-        track.write_text("".join(lines[:2] + ["0.1,x\n"] + lines[3:]))
-        argv = self.COMMANDS[command](data_dir, tmp_path) + ["--config", str(config_path)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"musereact {command}: error: {track}: line 3: bad chroma 'x'\n")
-
-    def test_a_broken_session_reports_before_the_notes(self, corpus, capsys):
-        tmp_path, data_dir, config_path = corpus
-        (data_dir / "notes" / "tune.csv").write_text("t,chroma\n0.0,x\n")
-        scores = data_dir / "sess_a" / "scores.jsonl"
-        scores.write_text('{"index": -1}\n')
-        assert main(self.COMMANDS["detect"](data_dir, tmp_path)
-                    + ["--config", str(config_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"musereact detect: error: {scores}: line 1: index must be >= 0\n")
-
-
 class TestTrainTree:
     def make_csv(self, path, targets):
         rng = np.random.default_rng(0)
