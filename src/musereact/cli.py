@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
-import json
 import os
 import sys
 
@@ -43,15 +42,17 @@ class _UsageError(Exception):
     --data); reported like a parser error with exit code 1."""
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """argparse type for integers that must be at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
 
 
 def _log(message: str) -> None:
@@ -188,9 +189,8 @@ def _detect_one(session_dir: str, *, pipeline: str, config: PipelineConfig,
     for name, named_events in events.items():
         core.save_events_jsonl(
             os.path.join(out_dir, f"{session.session_id}.{name}.jsonl"), named_events)
-    with open(os.path.join(out_dir, f"{session.session_id}.stats.json"),
-              "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    core.write_text(os.path.join(out_dir, f"{session.session_id}.stats.json"),
+                    core.json_document(stats))
     return session.session_id
 
 
@@ -260,8 +260,7 @@ def _cmd_eval(args) -> int:
             raise core.ParseError(
                 f"{args.stats}: filtering_ratio must be a number in [0, 1]")
     report = harness.evaluate(truth, pred, filtering_ratio=ratio)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    core.write_text(args.report, report.to_json())
     _log(f"eval: macro_f1={report.macro_f1:.4f} -> {args.report}")
     return 0
 
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lstm", help="LSTM weights JSON for the motion classifier")
     p.add_argument("--notes", help="note-track directory (default: sibling 'notes')")
     p.add_argument("--out", required=True, help="output directory for event files")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="process this many sessions in parallel")
     p.set_defaults(func=_cmd_detect)
 
@@ -387,15 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-tree", help="fit a rating or familiarity tree")
     p.add_argument("--task", choices=("rating", "familiarity"), required=True)
     p.add_argument("--data", required=True, help="training CSV (features + target)")
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--min-leaf", type=int, default=2)
+    p.add_argument("--max-depth", type=_int_at_least(0), default=4)
+    p.add_argument("--min-leaf", type=_int_at_least(1), default=2)
     p.add_argument("--out", required=True, help="output tree JSON")
     p.set_defaults(func=_cmd_train_tree)
 
     p = sub.add_parser("recommend", help="rank songs by reaction-pattern similarity")
     p.add_argument("--pattern", required=True, help="query events JSONL")
     p.add_argument("--pool", required=True, help="directory of stored event JSONL files")
-    p.add_argument("--top", type=_positive_int, default=5,
+    p.add_argument("--top", type=_int_at_least(1), default=5,
                    help="how many songs to return")
     p.set_defaults(func=_cmd_recommend)
     return parser

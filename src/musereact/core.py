@@ -30,6 +30,13 @@ skips blank lines; each format parses only its own fields.  The all-numeric
 files (``imu.csv`` and ``pitch.csv``) are read by :func:`read_csv_matrix`,
 which parses a well-formed file in bulk with ``np.loadtxt`` and hands any
 other to the row-by-row path, so its values and errors are the reference's.
+
+Every text file of the package is written and read through the file layer
+here: :func:`write_text` (UTF-8, newlines as given), :func:`json_document`
+(keys sorted, 2-space indent), :func:`write_jsonl` and :func:`read_jsonl` (a
+bad line raises ``<path>: line N: <msg>``), and :func:`read_document`, which
+builds a model from the object of :func:`read_json` (``<path>: bad <kind>
+document: <msg>``).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import os
 import struct
 import sys
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,7 +326,7 @@ class PipelineConfig:
             raise ConfigError("motion_decision_threshold must lie in [0, 1]")
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_document(dataclasses.asdict(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -332,8 +339,7 @@ class PipelineConfig:
         return cls.from_dict(read_json(path))
 
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        write_text(path, self.to_json())
 
     def replace(self, **changes) -> "PipelineConfig":
         return dataclasses.replace(self, **changes)
@@ -583,17 +589,18 @@ def save_session_dir(path: str | os.PathLike, session: Session) -> None:
         "audio_rate": session.audio_rate,
         "start_offset_in_song": session.start_offset_in_song,
     }
-    with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    with open(os.path.join(path, "imu.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_IMU_HEADER) + "\n")
-        # Python's % formatting, so each field reads as _fmt writes it.
-        np.savetxt(fh, np.column_stack([session.imu_t, session.accel, session.gyro]),
-                   fmt="%.10g", delimiter=",")
+    write_text(os.path.join(path, "meta.json"), json_document(meta))
+    imu = io.StringIO()
+    # Python's % formatting, so each field reads as _fmt writes it.
+    np.savetxt(imu, np.column_stack([session.imu_t, session.accel, session.gyro]),
+               fmt="%.10g", delimiter=",", header=",".join(_IMU_HEADER), comments="")
+    write_text(os.path.join(path, "imu.csv"), imu.getvalue())
     if session.audio is not None:
-        pcm = np.round(np.clip(session.audio, -1.0, 1.0) * 32767.0).astype(np.int16)
+        pcm = np.clip(session.audio, -1.0, 1.0)  # the one float temporary
+        pcm *= 32767.0
+        np.round(pcm, out=pcm)
         scipy.io.wavfile.write(
-            os.path.join(path, "audio.wav"), session.audio_rate, pcm
+            os.path.join(path, "audio.wav"), session.audio_rate, pcm.astype(np.int16)
         )
 
 
@@ -669,6 +676,53 @@ def read_text(path: str | os.PathLike) -> str:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """The package's one file writer: ``text`` as UTF-8, newlines as given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def json_document(obj) -> str:
+    """``obj`` as a JSON document: keys sorted, 2-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_jsonl(path: str | os.PathLike, objects: Iterable) -> None:
+    """Write a JSON-lines file: each object compact on one line, keys sorted."""
+    write_text(path, "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects))
+
+
+def read_jsonl(path: str | os.PathLike, parse: Callable) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, parse(value))`` for each JSON line of ``path``.
+
+    Blank lines are skipped and any newline style is accepted.  A line that
+    is not JSON, or whose value ``parse`` refuses with ``KeyError``,
+    ``TypeError``, ``ValueError``, ``OverflowError`` or ``RecursionError``,
+    raises :class:`ParseError` ``<path>: line N: <msg>``.
+    """
+    lines = io.StringIO(read_text(path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            yield lineno, parse(json.loads(line))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+
+
+def read_document(path: str | os.PathLike, kind: str, build: Callable) -> object:
+    """``build`` of the JSON object at ``path`` (:func:`read_json`).
+
+    A ``KeyError``, ``TypeError`` or ``ValueError`` from ``build`` raises
+    :class:`ParseError` ``<path>: bad <kind> document: <msg>``.
+    """
+    doc = read_json(path)
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad {kind} document: {exc}") from None
 
 
 def read_json(path: str | os.PathLike) -> dict:
@@ -759,10 +813,9 @@ def read_csv_matrix_rows(path: str | os.PathLike, header: list[str]) -> np.ndarr
 
 def save_labels(path: str | os.PathLike, events: list[ReactionEvent]) -> None:
     """Write ground-truth events as ``t_start,t_end,label`` CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_LABEL_HEADER) + "\n")
-        for event in events:
-            fh.write(f"{_fmt(event.t_start)},{_fmt(event.t_end)},{event.label.value}\n")
+    write_text(path, ",".join(_LABEL_HEADER) + "\n" + "".join(
+        f"{_fmt(event.t_start)},{_fmt(event.t_end)},{event.label.value}\n"
+        for event in events))
 
 
 def _read_event(label: ReactionLabel, t_start: float, t_end: float) -> ReactionEvent:
@@ -792,28 +845,14 @@ def load_labels(path: str | os.PathLike) -> list[ReactionEvent]:
 
 def save_events_jsonl(path: str | os.PathLike, events: list[ReactionEvent]) -> None:
     """Write detected events as JSON lines ``{label, t_start, t_end}``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(
-                {"label": event.label.value,
-                 "t_start": event.t_start, "t_end": event.t_end},
-                sort_keys=True,
-            ) + "\n")
+    write_jsonl(path, ({"label": event.label.value,
+                        "t_start": event.t_start, "t_end": event.t_end}
+                       for event in events))
 
 
 def load_events_jsonl(path: str | os.PathLike) -> list[ReactionEvent]:
-    events = []
-    lines = io.StringIO(read_text(path), newline=None)
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            events.append(_read_event(
-                parse_label(obj["label"]), float(obj["t_start"]), float(obj["t_end"])))
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return events
+    return [event for _, event in read_jsonl(path, lambda obj: _read_event(
+        parse_label(obj["label"]), float(obj["t_start"]), float(obj["t_end"])))]
 
 
 def list_session_dirs(root: str | os.PathLike) -> list[str]:

@@ -10,7 +10,6 @@ query pattern (DTW over per-second reaction indices).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -23,8 +22,10 @@ from .core import (
     ReactionEvent,
     ReactionLabel,
     expand_events_to_labels,
+    json_document,
     read_csv_rows,
-    read_json,
+    read_document,
+    write_text,
 )
 from .dsp import dtw_from_cost, dtw_scan
 
@@ -248,16 +249,14 @@ class DecisionTree:
             return 1 + max(walk(node.left), walk(node.right))
         return walk(self.root)
 
-    def to_json(self) -> str:
+    def save(self, path: str | os.PathLike) -> None:
         def encode(node):
             if node.is_leaf:
                 return {"value": int(node.value)}
             return {"feature": int(node.feature), "threshold": float(node.threshold),
                     "left": encode(node.left), "right": encode(node.right)}
-        return json.dumps(
-            {"num_features": self.num_features, "root": encode(self.root)},
-            sort_keys=True, indent=2,
-        ) + "\n"
+        write_text(path, json_document(
+            {"num_features": self.num_features, "root": encode(self.root)}))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "DecisionTree":
@@ -267,15 +266,8 @@ class DecisionTree:
             return TreeNode(feature=int(obj["feature"]),
                             threshold=float(obj["threshold"]),
                             left=decode(obj["left"]), right=decode(obj["right"]))
-        doc = read_json(path)
-        try:
-            return cls(decode(doc["root"]), int(doc["num_features"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad decision-tree document: {exc}") from None
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        return read_document(path, "decision-tree", lambda doc: cls(
+            decode(doc["root"]), int(doc["num_features"])))
 
 
 def _gini(targets):
@@ -368,10 +360,9 @@ def save_training_csv(path: str | os.PathLike, features: np.ndarray,
         )
     if len(targets) != len(features):
         raise ParameterError("targets must parallel the feature rows")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(ReactionFeatures.FEATURE_NAMES) + ",target\n")
-        for row, target in zip(features, targets):
-            fh.write(",".join(f"{v:.10g}" for v in row) + f",{target}\n")
+    write_text(path, ",".join(ReactionFeatures.FEATURE_NAMES) + ",target\n" + "".join(
+        ",".join(f"{v:.10g}" for v in row) + f",{target}\n"
+        for row, target in zip(features, targets)))
 
 
 def load_training_csv(path: str | os.PathLike) -> tuple[np.ndarray, list[str]]:

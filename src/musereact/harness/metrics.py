@@ -7,12 +7,11 @@ leave-one-subject-out fold splitter for the engagement studies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ParameterError, ReactionLabel
+from ..core import ParameterError, ReactionLabel, json_document
 
 #: Canonical class ordering for reports and confusion matrices.
 CLASS_ORDER = (
@@ -77,7 +76,7 @@ class EvalReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_document(self.to_dict())
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -513,8 +513,6 @@ class EngagementDataset:
     ratings: np.ndarray             # (n,) integers 1..5
     familiarity: list[str]          # "known" / "unknown"
     subjects: list[str]
-    patterns: list[np.ndarray] = field(default_factory=list)
-    song_ids: list[str] = field(default_factory=list)
 
 
 def make_engagement_dataset(
@@ -533,25 +531,19 @@ def make_engagement_dataset(
     rng = np.random.default_rng(seed)
     duration_s = 60
     rows, ratings, familiarity, subjects = [], [], [], []
-    patterns, song_ids = [], []
     for subject in range(num_subjects):
-        for k in range(sessions_per_subject):
+        for _ in range(sessions_per_subject):
             rating = int(rng.integers(1, 6))
             known = bool(rng.random() < 0.5)
-            vocal_events, motion_events, combined = _engagement_script(
-                rng, duration_s, rating, known
-            )
+            vocal_events, motion_events = _engagement_script(rng, duration_s, rating, known)
             feats = reaction_features(vocal_events, motion_events, float(duration_s))
             rows.append(feats.to_vector())
             ratings.append(rating)
             familiarity.append("known" if known else "unknown")
             subjects.append(f"subj{subject:02d}")
-            patterns.append(combined)
-            song_ids.append(f"song{subject:02d}_{k}")
     return EngagementDataset(
         features=np.array(rows), ratings=np.array(ratings),
         familiarity=familiarity, subjects=subjects,
-        patterns=patterns, song_ids=song_ids,
     )
 
 
@@ -583,13 +575,7 @@ def _engagement_script(rng, duration_s, rating, known):
 
     vocal_events = place(vocal_plan)
     motion_events = place([(ReactionLabel.HEAD_MOTION, l) for l in motion_lengths])
-    per_second = np.zeros(duration_s, dtype=int)
-    for event in motion_events:
-        per_second[int(event.t_start):int(event.t_end)] = 3
-    for event in vocal_events:
-        code = 1 if event.label is ReactionLabel.SINGING_HUMMING else 2
-        per_second[int(event.t_start):int(event.t_end)] = code
-    return vocal_events, motion_events, per_second
+    return vocal_events, motion_events
 
 
 # ---------------------------------------------------------------------------

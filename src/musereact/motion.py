@@ -18,7 +18,6 @@ nodding or head-bobbing wearer imprints on the motion-unit energy series.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import dataclass
 
@@ -29,14 +28,15 @@ from .core import (
     CascadeResult,
     CascadeStats,
     Stage,
+    ConfigError,
     Error,
     ParameterError,
-    ParseError,
     PipelineConfig,
     ReactionLabel,
     Session,
-    read_json,
+    read_document,
     second_bounds,
+    write_jsonl,
 )
 from . import dsp
 
@@ -194,23 +194,15 @@ class LstmWeights:
         return cls(**{key: rng.normal(0.0, scale, shape) for key, shape
                       in _lstm_shapes(input_size, hidden_size).items()})
 
-    def to_json(self) -> str:
-        obj = {key: getattr(self, key).tolist() for key in _LSTM_KEYS}
-        return json.dumps(obj, sort_keys=True) + "\n"
-
     @classmethod
     def load(cls, path: str | os.PathLike) -> "LstmWeights":
-        obj = read_json(path)
-        try:
-            kwargs = {key: np.asarray(obj[key], dtype=float)
-                      for key in _LSTM_KEYS}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad LSTM weight document: {exc}") from None
-        return cls(**kwargs)
+        # __post_init__ converts and checks every array
+        return read_document(path, "LSTM weight",
+                             lambda obj: cls(**{key: obj[key] for key in _LSTM_KEYS}))
 
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        """One compact line, the layout of a JSON-lines record."""
+        write_jsonl(path, [{key: getattr(self, key).tolist() for key in _LSTM_KEYS}])
 
 
 def _sigmoid(x):
@@ -258,7 +250,13 @@ class LstmClassifier(SequenceClassifier):
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "LstmClassifier":
-        return cls(LstmWeights.load(path))
+        """The classifier of the weights at ``path``; weights not sized for
+        the motion-unit features raise :class:`ConfigError` naming the file."""
+        weights = LstmWeights.load(path)
+        if weights.input_size != NUM_FEATURES:
+            raise ConfigError(f"{path}: LSTM input size {weights.input_size} does not "
+                              f"match the {NUM_FEATURES} motion-unit features")
+        return cls(weights)
 
     def classify(self, units: np.ndarray) -> tuple[float, float]:
         probs = lstm_forward(self.weights, units)

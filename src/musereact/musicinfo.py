@@ -24,6 +24,7 @@ from .core import (
     ParseError,
     PipelineConfig,
     read_csv_rows,
+    write_text,
 )
 from .dsp import UNVOICED
 
@@ -85,11 +86,9 @@ def longest_note_window(margin_s: float) -> float:
 
 def save_note_track(path: str | os.PathLike, track: NoteTrack) -> None:
     """Write the canonical ``t,chroma`` CSV (times at one decimal, ``U`` rests)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,chroma\n")
-        for i, sym in enumerate(track.symbols):
-            text = "U" if sym == UNVOICED else str(int(sym))
-            fh.write(f"{i * NOTE_HOP_S:.1f},{text}\n")
+    write_text(path, "t,chroma\n" + "".join(
+        f"{i * NOTE_HOP_S:.1f},{'U' if sym == UNVOICED else int(sym)}\n"
+        for i, sym in enumerate(track.symbols)))
 
 
 def load_note_track(path: str | os.PathLike, song_id: str | None = None) -> NoteTrack:

@@ -27,8 +27,6 @@ stage each second entered and each failure; each stage is also exposed alone.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -51,12 +49,15 @@ from .core import (
     Session,
     Stage,
     VOCAL_STATES,
+    json_document,
     read_csv_matrix,
     read_csv_rows,
-    read_json,
-    read_text,
+    read_document,
+    read_jsonl,
     second_bounds,
     segment_session,  # unused here; benchmarks/layers.py traces vocal.segment_session
+    write_jsonl,
+    write_text,
 )
 from . import dsp
 from .musicinfo import MusicInfoStore, NoteTrack, note_window
@@ -141,32 +142,30 @@ class ScoreFileClassifier(SoundEventClassifier):
             raise InsufficientDataError(f"no recorded scores for segment {index}") from None
 
 
+def _parse_score_line(obj) -> tuple[int, ScoreVector]:
+    """A ``scores.jsonl`` line's index and normalized vector; a fault raises
+    ``ValueError`` (``ScoreVector``'s own ``ParameterError`` is one too)."""
+    index = obj["index"]
+    if type(index) is not int:  # not a float, bool or string
+        raise ValueError("index must be an integer")
+    if index < 0:
+        raise ValueError("index must be >= 0")
+    names = [str(n) for n in obj["classes"]]
+    raw = np.asarray(obj["scores"], dtype=float)
+    if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
+        raise ValueError("need >= 5 parallel class/score entries")
+    if not np.isfinite(raw).all() or (raw < 0).any():
+        raise ValueError("scores must be finite and >= 0")
+    with np.errstate(over="ignore"):
+        total = raw.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"scores must have a finite sum > 0, got {total:g}")
+    return index, ScoreVector(tuple(names), raw / total)
+
+
 def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
     out: dict[int, ScoreVector] = {}
-    lines = io.StringIO(read_text(path), newline=None)
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:  # ScoreVector's own ParameterError is a ValueError too
-            obj = json.loads(line)
-            index = obj["index"]
-            if type(index) is not int:  # not a float, bool or string
-                raise ValueError("index must be an integer")
-            if index < 0:
-                raise ValueError("index must be >= 0")
-            names = [str(n) for n in obj["classes"]]
-            raw = np.asarray(obj["scores"], dtype=float)
-            if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
-                raise ValueError("need >= 5 parallel class/score entries")
-            if not np.isfinite(raw).all() or (raw < 0).any():
-                raise ValueError("scores must be finite and >= 0")
-            with np.errstate(over="ignore"):
-                total = raw.sum()
-            if not 0 < total < math.inf:
-                raise ValueError(f"scores must have a finite sum > 0, got {total:g}")
-            vector = ScoreVector(tuple(names), raw / total)
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, (index, vector) in read_jsonl(path, _parse_score_line):
         if index in out:
             raise ParseError(f"{path}: line {lineno}: duplicate index {index}")
         out[index] = vector
@@ -174,15 +173,9 @@ def load_score_file(path: str | os.PathLike) -> dict[int, ScoreVector]:
 
 
 def save_score_file(path: str | os.PathLike, scores_by_index: dict[int, ScoreVector]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for index in sorted(scores_by_index):
-            vector = scores_by_index[index]
-            fh.write(json.dumps(
-                {"index": index,
-                 "classes": list(vector.class_names),
-                 "scores": [float(s) for s in vector.scores]},
-                sort_keys=True,
-            ) + "\n")
+    write_jsonl(path, ({"index": index, "classes": list(vector.class_names),
+                        "scores": [float(s) for s in vector.scores]}
+                       for index, vector in sorted(scores_by_index.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +261,8 @@ class FilePitchTracker(PitchTracker):
 def save_pitch_file(path: str | os.PathLike, f0s: np.ndarray, confs: np.ndarray) -> None:
     """Write the ``t,f0,confidence`` CSV that :meth:`FilePitchTracker.from_file`
     replays, one row per 0.1 s from t = 0."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_PITCH_HEADER) + "\n")
-        for k in range(len(f0s)):
-            fh.write(f"{k * PITCH_HOP_S:.1f},{f0s[k]:.6g},{confs[k]:.6g}\n")
+    write_text(path, ",".join(_PITCH_HEADER) + "\n" + "".join(
+        f"{k * PITCH_HOP_S:.1f},{f0s[k]:.6g},{confs[k]:.6g}\n" for k in range(len(f0s))))
 
 
 class AutocorrelationPitchTracker(PitchTracker):
@@ -460,26 +451,20 @@ class HmmParams:
         except ValueError:
             raise ParameterError(f"label {label} is not an HMM state") from None
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def save(self, path: str | os.PathLike) -> None:
+        write_text(path, json_document({
             "states": [s.value for s in self.states],
             "initial": self.initial.tolist(),
             "transition": self.transition.tolist(),
             "emission": self.emission.tolist(),
-        }, sort_keys=True, indent=2) + "\n"
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        }))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "HmmParams":
-        obj = read_json(path)
-        try:  # __post_init__ converts and checks every field
-            return cls(states=obj["states"], initial=obj["initial"],
-                       transition=obj["transition"], emission=obj["emission"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad HMM document: {exc}") from None
+        # __post_init__ converts and checks every field
+        return read_document(path, "HMM", lambda obj: cls(
+            states=obj["states"], initial=obj["initial"],
+            transition=obj["transition"], emission=obj["emission"]))
 
 
 def train_hmm(

@@ -429,6 +429,18 @@ class TestEvalMalformedInput:
         assert len(err.strip().splitlines()) == 1
         assert str(paths[named]) in err
 
+    @pytest.mark.parametrize("section", ["[1]", "0.5", '"vocal"', "null"])
+    def test_stats_section_must_be_an_object(self, tmp_path, capsys, section):
+        truth, pred, stats = (tmp_path / "truth.csv", tmp_path / "pred.jsonl",
+                              tmp_path / "stats.json")
+        truth.write_bytes(self.TRUTH)
+        pred.write_bytes(self.PRED)
+        stats.write_text(f'{{"vocal": {section}}}')
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--task", "vocal",
+                     "--stats", str(stats), "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact eval: error: {stats}: expected a JSON object with a 'vocal' object\n")
+
     @pytest.mark.parametrize("ratio, code", [
         ("0", 0), ("1", 0), ("0.25", 0), ("1.5", 2), ("-0.1", 2),
         ("NaN", 2), ("true", 2), ("null", 0),
@@ -528,6 +540,14 @@ class TestJsonlReaders:
             f"musereact {command}: error: {scores}: index {index} is outside "
             f"the session's 3 whole seconds\n")
 
+    @pytest.mark.parametrize("score", [b"NaN", b"-1"])
+    def test_detect_scores_must_be_finite_and_not_negative(self, tmp_path, capsys, score):
+        code, err, where = self.detect_with_line_2(tmp_path, capsys, (
+            b'{"index": 9, "classes": ["a", "b", "c", "d", "e"], '
+            b'"scores": [1, 1, 1, 1, ' + score + b"]}\n"))
+        assert code == 2
+        assert err == where + "scores must be finite and >= 0\n"
+
     def test_detect_scores_duplicate_class_names(self, tmp_path, capsys):
         code, err, where = self.detect_with_line_2(tmp_path, capsys, (
             b'{"index": 9, "classes": ["a", "b", "a", "d", "e"], '
@@ -614,6 +634,27 @@ class TestCorpusSpecBounds:
         assert not out.exists()
 
 
+class TestNoteTrackDirectory:
+    """Correction without a note-track directory is a data error naming it."""
+
+    def test_missing_notes_directory(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        notes = str(tmp_path / "nowhere")
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--notes", notes, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: note-track directory {notes!r} does not exist\n")
+
+    def test_no_sibling_notes_directory(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        shutil.rmtree(tmp_path / "data" / harness.NOTES_DIR)
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {session}: correction is enabled but no "
+            "note-track directory was found (use --notes)\n")
+
+
 def test_detect_rejects_an_hmm_without_whistling_before_writing(tmp_path, capsys):
     """Whistling never occurs in the session, yet an HMM that cannot decode it
     stops ``detect`` before any output is written."""
@@ -629,6 +670,39 @@ def test_detect_rejects_an_hmm_without_whistling_before_writing(tmp_path, capsys
     assert os.listdir(out) == []
 
 
+class TestLstmWeights:
+    """``detect --lstm`` refuses weights it cannot run before any second runs."""
+
+    def detect(self, tmp_path, weights: dict):
+        session = small_session(tmp_path / "data")
+        path = tmp_path / "lstm.json"
+        path.write_text(json.dumps({key: np.asarray(value).tolist()
+                                    for key, value in weights.items()}))
+        out = tmp_path / "out"
+        code = main(["detect", "--session", session, "--pipeline", "motion",
+                     "--lstm", str(path), "--out", str(out)])
+        return code, path, out
+
+    def test_misshaped_matrix_names_the_file(self, tmp_path, capsys):
+        weights = dataclasses.asdict(motion.LstmWeights.random(np.random.default_rng(0)))
+        weights["Wf"] = weights["Wf"][:17]
+        code, path, out = self.detect(tmp_path, weights)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {path}: bad LSTM weight document: "
+            "Wf must have shape (18, 32), got (17, 32)\n")
+        assert os.listdir(out) == []
+
+    def test_input_size_must_be_the_motion_unit_features(self, tmp_path, capsys):
+        weights = motion.LstmWeights.random(np.random.default_rng(0), input_size=5)
+        code, path, out = self.detect(tmp_path, dataclasses.asdict(weights))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {path}: LSTM input size 5 does not match "
+            "the 18 motion-unit features\n")
+        assert os.listdir(out) == []
+
+
 class TestTrainHmm:
     def test_fits_and_saves(self, corpus):
         tmp_path, data_dir, config_path = corpus
@@ -638,6 +712,14 @@ class TestTrainHmm:
         assert code == 0
         hmm = HmmParams.load(out)
         np.testing.assert_allclose(hmm.transition.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_empty_corpus_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        assert main(["train-hmm", "--data", str(data),
+                     "--out", str(tmp_path / "hmm.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact train-hmm: error: no session directories under {data}\n")
 
     def test_detect_accepts_trained_hmm(self, corpus):
         tmp_path, data_dir, config_path = corpus
@@ -684,6 +766,29 @@ class TestTrainTree:
         code = main(["train-tree", "--task", "rating", "--data", str(data),
                      "--out", str(tmp_path / "t.json")])
         assert code == 2
+
+
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--max-depth", "-1", 0), ("--min-leaf", "0", 1), ("--min-leaf", "-3", 1)])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flag, value, least):
+        path = tmp_path / "train.csv"
+        self.make_csv(path, [1, 2, 3, 4, 5])
+        with pytest.raises(SystemExit) as err:
+            main(["train-tree", "--task", "rating", "--data", str(path), flag, value,
+                  "--out", str(tmp_path / "tree.json")])
+        assert err.value.code == 1
+        usage, *_, message = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: musereact train-tree ")
+        assert message == (f"musereact train-tree: error: argument {flag}: "
+                           f"must be >= {least}, got {value}")
+        assert not (tmp_path / "tree.json").exists()
+
+    def test_max_depth_0_fits_a_single_leaf(self, tmp_path):
+        path, out = tmp_path / "train.csv", tmp_path / "tree.json"
+        self.make_csv(path, [1, 2, 3, 4, 5, 5])
+        assert main(["train-tree", "--task", "rating", "--data", str(path),
+                     "--max-depth", "0", "--out", str(out)]) == 0
+        assert engage.DecisionTree.load(out).depth() == 0
 
 
 class TestRecommend:
@@ -947,6 +1052,30 @@ class TestAudioWav:
         assert capsys.readouterr().err == (
             f"musereact detect: error: {wav}: not a readable WAV file\n")
 
+    @pytest.mark.parametrize("pcm, message", [
+        (np.zeros((3 * 44100, 2), dtype=np.int16), "expected mono audio"),
+        (np.full(3 * 44100, 128, dtype=np.uint8), "expected 16-bit PCM, got uint8"),
+        (np.zeros(3 * 44100, dtype=np.float32), "expected 16-bit PCM, got float32"),
+    ], ids=["stereo", "8_bit", "float32"])
+    def test_pcm_must_be_mono_16_bit(self, tmp_path, capsys, pcm, message):
+        wav = os.path.join(small_session(tmp_path / "data"), "audio.wav")
+        scipy.io.wavfile.write(wav, 44100, pcm)
+        assert main(["detect", "--session", os.path.dirname(wav), "--pipeline", "motion",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"musereact detect: error: {wav}: {message}\n"
+
+    def test_imu_before_time_0_names_the_directory(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        imu = os.path.join(session, "imu.csv")
+        with open(imu, encoding="utf-8") as fh:
+            header, first, *rest = fh.read().splitlines(keepends=True)
+        with open(imu, "w", encoding="utf-8") as fh:
+            fh.write("".join([header, "-0.01" + first[first.index(","):], *rest]))
+        assert main(["detect", "--session", session, "--pipeline", "motion",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {session}: IMU timestamps must start at or after 0\n")
+
     def test_session_error_names_the_directory(self, tmp_path, capsys):
         """Audio 5 s longer than the 3 s of IMU: the alignment check fails."""
         session = small_session(tmp_path / "data")
@@ -1176,8 +1305,7 @@ TRAINING_FILE = mostly(st.builds(
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=TRAINING_FILE, task=st.sampled_from(sorted(TARGETS)),
-       max_depth=mostly(st.integers(1, 4), st.integers(-1, 0)),
-       min_leaf=mostly(st.integers(1, 3), st.integers(-1, 0)))
+       max_depth=st.integers(0, 4), min_leaf=st.integers(1, 3))
 def test_train_tree_on_any_table_exits_0_or_2_with_one_line(data, task, max_depth,
                                                             min_leaf):
     with tempfile.TemporaryDirectory() as tmp:

@@ -771,3 +771,42 @@ class TestJsonDocuments:
         with pytest.raises(ParseError) as err:
             core.read_json(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("loader, doc, expected", [
+        ("hmm", {"states": ["non_reaction", "whistling"]}, "bad HMM document: 'initial'"),
+        ("lstm", {}, "bad LSTM weight document: 'Wi'"),
+        ("tree", {"root": {"value": 1}}, "bad decision-tree document: 'num_features'"),
+        ("tree", {"root": {"value": "x"}, "num_features": 2},
+         "bad decision-tree document: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_json_that_is_no_model_names_path_and_kind(self, tmp_path, loader, doc, expected):
+        name, load = JSON_LOADERS[loader]
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            load(str(path))
+        assert str(err.value) == f"{path}: {expected}"
+
+
+class TestJsonLines:
+    def test_blank_lines_are_skipped_and_any_newline_ends_a_line(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n  \r\n{"a": 2}\r{"a": 3}\n\n')
+        assert list(core.read_jsonl(path, lambda obj: obj["a"])) == [(1, 1), (3, 2), (4, 3)]
+
+    @pytest.mark.parametrize("line, message", [
+        (b'{"b": 1}', "'a'"),
+        (b'{"a": 1', "Expecting ',' delimiter: line 2 column 1 (char 8)"),
+        (b"[1]", "list indices must be integers or slices, not str"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+        with pytest.raises(ParseError) as err:
+            list(core.read_jsonl(path, lambda obj: obj["a"]))
+        assert str(err.value) == f"{path}: line 2: {message}"
+
+    def test_write_jsonl_writes_one_sorted_compact_line_per_object(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        core.write_jsonl(path, [{"b": [1, 2], "a": "é"}, {}])
+        assert path.read_bytes() == '{"a": "\\u00e9", "b": [1, 2]}\n{}\n'.encode()

@@ -169,7 +169,6 @@ class TestCorpora:
         assert len(ds.ratings) == n
         assert len(ds.familiarity) == n
         assert len(ds.subjects) == n
-        assert len(ds.patterns) == n
         assert all(1 <= r <= 5 for r in ds.ratings)
         assert set(ds.familiarity) <= {"known", "unknown"}
         assert len(set(ds.subjects)) == 4

@@ -1,13 +1,16 @@
 """Tests for the vocal reaction pipeline: prefilters, label mapping,
 rank relaxation, music-aware correction, HMM smoothing, and the cascade."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from musereact import vocal
+from musereact import dsp, vocal
 from musereact.core import (
+    CLASSIFIER_RATE_HZ,
     ConfigError,
     InsufficientDataError,
     ParameterError,
@@ -678,6 +681,32 @@ class TestVocalPipeline:
         assert report.macro_f1 > 0.85
         labels_in_events = {e.label for e in merge_labels_to_events(result.labels)}
         assert S in labels_in_events and W in labels_in_events
+
+    def test_16_khz_session_reaches_the_patch_only_low_passed(self):
+        """Audio recorded at the classifier rate is not resampled: each patch is
+        the log-mel of the second's audio after the 2 kHz low-pass alone."""
+        session = generate_session(singing_spec()).session
+        audio = dsp.resample(session.audio, session.audio_rate, CLASSIFIER_RATE_HZ)
+        session = dataclasses.replace(session, audio=audio, audio_rate=CLASSIFIER_RATE_HZ)
+
+        class Recording(vocal.SoundEventClassifier):
+            def __init__(self):
+                self.patches = {}
+
+            def classify(self, patch, index):
+                self.patches[index] = patch
+                return scores_for(Silence=0.9)
+
+        config = PipelineConfig().replace(
+            enable_motion_filter=False, enable_sound_filter=False,
+            enable_correction=False, enable_smoothing=False)
+        classifier = Recording()
+        result = run_vocal_pipeline(session, classifier, config=config)
+        assert sorted(classifier.patches) == list(range(len(result.labels)))
+        for i, patch in classifier.patches.items():
+            second = audio[i * CLASSIFIER_RATE_HZ:(i + 1) * CLASSIFIER_RATE_HZ]
+            np.testing.assert_array_equal(patch, dsp.log_mel_patch(dsp.lowpass_first_order(
+                second, CLASSIFIER_RATE_HZ, config.audio_lowpass_hz)))
 
     def test_correction_enabled_requires_tracker_and_store(self):
         generated = generate_session(singing_spec())
