@@ -103,7 +103,8 @@ def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfi
 
     Returns the replayed classifier, the pitch tracker (``pitch.csv`` replayed,
     else :class:`vocal.AutocorrelationPitchTracker` on the session audio) and,
-    when correction is enabled, the note store (else None).
+    when correction is enabled, a note store holding only the session's own
+    track (else None).
     """
     path = os.path.join(session_dir, "scores.jsonl")
     scores = vocal.load_score_file(path)
@@ -121,7 +122,7 @@ def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfi
             raise core.ConfigError(
                 f"{session_dir}: correction is enabled but no note-track "
                 f"directory was found (use --notes)")
-        store = musicinfo.MusicInfoStore.from_dir(notes)
+        store = musicinfo.MusicInfoStore.from_dir(notes, session.song_id)
     return vocal.ScoreFileClassifier(scores), tracker, store
 
 

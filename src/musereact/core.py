@@ -336,7 +336,11 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PipelineConfig":
-        return cls.from_dict(read_json(path))
+        """The config at ``path``; a :class:`ConfigError` names the file."""
+        try:
+            return cls.from_dict(read_json(path))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def save(self, path: str | os.PathLike) -> None:
         write_text(path, self.to_json())
@@ -698,16 +702,19 @@ def read_jsonl(path: str | os.PathLike, parse: Callable) -> Iterator[tuple[int, 
     """Yield ``(line number, parse(value))`` for each JSON line of ``path``.
 
     Blank lines are skipped and any newline style is accepted.  A line that
-    is not JSON, or whose value ``parse`` refuses with ``KeyError``,
-    ``TypeError``, ``ValueError``, ``OverflowError`` or ``RecursionError``,
-    raises :class:`ParseError` ``<path>: line N: <msg>``.
+    is not JSON raises :class:`ParseError` ``<path>: line N: <msg> at column
+    C``; one whose value ``parse`` refuses with ``KeyError``, ``TypeError``,
+    ``ValueError``, ``OverflowError`` or ``RecursionError`` raises
+    ``<path>: line N: <msg>``.
     """
     lines = io.StringIO(read_text(path), newline=None)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            yield lineno, parse(json.loads(line))
+            yield lineno, parse(json.loads(line.rstrip("\n")))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc.msg} at column {exc.colno}") from None
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
 

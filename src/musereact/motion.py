@@ -9,10 +9,13 @@ only its final second, so the output advances one second at a time; the
 first six seconds of a session have no full window yet and stay
 ``non_reaction``.  Each second's last stage (``motion_filter``, ``cold_start``
 or ``classifier``) and any failure land in a :class:`core.CascadeStats`.
+Each block of windows summarizes its distinct 0.1 s units once, gathers every
+window's 70 rows from that table and scores the stack in one call.
 
 Two classifiers are provided: an LSTM runner that evaluates serialized
 weights, and a self-contained heuristic scorer that detects the periodicity a
-nodding or head-bobbing wearer imprints on the motion-unit energy series.
+nodding or head-bobbing wearer imprints on the motion-unit energy series;
+both score a whole stack as arrays.
 """
 
 from __future__ import annotations
@@ -283,31 +286,37 @@ class HeuristicMotionClassifier(SequenceClassifier):
     """
 
     def classify(self, units: np.ndarray) -> tuple[float, float]:
-        units = np.asarray(units, dtype=float)
-        if units.ndim != 2 or units.shape[1] != NUM_FEATURES:
-            raise ParameterError(f"expected (n, {NUM_FEATURES}) units, got {units.shape}")
-        energy = np.linalg.norm(units[:, [4, 10, 16]], axis=1)  # per-axis std cols
-        score = 0.0
-        for length in (NUM_UNITS, 30):
-            series = energy[-min(length, len(energy)):]
-            if len(series) <= _MAX_LAG + 1:
-                continue
-            score = max(score, self._score_series(series))
+        score = float(self.classify_many(np.asarray(units, dtype=float)[None])[0])
         return score, 1.0 - score
 
-    def _score_series(self, series: np.ndarray) -> float:
-        x = series - series.mean()
-        power_total = float(np.dot(x, x))
-        if power_total <= 0.0:
-            return 0.0
-        spectrum = np.fft.rfft(x, n=2 * len(x))
-        r = np.fft.irfft(spectrum * np.conj(spectrum))[:_MAX_LAG + 1]
-        ac_peak = float(np.max(r[_MIN_LAG:_MAX_LAG + 1]) / r[0])
-        psd = np.abs(np.fft.rfft(x)) ** 2
-        nondc = psd[1:]
-        peakiness = float(nondc.max() / nondc.sum()) if nondc.sum() > 0 else 0.0
-        z = 6.0 * ac_peak + 4.0 * peakiness - 5.0
-        return float(_sigmoid(z))
+    def classify_many(self, units: np.ndarray) -> np.ndarray:
+        units = np.asarray(units, dtype=float)
+        if units.ndim != 3 or units.shape[2] != NUM_FEATURES:
+            raise ParameterError(f"expected (n, T, {NUM_FEATURES}) units, got {units.shape}")
+        energy = np.linalg.norm(units[..., [4, 10, 16]], axis=2)  # per-axis std cols
+        score = np.zeros(len(units))
+        for length in (NUM_UNITS, 30):
+            series = energy[:, -min(length, energy.shape[1]):]
+            if series.shape[1] > _MAX_LAG + 1:
+                new = self._score_series(series)
+                score = np.where(new > score, new, score)  # Python max(score, new)
+        return score
+
+    @staticmethod
+    def _score_series(series: np.ndarray) -> np.ndarray:
+        """Score of each row of an ``(n, m)`` energy stack; rows whose centred
+        power is not positive score 0, spectra summing to 0 have peakiness 0."""
+        x = series - series.mean(axis=1, keepdims=True)
+        valid = ~((x * x).sum(axis=1) <= 0.0)  # 0 or NaN exactly when a dot is
+        spectrum = np.fft.rfft(x, n=2 * x.shape[1], axis=1)
+        r = np.fft.irfft(spectrum * np.conj(spectrum), axis=1)[:, :_MAX_LAG + 1]
+        ac_peak = np.zeros(len(x))
+        np.divide(r[:, _MIN_LAG:].max(axis=1), r[:, 0], out=ac_peak, where=valid)
+        nondc = (np.abs(np.fft.rfft(x, axis=1)) ** 2)[:, 1:]
+        total = nondc.sum(axis=1)
+        peakiness = np.zeros(len(x))
+        np.divide(nondc.max(axis=1), total, out=peakiness, where=total > 0)
+        return np.where(valid, _sigmoid(6.0 * ac_peak + 4.0 * peakiness - 5.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +356,14 @@ def run_motion_pipeline(
 
     labels = [ReactionLabel.NON_REACTION] * len(stages)
     pending = [second for second, stage in enumerate(stages) if stage == Stage.CLASSIFIER]
-    offsets = np.arange(-WINDOW_SAMPLES, 0)
+    unit_starts = np.arange(-WINDOW_SAMPLES, 0, UNIT_SAMPLES)
     for first in range(0, len(pending), MOTION_BLOCK):
         block = pending[first:first + MOTION_BLOCK]
         ends = np.array([bounds[second + 1] for second in block])
-        units = extract_motion_units(gyro_filtered[ends[:, None] + offsets])
+        # Windows overlap, so summarize each distinct unit of the block once.
+        starts, where = np.unique(ends[:, None] + unit_starts, return_inverse=True)
+        table = extract_motion_units(gyro_filtered[starts[:, None] + np.arange(UNIT_SAMPLES)])
+        units = table.reshape(-1, NUM_FEATURES)[where.reshape(len(block), NUM_UNITS)]
         try:
             scores = classifier.classify_many(units)
         except Error:  # redo the block window by window; only failing seconds downgrade

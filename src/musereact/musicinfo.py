@@ -23,6 +23,7 @@ from .core import (
     ParameterError,
     ParseError,
     PipelineConfig,
+    is_plain_file_name,
     read_csv_rows,
     write_text,
 )
@@ -126,18 +127,18 @@ class MusicInfoStore:
         self._tracks: dict[str, NoteTrack] = dict(tracks or {})
 
     @classmethod
-    def from_dir(cls, path: str | os.PathLike) -> "MusicInfoStore":
-        """Load every ``*.csv`` note track under ``path`` (song id = stem)."""
-        store = cls()
-        try:
-            names = sorted(os.listdir(path))
-        except FileNotFoundError:
-            raise ConfigError(f"note-track directory {path!r} does not exist") from None
-        for name in names:
-            if name.endswith(".csv"):
-                track = load_note_track(os.path.join(path, name))
-                store.add(track)
-        return store
+    def from_dir(cls, path: str | os.PathLike, song_id: str | None = None) -> "MusicInfoStore":
+        """Load every ``*.csv`` note track under ``path`` (song id = stem), or
+        only ``<song_id>.csv`` when ``song_id`` is given and that file exists."""
+        if not os.path.isdir(path):
+            raise ConfigError(f"note-track directory {path!r} does not exist")
+        if song_id is None:
+            names = [name for name in sorted(os.listdir(path)) if name.endswith(".csv")]
+        else:  # a song id that is no plain file name names no track
+            names = [f"{song_id}.csv"] if is_plain_file_name(song_id) else []
+            names = [name for name in names if os.path.isfile(os.path.join(path, name))]
+        return cls({track.song_id: track for track in
+                    (load_note_track(os.path.join(path, name)) for name in names)})
 
     def add(self, track: NoteTrack) -> None:
         self._tracks[track.song_id] = track
@@ -147,12 +148,3 @@ class MusicInfoStore:
             return self._tracks[song_id]
         except KeyError:
             raise ConfigError(f"no note track for song {song_id!r}") from None
-
-    def __contains__(self, song_id: str) -> bool:
-        return song_id in self._tracks
-
-    def __len__(self) -> int:
-        return len(self._tracks)
-
-    def song_ids(self) -> list[str]:
-        return sorted(self._tracks)

@@ -18,7 +18,8 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
    wearer's pitch contour warps onto the reference melody around the
    current song position (DTW over chroma, at most ``dtw_threshold``).
 6. HMM smoothing -- a Viterbi decode over the trailing ``smoothing_window``
-   observations removes isolated flips.
+   observations removes isolated flips.  All full-length windows of a
+   session are decoded together as one array (:func:`smooth_labels`).
 
 ``run_vocal_pipeline`` settles stage 1 in one pass over the level table, then
 walks the rest from stage 2, recording in a :class:`core.CascadeStats` the last
@@ -550,10 +551,39 @@ def smooth(window: list[ReactionLabel], hmm: HmmParams) -> ReactionLabel:
 
     Decodes the window with Viterbi and returns the state at the final
     position, so a single flip surrounded by agreeing neighbours is pulled
-    back to its context.
+    back to its context.  The one-window case of :func:`smooth_labels`.
     """
-    path, _ = viterbi_path(hmm, window)
-    return path[-1]
+    if not window:
+        raise ParameterError("need at least one observation")
+    return hmm.states[_final_states(hmm, [[hmm.state_index(x) for x in window]])[0]]
+
+
+def smooth_labels(observed: list[ReactionLabel], hmm: HmmParams,
+                  window: int) -> list[ReactionLabel]:
+    """:func:`smooth` of every second's trailing ``window`` observations (the
+    first ``window - 1`` seconds have fewer); all full windows step together."""
+    if window < 1:
+        raise ParameterError("window must be >= 1")
+    obs = np.array([hmm.state_index(label) for label in observed], dtype=int)
+    rows = [obs[None, :i + 1] for i in range(min(window - 1, len(obs)))]
+    if len(obs) >= window:
+        rows.append(np.lib.stride_tricks.sliding_window_view(obs, window))
+    return [hmm.states[i] for row in rows for i in _final_states(hmm, row)]
+
+
+def _final_states(hmm: HmmParams, windows) -> np.ndarray:
+    """Last state of the best path of each row of an ``(n, L)`` index array:
+    the first-max ``argmax`` of the final ``delta``, by :func:`viterbi_path`'s
+    float operations, so ties and ``-inf`` logs resolve as they do there."""
+    obs = np.asarray(windows, dtype=int)
+    with np.errstate(divide="ignore"):
+        log_init, log_trans, log_emis = (
+            np.log(p) for p in (hmm.initial, hmm.transition, hmm.emission))
+    delta = log_init + log_emis[:, obs[:, 0]].T                   # (n, S)
+    for t in range(1, obs.shape[1]):
+        candidates = delta[:, :, None] + log_trans                # (n, from, to)
+        delta = candidates.max(axis=1) + log_emis[:, obs[:, t]].T
+    return np.argmax(delta, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +662,7 @@ def run_vocal_pipeline(
         except Error as exc:
             failures[i] = exc
 
-    labels = observed
-    if smoothing:
-        window = config.smoothing_window
-        labels = [smooth(observed[max(0, i + 1 - window):i + 1], hmm) for i in range(total)]
+    labels = smooth_labels(observed, hmm, config.smoothing_window) if smoothing else observed
     return CascadeResult(labels, observed, CascadeStats(stages, failures))
 
 

@@ -655,6 +655,44 @@ class TestNoteTrackDirectory:
             "note-track directory was found (use --notes)\n")
 
 
+class TestOwnNoteTrackOnly:
+    """``detect`` and ``train-hmm`` read ``<notes>/<song_id>.csv`` and no other track."""
+
+    BROKEN = "t,chroma\n0.0,13\n"
+
+    def test_broken_track_of_another_song_is_not_read(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        (tmp_path / "data" / harness.NOTES_DIR / "other.csv").write_text(self.BROKEN)
+        out = tmp_path / "out"
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"detect: processed 1 sessions into {out}\n"
+        hmm = tmp_path / "hmm.json"
+        assert main(["train-hmm", "--data", str(tmp_path / "data"), "--out", str(hmm)]) == 0
+        assert capsys.readouterr().err == f"train-hmm: fitted on 1 sessions -> {hmm}\n"
+
+    def test_broken_own_track_names_the_file(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        track = tmp_path / "data" / harness.NOTES_DIR / "tune.csv"
+        track.write_text(self.BROKEN)
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {track}: line 2: chroma 13 outside 0..11\n")
+
+    def test_missing_own_track_is_no_note_track(self, tmp_path, capsys):
+        session = small_session(tmp_path / "data")
+        notes = tmp_path / "data" / harness.NOTES_DIR
+        (notes / "tune.csv").rename(notes / "other.csv")
+        for argv in (["detect", "--session", session, "--pipeline", "vocal",
+                      "--out", str(tmp_path / "out")],
+                     ["train-hmm", "--data", str(tmp_path / "data"),
+                      "--out", str(tmp_path / "hmm.json")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"musereact {argv[0]}: error: no note track for song 'tune'\n")
+
+
 def test_detect_rejects_an_hmm_without_whistling_before_writing(tmp_path, capsys):
     """Whistling never occurs in the session, yet an HMM that cannot decode it
     stops ``detect`` before any output is written."""
@@ -1089,7 +1127,7 @@ class TestAudioWav:
 
 
 class TestDetectConfig:
-    """A bad ``--config`` document exits 2 with one line naming the key."""
+    """A bad ``--config`` document exits 2 with one line naming the file and the key."""
 
     @pytest.mark.parametrize("doc, message", [
         ({"imu_rate_hz": 70}, "unknown config keys: imu_rate_hz"),
@@ -1107,7 +1145,7 @@ class TestDetectConfig:
         config.write_text(json.dumps(doc))
         assert main(["detect", "--session", str(tmp_path / "s"), "--config",
                      str(config), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"musereact detect: error: {message}\n"
+        assert capsys.readouterr().err == f"musereact detect: error: {config}: {message}\n"
 
 
 @pytest.fixture(scope="module")

@@ -3,17 +3,23 @@ inference, the heuristic classifier, and the per-second cascade."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from musereact import dsp, motion
 from musereact.core import (
+    IMU_RATE_HZ,
     ParameterError,
     PipelineConfig,
     ReactionLabel,
+    Session,
     Stage,
     merge_labels_to_events,
+    second_bounds,
 )
 from musereact.harness import SyntheticSpec, evaluate, generate_session, lstm_loop_oracle
 from musereact.motion import (
+    NUM_FEATURES,
     HeuristicMotionClassifier,
     LstmClassifier,
     LstmWeights,
@@ -372,3 +378,145 @@ class TestMotionPipeline:
         result = run_motion_pipeline(generated.session, config=config)
         assert result.stats.count(Stage.MOTION_FILTER) == 0
         assert result.stats.count(Stage.CLASSIFIER) == 20 - result.stats.count(Stage.COLD_START)
+
+
+# ---------------------------------------------------------------------------
+# the array paths against their per-window references
+# ---------------------------------------------------------------------------
+
+def heuristic_reference(units):
+    """:class:`HeuristicMotionClassifier`'s ``p_head`` of one ``(T, 18)``
+    sequence, one window at a time: the reference ``classify_many`` must
+    equal bit for bit."""
+    energy = np.linalg.norm(np.asarray(units, dtype=float)[:, [4, 10, 16]], axis=1)
+    score = 0.0
+    for length in (70, 30):
+        series = energy[-min(length, len(energy)):]
+        if len(series) > 13:  # longer than the largest lag, 12 units
+            score = max(score, _series_score_reference(series))
+    return score
+
+
+def _series_score_reference(series):
+    x = series - series.mean()
+    power_total = float(np.dot(x, x))
+    if power_total <= 0.0:
+        return 0.0
+    spectrum = np.fft.rfft(x, n=2 * len(x))
+    r = np.fft.irfft(spectrum * np.conj(spectrum))[:13]
+    ac_peak = float(np.max(r[2:13]) / r[0])
+    nondc = (np.abs(np.fft.rfft(x)) ** 2)[1:]
+    peakiness = float(nondc.max() / nondc.sum()) if nondc.sum() > 0 else 0.0
+    return float(1.0 / (1.0 + np.exp(-(6.0 * ac_peak + 4.0 * peakiness - 5.0))))
+
+
+@st.composite
+def unit_stacks(draw):
+    """``(n, T, 18)`` stacks mixing noise, all-zero windows, constant energy
+    series and periodic (nodding-like) ones, at several scales."""
+    n = draw(st.sampled_from([1, 2, 9, 128]))
+    length = draw(st.sampled_from([70, 70, 70, 0, 13, 14, 29, 30, 31, 100]))
+    scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 40.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = np.abs(rng.normal(0.0, scale, (n, length, NUM_FEATURES)))
+    kinds = rng.integers(0, 4, n)
+    t = np.arange(length)
+    for k, kind in enumerate(kinds):
+        if kind == 1:
+            units[k] = 0.0
+        elif kind == 2:
+            units[k, :, [4, 10, 16]] = scale * rng.uniform(0.1, 2.0, (3, 1))
+        elif kind == 3:
+            period = rng.uniform(2.0, 14.0)
+            units[k, :, 10] += scale * np.abs(np.sin(np.pi * t / period))
+    return units
+
+
+
+class TestHeuristicScoresAsArrays:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(unit_stacks())
+    def test_classify_many_equals_the_per_window_reference(self, units):
+        clf = HeuristicMotionClassifier()
+        expected = [heuristic_reference(window) for window in units]
+        assert np.array_equal(clf.classify_many(units), expected)
+        assert [clf.classify(window)[0] for window in units] == expected
+
+    @pytest.mark.parametrize("n", [1, 128])
+    def test_zero_and_constant_windows_score_0(self, n):
+        units = np.zeros((n, 70, NUM_FEATURES))
+        units[n // 2, :, [4, 10, 16]] = 3.0
+        assert np.array_equal(HeuristicMotionClassifier().classify_many(units), np.zeros(n))
+
+    def test_stack_must_be_three_dimensional(self):
+        with pytest.raises(ParameterError):
+            HeuristicMotionClassifier().classify_many(np.zeros((70, NUM_FEATURES)))
+        with pytest.raises(ParameterError):
+            HeuristicMotionClassifier().classify(np.zeros((70, 17)))
+
+
+class RecordingClassifier(motion.SequenceClassifier):
+    """Keeps every stack it is asked to score; scores 0."""
+
+    def __init__(self):
+        self.stacks = []
+
+    def classify_many(self, units):
+        self.stacks.append(np.array(units))
+        return np.zeros(len(units))
+
+
+def jittered_session(seconds, seed, jitter):
+    """A session whose IMU clock drifts by up to ``jitter`` of a sample step,
+    so the per-second window ends fall on several phases mod 7."""
+    rng = np.random.default_rng(seed)
+    steps = (1.0 + rng.uniform(-jitter, jitter, seconds * int(IMU_RATE_HZ))) / IMU_RATE_HZ
+    t = np.concatenate([[0.0], np.cumsum(steps)[:-1]])
+    keep = t < seconds
+    accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0, 0.05, (len(t), 3))
+    gyro = rng.normal(0, 20, (len(t), 3))
+    return Session(session_id="jitter", subject_id="s", song_id="tune", place="office",
+                   imu_t=t[keep], accel=accel[keep], gyro=gyro[keep])
+
+
+class TestMotionUnitTable:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seconds=st.integers(7, 300), seed=st.integers(0, 2**32 - 1),
+           jitter=st.sampled_from([0.0, 0.05, 0.3]), motion_filter=st.booleans())
+    def test_gathered_units_equal_each_window_summarized(
+            self, seconds, seed, jitter, motion_filter):
+        session = jittered_session(seconds, seed, jitter)
+        config = PipelineConfig().replace(enable_motion_filter=motion_filter)
+        recorder = RecordingClassifier()
+        result = run_motion_pipeline(session, recorder, config)
+        bounds = second_bounds(session)
+        ends = np.array([bounds[i + 1] for i, stage in enumerate(result.stats.stages)
+                         if stage is Stage.CLASSIFIER], dtype=int)
+        gyro = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz)
+        expected = extract_motion_units(gyro[ends[:, None] + np.arange(-490, 0)])
+        got = np.concatenate(recorder.stacks) if recorder.stacks else expected[:0]
+        assert np.array_equal(got, expected)
+        assert [len(stack) for stack in recorder.stacks] == [
+            min(motion.MOTION_BLOCK, len(ends) - first)
+            for first in range(0, len(ends), motion.MOTION_BLOCK)]
+
+    def test_window_ends_fall_on_several_phases(self):
+        session = jittered_session(200, 1, 0.3)
+        ends = np.array(second_bounds(session)[7:])
+        assert len(set((ends % 7).tolist())) == 7
+
+
+class TestNoPerWindowLoops:
+    """The cascade scores windows as stacks: a per-window call coming back
+    into the batch path fails here."""
+
+    def test_heuristic_is_never_called_per_window(self, monkeypatch):
+        calls = []
+        original = HeuristicMotionClassifier.classify
+        monkeypatch.setattr(HeuristicMotionClassifier, "classify",
+                            lambda self, units: calls.append(1) or original(self, units))
+        generated = generate_session(motion_spec(duration_s=60, script=((8, 50, H),)))
+        result = run_motion_pipeline(generated.session)
+        assert result.stats.count(Stage.CLASSIFIER) > 30
+        assert H in result.labels
+        assert calls == []

@@ -125,24 +125,49 @@ class TestMusicInfoStore:
     def test_lookup(self):
         track = make_track(song_id="hit")
         store = MusicInfoStore({"hit": track})
-        assert "hit" in store
         assert store.get("hit") is track
 
     def test_missing_song(self):
         store = MusicInfoStore({})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^no note track for song 'nope'$"):
             store.get("nope")
-        assert "nope" not in store
 
     def test_from_dir(self, tmp_path):
         for name in ("alpha", "beta"):
             musicinfo.save_note_track(tmp_path / f"{name}.csv", make_track(song_id=name))
         store = MusicInfoStore.from_dir(tmp_path)
-        assert len(store) == 2
-        assert store.song_ids() == ["alpha", "beta"]
         assert store.get("alpha").song_id == "alpha"
+        assert store.get("beta").song_id == "beta"
+
+    def test_from_dir_with_song_id_reads_that_track_only(self, tmp_path):
+        musicinfo.save_note_track(tmp_path / "alpha.csv", make_track(song_id="alpha"))
+        (tmp_path / "broken.csv").write_text("t,chroma\n0.0,13\n")
+        store = MusicInfoStore.from_dir(tmp_path, "alpha")
+        np.testing.assert_array_equal(store.get("alpha").symbols,
+                                      make_track(song_id="alpha").symbols)
+        with pytest.raises(ConfigError, match="^no note track for song 'broken'$"):
+            MusicInfoStore.from_dir(tmp_path, "alpha").get("broken")
+        with pytest.raises(ParseError, match="chroma 13 outside 0..11"):
+            MusicInfoStore.from_dir(tmp_path, "broken")
+
+    @pytest.mark.parametrize("song_id", ["gone", "", ".", "..", "../alpha", "a/b"])
+    def test_from_dir_without_that_track_holds_none(self, tmp_path, song_id):
+        """A name outside the directory (``../alpha.csv`` exists) or a
+        directory named like a track (``..csv``) is no track."""
+        musicinfo.save_note_track(tmp_path / "alpha.csv", make_track(song_id="alpha"))
+        notes = tmp_path / "notes"
+        (notes / "..csv").mkdir(parents=True)
+        with pytest.raises(ConfigError, match="^no note track for song "):
+            MusicInfoStore.from_dir(notes, song_id).get(song_id)
+
+    def test_from_dir_missing_directory(self, tmp_path):
+        missing = str(tmp_path / "nope")
+        for song_id in (None, "alpha"):
+            with pytest.raises(ConfigError) as err:
+                MusicInfoStore.from_dir(missing, song_id)
+            assert str(err.value) == f"note-track directory {missing!r} does not exist"
 
     def test_add(self):
         store = MusicInfoStore()
         store.add(make_track(song_id="new"))
-        assert "new" in store
+        assert store.get("new").song_id == "new"

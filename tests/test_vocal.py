@@ -42,6 +42,7 @@ from musereact.vocal import (
     relax_rank,
     run_vocal_pipeline,
     smooth,
+    smooth_labels,
     train_hmm,
     viterbi_path,
     vocal_motion_prefilter,
@@ -832,3 +833,58 @@ class TestVocalPipeline:
         assert result.observed[6] is N      # pre-smoothing sees the flip
         assert result.labels[6] is S        # smoothing absorbs it
         assert result.labels == [S] * 12
+
+
+@st.composite
+def hmms_and_windows(draw):
+    """An HMM over 2-4 labels whose rows are small integer weights normalized,
+    so zero probabilities (-inf logs) and exact ties are common, with an
+    observed sequence and a smoothing window of 1-8."""
+    k = draw(st.integers(2, 4))
+    states = draw(st.permutations(list(ReactionLabel)))[:k]
+
+    def rows(count):
+        weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                                .filter(any), min_size=count, max_size=count))
+        return np.array([np.array(w) / sum(w) for w in weights])
+
+    hmm = HmmParams(states=states, initial=rows(1)[0], transition=rows(k), emission=rows(k))
+    observed = draw(st.lists(st.sampled_from(states), max_size=20))
+    return hmm, observed, draw(st.integers(1, 8))
+
+
+class TestBatchedSmoothing:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(hmms_and_windows())
+    def test_equals_viterbi_on_each_trailing_window(self, case):
+        hmm, observed, window = case
+        expected = [viterbi_path(hmm, observed[max(0, i + 1 - window):i + 1])[0][-1]
+                    for i in range(len(observed))]
+        assert smooth_labels(observed, hmm, window) == expected
+        if observed:
+            assert smooth(observed[-window:], hmm) is expected[-1]
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ParameterError):
+            smooth_labels([S], sticky_hmm(), 0)
+
+    def test_pipeline_never_runs_viterbi_per_second(self, monkeypatch):
+        """A 60 s session is smoothed without one ``viterbi_path`` call, and
+        its labels are those of the per-window decode."""
+        calls = []
+        monkeypatch.setattr(vocal, "viterbi_path",
+                            lambda *args: calls.append(1) or viterbi_path(*args))
+        generated = generate_session(singing_spec(duration_s=60, script=((5, 25, S),
+                                                                          (32, 50, W))))
+        hmm = sticky_hmm(self_prob=0.7, emit_diag=0.6)
+        result = run_vocal_pipeline(
+            generated.session, generated.classifier(),
+            pitch_tracker=generated.pitch_tracker(),
+            note_store=MusicInfoStore({"tune": generated.note_track}), hmm=hmm,
+            config=PipelineConfig().replace(dtw_threshold=30.0))
+        assert calls == []
+        window = PipelineConfig().smoothing_window
+        assert result.labels == [
+            viterbi_path(hmm, result.observed[max(0, i + 1 - window):i + 1])[0][-1]
+            for i in range(60)]
+        assert result.labels != result.observed
