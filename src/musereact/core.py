@@ -735,14 +735,14 @@ def read_document(path: str | os.PathLike, kind: str, build: Callable) -> object
 def read_json(path: str | os.PathLike) -> dict:
     """The package's one JSON-document reader: the object at ``path``.
 
-    Bad JSON raises :class:`ParseError` ``<path>: line N: <msg>`` (``<path>:
-    <msg>`` for numbers or nesting too large to decode), and any other
-    top-level value ``<path>: expected a JSON object``.
+    Bad JSON raises :class:`ParseError` ``<path>: line N: <msg> at column C``
+    (``<path>: <msg>`` for numbers or nesting too large to decode), and any
+    other top-level value ``<path>: expected a JSON object``.
     """
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg} at column {exc.colno}") from None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):

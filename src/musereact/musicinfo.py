@@ -127,18 +127,15 @@ class MusicInfoStore:
         self._tracks: dict[str, NoteTrack] = dict(tracks or {})
 
     @classmethod
-    def from_dir(cls, path: str | os.PathLike, song_id: str | None = None) -> "MusicInfoStore":
-        """Load every ``*.csv`` note track under ``path`` (song id = stem), or
-        only ``<song_id>.csv`` when ``song_id`` is given and that file exists."""
+    def from_dir(cls, path: str | os.PathLike, song_id: str) -> "MusicInfoStore":
+        """The store holding ``<path>/<song_id>.csv``, or no track when that
+        file does not exist or ``song_id`` is no plain file name."""
         if not os.path.isdir(path):
             raise ConfigError(f"note-track directory {path!r} does not exist")
-        if song_id is None:
-            names = [name for name in sorted(os.listdir(path)) if name.endswith(".csv")]
-        else:  # a song id that is no plain file name names no track
-            names = [f"{song_id}.csv"] if is_plain_file_name(song_id) else []
-            names = [name for name in names if os.path.isfile(os.path.join(path, name))]
-        return cls({track.song_id: track for track in
-                    (load_note_track(os.path.join(path, name)) for name in names)})
+        track_path = os.path.join(path, f"{song_id}.csv")
+        if not (is_plain_file_name(song_id) and os.path.isfile(track_path)):
+            return cls()
+        return cls({song_id: load_note_track(track_path, song_id)})
 
     def add(self, track: NoteTrack) -> None:
         self._tracks[track.song_id] = track

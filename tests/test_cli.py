@@ -187,7 +187,7 @@ class TestDetect:
             core.load_session_dir(session_dir),
             vocal.ScoreFileClassifier.from_file(os.path.join(session_dir, "scores.jsonl")),
             pitch_tracker=vocal.AutocorrelationPitchTracker(),
-            note_store=musicinfo.MusicInfoStore.from_dir(tmp_path / "data" / "notes"))
+            note_store=musicinfo.MusicInfoStore.from_dir(tmp_path / "data" / "notes", "tune"))
         assert expected.stats.count(core.Stage.CORRECTION) > 0
         assert core.load_events_jsonl(out / "sess.vocal.jsonl") == (
             core.merge_labels_to_events(expected.labels))
@@ -943,7 +943,7 @@ class TestJsonInputs:
     CASES = {
         "missing": (None, "file not found"),
         "not_utf8": (b"{\n\xff\xfe}\n", "line 2: not UTF-8 text"),
-        "syntax": (b'{"a": \n', "line 2: Expecting value"),
+        "syntax": (b'{"a": \n', "line 2: Expecting value at column 1"),
         "not_object": (b"[1, 2]\n", "expected a JSON object"),
     }
 

@@ -754,7 +754,7 @@ class TestJsonDocuments:
     @pytest.mark.parametrize("data, expected", [
         (None, "file not found"),
         (b'{\n  "a": "\xff"\n}\n', "line 2: not UTF-8 text"),
-        (b'{"a": \n', "line 2: Expecting value"),
+        (b'{"a": \n', "line 2: Expecting value at column 1"),
         (b"[1, 2]\n", "expected a JSON object"),
     ], ids=["missing", "not_utf8", "syntax", "not_object"])
     def test_bad_file_is_parse_error_naming_path(self, tmp_path, loader, data, expected):

@@ -135,9 +135,8 @@ class TestMusicInfoStore:
     def test_from_dir(self, tmp_path):
         for name in ("alpha", "beta"):
             musicinfo.save_note_track(tmp_path / f"{name}.csv", make_track(song_id=name))
-        store = MusicInfoStore.from_dir(tmp_path)
-        assert store.get("alpha").song_id == "alpha"
-        assert store.get("beta").song_id == "beta"
+        assert MusicInfoStore.from_dir(tmp_path, "alpha").get("alpha").song_id == "alpha"
+        assert MusicInfoStore.from_dir(tmp_path, "beta").get("beta").song_id == "beta"
 
     def test_from_dir_with_song_id_reads_that_track_only(self, tmp_path):
         musicinfo.save_note_track(tmp_path / "alpha.csv", make_track(song_id="alpha"))
@@ -162,10 +161,9 @@ class TestMusicInfoStore:
 
     def test_from_dir_missing_directory(self, tmp_path):
         missing = str(tmp_path / "nope")
-        for song_id in (None, "alpha"):
-            with pytest.raises(ConfigError) as err:
-                MusicInfoStore.from_dir(missing, song_id)
-            assert str(err.value) == f"note-track directory {missing!r} does not exist"
+        with pytest.raises(ConfigError) as err:
+            MusicInfoStore.from_dir(missing, "alpha")
+        assert str(err.value) == f"note-track directory {missing!r} does not exist"
 
     def test_add(self):
         store = MusicInfoStore()
