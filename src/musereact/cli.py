@@ -327,6 +327,8 @@ def _load_pattern(path: str) -> np.ndarray:
 
 def _cmd_recommend(args) -> int:
     pattern = _load_pattern(args.pattern)
+    if not os.path.isdir(args.pool):
+        raise core.ConfigError(f"pool directory {args.pool!r} does not exist")
     pool = {}
     for name in sorted(os.listdir(args.pool)):
         if not name.endswith(".jsonl"):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
 
 import numpy as np
 import scipy.signal
@@ -286,37 +285,38 @@ def _as_chroma(seq, name):
     return arr
 
 
-def dtw_scan(cost_rows: Iterable[np.ndarray]) -> np.ndarray:
+def dtw_scan(table: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Last row of the DTW accumulated cost for K problems side by side.
 
-    ``cost_rows`` yields the local-cost rows ``c[i]`` of every problem as
-    one ``(K, m)`` array per query row ``i``; the result is the ``(K, m)``
-    array ``D[n-1]``.  Steps are {(1,1), (1,0), (0,1)}, as in
-    :func:`dtw_from_cost`.  Each row is one scan instead of m scalar steps:
-    with ``t[j] = c[i,j] + min(D[i-1,j], D[i-1,j-1])`` and ``S`` the prefix
-    sums of ``c[i]``, the left-neighbour recursion unrolls to
-    ``D[i,j] = S[j] + min_{k <= j}(t[k] - S[k])``.
+    ``table`` is a ``(V, m, K)`` stack of local-cost rows, one per query
+    symbol, and ``query`` holds ``n`` indices into its first axis: query
+    row ``i`` of problem ``k`` has the costs ``table[query[i], :, k]``.  The
+    result is the ``(m, K)`` array ``D[n-1]``.  Steps are {(1,1), (1,0),
+    (0,1)}, as in :func:`dtw_from_cost`.  Each row is one scan instead of m
+    scalar steps: with ``S`` the prefix sums of the row's costs ``c``, the
+    left-neighbour recursion unrolls to
+    ``D[i,j] = S[j] + min_{k <= j}(c[k] - S[k] + min(D[i-1,k], D[i-1,k-1]))``.
+    ``S`` and ``c - S`` are built once per symbol, so a query row is four
+    in-place numpy calls.
 
-    The costs must be integer-valued (bool rows work; they are summed as
+    The costs must be integer-valued (bool tables work; they are summed as
     float64) with sums below 2**53; every intermediate is then an integer
     and the result equals the cell-by-cell recursion exactly.  ``D[i,j]``
     reads only columns ``<= j``, so a problem narrower than ``m`` may be
-    padded with any value and read at its own last column.  Rows are
-    consumed one at a time and never stacked.
+    padded with any value and read at its own last column.
     """
-    rows = iter(cost_rows)
-    acc = np.cumsum(next(rows), axis=-1, dtype=float)
-    best = np.empty_like(acc)
-    for c in rows:
-        best[:, 0] = np.inf
-        best[:, 1:] = acc[:, :-1]
-        np.minimum(best, acc, out=best)
-        prefix = np.cumsum(c, axis=-1, dtype=float)
-        best += c
-        best -= prefix
-        np.minimum.accumulate(best, axis=-1, out=acc)
-        acc += prefix
-    return acc
+    prefix = np.cumsum(table, axis=1, dtype=float)
+    step = table - prefix
+    acc = np.full((table.shape[1] + 1, table.shape[2]), np.inf)
+    row, diag = acc[1:], acc[:-1]
+    row[:] = prefix[query[0]]
+    best = np.empty_like(row)
+    for symbol in query[1:]:
+        np.minimum(row, diag, out=best)
+        best += step[symbol]
+        np.minimum.accumulate(best, axis=0, out=row)
+        row += prefix[symbol]
+    return row
 
 
 def dtw_from_cost(cost: np.ndarray) -> float:
@@ -334,7 +334,7 @@ def dtw_from_cost(cost: np.ndarray) -> float:
         raise ParameterError("cost matrix must be 2-D and non-empty")
     if not (np.isfinite(cost).all() and (cost == np.trunc(cost)).all()):
         raise ParameterError("cost matrix must hold finite integer values")
-    return float(dtw_scan(cost[:, None, :])[0, -1])
+    return float(dtw_scan(cost[:, :, None], np.arange(len(cost)))[-1, 0])
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -439,9 +439,10 @@ def recommend(
     Returns up to ``top_n`` ``(song_id, distance)`` pairs, ascending by
     distance with ties broken by song id.  A pool entry with an identical
     reaction pattern therefore comes first with distance 0.  Every member
-    is scored exactly (no pruning, no band): the pool is padded to its
-    longest member and goes through one :func:`dsp.dtw_scan` with the query
-    as the row axis, each member read at its own last column.
+    is scored exactly (no pruning, no band) in one :func:`dsp.dtw_scan`:
+    the pool is padded to its longest member, each distinct query symbol's
+    0/1 cost row against it is built once, and each member is read at its
+    own last column.
     """
     if top_n < 1:
         raise ParameterError("top_n must be >= 1")
@@ -450,11 +451,12 @@ def recommend(
     query = _as_pattern(pattern)
     members = [_as_pattern(stored) for stored in pool.values()]
     ends = np.array([len(member) for member in members])
-    padded = np.zeros((len(members), ends.max()), dtype=int)
-    for row, member in zip(padded, members):
-        row[:len(member)] = member
-    last = dtw_scan(symbol != padded for symbol in query)
-    distances = last[np.arange(len(members)), ends - 1]
+    padded = np.zeros((ends.max(), len(members)), dtype=int)
+    for column, member in zip(padded.T, members):
+        column[:len(member)] = member
+    symbols, rows = np.unique(query, return_inverse=True)
+    last = dtw_scan(symbols[:, None, None] != padded, rows)
+    distances = last[ends - 1, np.arange(len(members))]
     ranked = sorted(zip(pool, map(float, distances)),
                     key=lambda pair: (pair[1], pair[0]))
     return ranked[:top_n]

@@ -861,6 +861,19 @@ class TestRecommend:
         assert capsys.readouterr().err == (
             f"musereact recommend: error: {paths[empty]}: no reaction events\n")
 
+    @pytest.mark.parametrize("kind", ["missing", "regular_file"])
+    def test_pool_that_is_no_directory_is_named(self, tmp_path, capsys, kind):
+        core.save_events_jsonl(tmp_path / "query.jsonl",
+                               [ReactionEvent(label=S, t_start=0.0, t_end=3.0)])
+        pool = tmp_path / "pool"
+        if kind == "regular_file":
+            pool.write_text("")
+        code = main(["recommend", "--pattern", str(tmp_path / "query.jsonl"),
+                     "--pool", str(pool)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact recommend: error: pool directory {str(pool)!r} does not exist\n")
+
     @pytest.mark.parametrize("top", ["0", "-3"])
     def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):
         with pytest.raises(SystemExit) as err:

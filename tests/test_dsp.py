@@ -478,9 +478,9 @@ class TestDtwKernel:
         costs = [rng.integers(0, 7, (9, int(m))).astype(float) for m in (1, 4, 9, 13)]
         width = max(c.shape[1] for c in costs) + 3
         for pad in (0.0, 6.0, 1e6):
-            stack = np.full((9, len(costs), width), pad)
+            table = np.full((9, width, len(costs)), pad)
             for k, c in enumerate(costs):
-                stack[:, k, :c.shape[1]] = c
-            last = dsp.dtw_scan(iter(stack))
+                table[:, :c.shape[1], k] = c
+            last = dsp.dtw_scan(table, np.arange(9))
             for k, c in enumerate(costs):
-                assert last[k, c.shape[1] - 1] == dtw_loop_oracle(c)
+                assert last[c.shape[1] - 1, k] == dtw_loop_oracle(c)

@@ -3,9 +3,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from musereact import engage
 from musereact.core import ParameterError, ReactionEvent, ReactionLabel
+from musereact.dsp import dtw_scan
 from musereact.engage import (
     DecisionTree,
     ReactionFeatures,
@@ -334,3 +337,35 @@ class TestRecommendMatchesBruteForce:
                       {"ok": np.array([0]), "empty": np.array([], dtype=int)})
         with pytest.raises(ParameterError, match="non-empty 1-D"):
             recommend(np.array([[0, 1]]), {"ok": np.array([0])})
+
+
+@st.composite
+def query_and_pool(draw):
+    """A query, a pool of 1-8 members and a ``top_n`` that may pass the pool
+    size; symbols come from one small alphabet of integers in -8..8, so
+    they may be negative, above 3 or all one value."""
+    alphabet = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True))
+    pattern = st.lists(st.sampled_from(alphabet), min_size=1, max_size=40).map(np.array)
+    pool = draw(st.dictionaries(st.text("abxyz", min_size=1, max_size=3), pattern,
+                                min_size=1, max_size=8))
+    return draw(pattern), pool, draw(st.integers(1, 10))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(query_and_pool())
+@example((np.array([2]), {"a": np.array([2]), "b": np.array([-1])}, 5))
+@example((np.array([7, 7, 7]), {"a": np.array([7]), "b": np.array([7, 7, 7, 7])}, 1))
+@example((np.array([-3, 5, -3, 0]), {"only": np.array([5])}, 3))
+def test_recommend_equals_brute_force_on_any_symbols(case):
+    query, pool, top_n = case
+    assert recommend(query, pool, top_n) == brute_force_ranking(query, pool, top_n)
+
+
+@pytest.mark.parametrize("query", [[3, 0, 3, 3, 1, 0, 3], [2], [1, 1, 1, 1]])
+def test_recommend_runs_one_scan_over_one_row_per_distinct_symbol(monkeypatch, query):
+    shapes = []
+    monkeypatch.setattr(engage, "dtw_scan",
+                        lambda table, rows: shapes.append(table.shape) or dtw_scan(table, rows))
+    pool = {"a": np.array([0, 1, 2, 3, 3]), "b": np.array([1]), "c": np.array([3, 0, 0])}
+    recommend(np.array(query), pool)
+    assert shapes == [(len(np.unique(query)), 5, len(pool))]
