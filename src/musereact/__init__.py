@@ -7,9 +7,10 @@ those reactions into engagement signals.
 
 ## What's inside
 
-- `musereact.core` -- the shared data model: sessions, one-second segments,
-  reaction labels/events, the per-second record of a cascade run, the
-  pipeline configuration, on-disk formats.
+- `musereact.core` -- the shared data model: sessions, reaction
+  labels/events, the per-second record of a cascade run, the pipeline
+  configuration, on-disk formats.  This package re-exports its errors,
+  labels, events, `Session` and `PipelineConfig`.
 - `musereact.dsp` -- signal primitives: movement/sound levels, first-order
   low-pass, polyphase resampling, 96x64 log-mel patches, pitch-class
   (chroma) conversion and DTW over chroma sequences.
@@ -68,9 +69,7 @@ from .core import (
     PipelineLabel,
     ReactionEvent,
     ReactionLabel,
-    SensorSegment,
     Session,
-    segment_session,
 )
 
 __version__ = "0.1.0"
@@ -87,8 +86,6 @@ __all__ = [
     "PipelineLabel",
     "ReactionEvent",
     "ReactionLabel",
-    "SensorSegment",
     "Session",
-    "segment_session",
     "__version__",
 ]

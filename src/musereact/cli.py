@@ -246,8 +246,13 @@ def _cmd_eval(args) -> int:
         raise core.ParseError(f"{args.truth}: no labeled events")
     duration = max(e.t_end for e in truth_events)
     mapper = _DOMAIN_MAPS[args.task]
-    truth = mapper(core.expand_events_to_labels(truth_events, duration))
-    pred = mapper(core.expand_events_to_labels(pred_events, duration))
+    labels = []
+    for path, events in ((args.truth, truth_events), (args.pred, pred_events)):
+        try:
+            labels.append(mapper(core.expand_events_to_labels(events, duration)))
+        except core.ParameterError as exc:  # overlapping events
+            raise core.ParseError(f"{path}: {exc}") from None
+    truth, pred = labels
     ratio = None
     if args.stats:
         key = "vocal" if args.task == "vocal" else "motion"
@@ -319,7 +324,10 @@ def _cmd_train_tree(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_pattern(path: str) -> np.ndarray:
-    pattern = engage.pattern_from_events(core.load_events_jsonl(path))
+    try:
+        pattern = engage.pattern_from_events(core.load_events_jsonl(path))
+    except core.ParameterError as exc:  # overlapping events
+        raise core.ParseError(f"{path}: {exc}") from None
     if pattern.size == 0:
         raise core.ParseError(f"{path}: no reaction events")
     return pattern

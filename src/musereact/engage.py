@@ -75,15 +75,6 @@ class ReactionFeatures:
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in self.FEATURE_NAMES])
 
-    @classmethod
-    def from_vector(cls, vector: np.ndarray) -> "ReactionFeatures":
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (len(cls.FEATURE_NAMES),):
-            raise ParameterError(
-                f"need a {len(cls.FEATURE_NAMES)}-element vector, got {vector.shape}"
-            )
-        return cls(**dict(zip(cls.FEATURE_NAMES, map(float, vector))))
-
 
 def _timeline_features(events, allowed, duration_s):
     """(duration fraction, events/minute) per allowed label + the non-reaction
@@ -237,17 +228,6 @@ class DecisionTree:
         while not node.is_leaf:
             node = node.left if vector[node.feature] <= node.threshold else node.right
         return node.value
-
-    def predict_many(self, matrix: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(row) for row in np.asarray(matrix, dtype=float)])
-
-    def depth(self) -> int:
-        """Longest root-to-leaf path; 0 for a single-leaf tree."""
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root)
 
     def save(self, path: str | os.PathLike) -> None:
         def encode(node):

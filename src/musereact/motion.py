@@ -58,20 +58,6 @@ _MIN_LAG = 2
 _MAX_LAG = 12
 
 
-def motion_prefilter(
-    accel: np.ndarray, low_g: float = PipelineConfig.motion_movement_low_g,
-    high_g: float = PipelineConfig.motion_movement_high_g,
-) -> bool:
-    """True when movement level rules the second out (closed pass interval).
-
-    Below ``low_g`` the wearer is too still to be moving along with music;
-    above ``high_g`` the motion is exercise-scale rather than a listening
-    reaction.  Boundary values pass.  Per slice; :func:`run_motion_pipeline`
-    settles every second at once with :func:`dsp.movement_filter`.
-    """
-    return not low_g <= dsp.movement_level(accel) <= high_g
-
-
 def extract_motion_units(gyro: np.ndarray) -> np.ndarray:
     """Summarize a (490, 3) gyro window into the (70, 18) unit-feature matrix.
 
@@ -185,11 +171,6 @@ class LstmWeights:
     @property
     def input_size(self) -> int:
         return self.Wi.shape[0]
-
-    @classmethod
-    def zeros(cls) -> "LstmWeights":
-        return cls(**{key: np.zeros(shape) for key, shape
-                      in _lstm_shapes(NUM_FEATURES, 32).items()})
 
     @classmethod
     def random(cls, rng: np.random.Generator, input_size: int = NUM_FEATURES,

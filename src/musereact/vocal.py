@@ -100,10 +100,6 @@ class ScoreVector:
         order = self.ranked()
         return float(self.scores[order[0]] - self.scores[order[1]])
 
-    def top(self, k: int = 1) -> list[tuple[str, float]]:
-        order = self.ranked()[:k]
-        return [(self.class_names[i], float(self.scores[i])) for i in order]
-
 
 class SoundEventClassifier:
     """Interface for per-segment sound-event classification.
@@ -132,10 +128,6 @@ class ScoreFileClassifier(SoundEventClassifier):
     def __init__(self, scores_by_index: dict[int, ScoreVector]):
         self._scores = dict(scores_by_index)
 
-    @classmethod
-    def from_file(cls, path: str | os.PathLike) -> "ScoreFileClassifier":
-        return cls(load_score_file(path))
-
     def classify(self, patch, index: int) -> ScoreVector:
         try:
             return self._scores[index]
@@ -151,7 +143,9 @@ def _parse_score_line(obj) -> tuple[int, ScoreVector]:
         raise ValueError("index must be an integer")
     if index < 0:
         raise ValueError("index must be >= 0")
-    names = [str(n) for n in obj["classes"]]
+    names = obj["classes"]
+    if type(names) is not list or not all(type(n) is str for n in names):
+        raise ValueError("classes must be a list of names")
     raw = np.asarray(obj["scores"], dtype=float)
     if raw.ndim != 1 or len(names) < 5 or len(raw) != len(names):
         raise ValueError("need >= 5 parallel class/score entries")

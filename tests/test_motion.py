@@ -25,12 +25,15 @@ from musereact.motion import (
     LstmWeights,
     extract_motion_units,
     lstm_forward,
-    motion_prefilter,
     run_motion_pipeline,
 )
+from musereact.vocal import vocal_motion_prefilter
 
 N = ReactionLabel.NON_REACTION
 H = ReactionLabel.HEAD_MOTION
+
+#: All-zero weights of the default shape: the LSTM answers (0.5, 0.5).
+ZERO_WEIGHTS = LstmWeights.random(np.random.default_rng(0), scale=0.0)
 
 
 def motion_spec(**overrides):
@@ -48,6 +51,11 @@ class TestMotionPrefilter:
             mags = np.tile([1.0 - level, 1.0 + level], 35)
             return np.column_stack([mags, np.zeros(70), np.zeros(70)])
 
+        def motion_prefilter(accel):
+            config = PipelineConfig()
+            return vocal_motion_prefilter(
+                accel, config.motion_movement_low_g, config.motion_movement_high_g)
+
         assert motion_prefilter(accel_with_level(0.01)) is False
         assert motion_prefilter(accel_with_level(0.1)) is False
         assert motion_prefilter(accel_with_level(0.005)) is True
@@ -56,9 +64,9 @@ class TestMotionPrefilter:
     def test_band_boundaries_are_inclusive(self):
         mags = np.tile([1.0, 1.5], 35)  # movement level exactly 0.25
         accel = np.column_stack([mags, np.zeros(70), np.zeros(70)])
-        assert motion_prefilter(accel, low_g=0.25, high_g=0.5) is False
-        assert motion_prefilter(accel, low_g=0.1, high_g=0.25) is False
-        assert motion_prefilter(accel, low_g=0.250001, high_g=0.5) is True
+        assert vocal_motion_prefilter(accel, low_g=0.25, high_g=0.5) is False
+        assert vocal_motion_prefilter(accel, low_g=0.1, high_g=0.25) is False
+        assert vocal_motion_prefilter(accel, low_g=0.250001, high_g=0.5) is True
 
 
 class TestMotionUnits:
@@ -131,7 +139,7 @@ class TestMotionUnits:
 
 class TestLstm:
     def test_zero_weights_are_indifferent(self):
-        weights = LstmWeights.zeros()
+        weights = ZERO_WEIGHTS
         rng = np.random.default_rng(3)
         out = lstm_forward(weights, rng.normal(0, 1, (70, 18)))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
@@ -209,7 +217,7 @@ class TestLstm:
                 getattr(weights, key), rng.normal(0.0, 0.1, shape))
 
     def test_shape_validation(self):
-        weights = LstmWeights.zeros()
+        weights = ZERO_WEIGHTS
         with pytest.raises(ParameterError):
             LstmWeights(
                 Wi=weights.Wi[:, :-1], Wf=weights.Wf, Wo=weights.Wo, Wc=weights.Wc,
@@ -261,7 +269,7 @@ class TestLstm:
                                       [heuristic.classify(u)[0] for u in units])
 
     def test_classifier_wrapper(self):
-        clf = LstmClassifier(LstmWeights.zeros())
+        clf = LstmClassifier(ZERO_WEIGHTS)
         p_head, p_non = clf.classify(np.zeros((70, 18)))
         assert p_head == pytest.approx(0.5)
         assert p_head + p_non == pytest.approx(1.0)
@@ -368,7 +376,7 @@ class TestMotionPipeline:
     def test_lstm_classifier_plugs_in(self):
         generated = generate_session(motion_spec(duration_s=15, script=((4, 12, H),)))
         result = run_motion_pipeline(
-            generated.session, classifier=LstmClassifier(LstmWeights.zeros()))
+            generated.session, classifier=LstmClassifier(ZERO_WEIGHTS))
         # indifferent classifier never crosses the 0.5 decision threshold
         assert result.labels == [N] * 15
 

@@ -39,7 +39,6 @@ from musereact.motion import (
     LstmWeights,
     SequenceClassifier,
     extract_motion_units,
-    motion_prefilter,
     run_motion_pipeline,
 )
 from musereact.musicinfo import MusicInfoStore
@@ -91,8 +90,8 @@ def mask_motion(session, classifier, config):
         boundary = int(np.count_nonzero(session.imu_t < second + 1))
         stage, label = Stage.MOTION_FILTER, N
         try:
-            if motion_prefilter(session.accel[mask], config.motion_movement_low_g,
-                                config.motion_movement_high_g):
+            if vocal.vocal_motion_prefilter(session.accel[mask], config.motion_movement_low_g,
+                                            config.motion_movement_high_g):
                 counts["prefiltered"] += 1
             elif boundary < window:
                 stage = Stage.COLD_START

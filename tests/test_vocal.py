@@ -104,7 +104,7 @@ class TestScoreVector:
 
     def test_top(self):
         sv = scores_for(Whistle=0.7, Singing=0.2)
-        names = [name for name, _ in sv.top(2)]
+        names = [sv.class_names[i] for i in sv.ranked()[:2]]
         assert names == ["Whistle", "Singing"]
 
 
@@ -135,9 +135,10 @@ class TestScoreFile:
     def test_classifier_missing_index(self, tmp_path):
         path = tmp_path / "one.jsonl"
         vocal.save_score_file(path, {0: scores_for(Singing=0.9)})
-        clf = ScoreFileClassifier.from_file(path)
+        clf = ScoreFileClassifier(vocal.load_score_file(path))
         assert clf.needs_patch is False
-        assert clf.classify(None, 0).top(1)[0][0] == "Singing"
+        sv = clf.classify(None, 0)
+        assert sv.class_names[sv.ranked()[0]] == "Singing"
         with pytest.raises(InsufficientDataError):
             clf.classify(None, 7)
 
