@@ -360,6 +360,12 @@ class Session:
     Timestamps are seconds from session start.  ``start_offset_in_song``
     places second 0 of the session on the song's own timeline, which the
     music-information correction stage needs.
+
+    A session that passes :meth:`validate` is frozen: its arrays are
+    read-only, so the data the pipelines read is the data that was checked.
+    The arrays are not copied, so a caller's own float array becomes
+    read-only too, and changing the data through another view of the same
+    buffer is unsupported.
     """
 
     session_id: str
@@ -380,7 +386,24 @@ class Session:
         if self.audio is not None:
             self.audio = np.asarray(self.audio, dtype=float)
 
+    def __setattr__(self, name, value):
+        # Any assignment, the constructor's included, voids a passed check.
+        object.__setattr__(self, name, value)
+        object.__setattr__(self, "_checked", False)
+
     def validate(self) -> None:
+        """Check shapes, finiteness, IMU timing and audio alignment.
+
+        A passed check makes ``imu_t``, ``accel``, ``gyro`` and ``audio``
+        read-only and records the pass.  A later call returns at once,
+        reading no array, unless a field has been assigned since or an
+        array's ``writeable`` flag has been turned back on; then it checks
+        in full.  A failed check records nothing and freezes nothing.
+        """
+        arrays = [a for a in (self.imu_t, self.accel, self.gyro, self.audio)
+                  if a is not None]
+        if self._checked and not any(a.flags.writeable for a in arrays):
+            return
         n = self.imu_t.shape[0]
         if self.imu_t.ndim != 1 or n < 2:
             raise InsufficientDataError("IMU stream needs at least two samples")
@@ -415,6 +438,9 @@ class Session:
                     f"audio and IMU spans disagree by {skew:.2f} s "
                     f"(> {STREAM_ALIGNMENT_TOLERANCE_S:.0f} s)"
                 )
+        for array in arrays:
+            array.flags.writeable = False
+        object.__setattr__(self, "_checked", True)
 
     @property
     def duration_s(self) -> float:
@@ -475,9 +501,10 @@ def segment_session(session: Session) -> list[SensorSegment]:
     ``floor(duration)`` seconds of the input exactly.
 
     Selection is linear in the session length (see :func:`second_bounds`),
-    and every segment array is a view into the session's arrays: callers
-    must copy a segment's data before mutating it.  A public helper: the
-    pipelines slice the session at :func:`second_bounds` and do not use it.
+    and every segment array is a view into the session's arrays, which the
+    session's check made read-only: copy a segment's data to change it.  A
+    public helper: the pipelines slice the session at :func:`second_bounds`
+    and do not use it.
     """
     session.validate()
     bounds = second_bounds(session)
@@ -559,15 +586,20 @@ def expand_events_to_labels(
             )
     if duration_s is None:
         duration_s = max((e.t_end for e in ordered), default=0.0)
-    count = int(math.floor(duration_s + 1e-9))
-    labels = [ReactionLabel.NON_REACTION] * count
-    for event in ordered:
-        first = int(math.ceil(event.t_start - 0.5 - 1e-9))
-        last = int(math.floor(event.t_end - 0.5 + 1e-9))
-        for i in range(max(first, 0), min(last, count - 1) + 1):
-            if event.t_start - 1e-9 <= i + 0.5 <= event.t_end + 1e-9:
-                labels[i] = event.label
-    return labels
+    count = max(int(math.floor(duration_s + 1e-9)), 0)
+    # Event i covers the seconds first[i]..last[i].  In start order these
+    # runs rise and share at most an end second, which the later event
+    # takes: so a second belongs to the last run that starts at or before
+    # it, if that run reaches it.
+    first = np.ceil(np.array([e.t_start for e in ordered], dtype=float) - 0.5 - 1e-9)
+    last = np.floor(np.array([e.t_end for e in ordered], dtype=float) - 0.5 + 1e-9)
+    runs = first <= last
+    seconds = np.arange(count)
+    owner = np.searchsorted(first[runs], seconds, side="right")  # 0: no run
+    owner[np.append(-1.0, last[runs])[owner] < seconds] = 0
+    table = np.array([ReactionLabel.NON_REACTION]
+                     + [e.label for e, run in zip(ordered, runs) if run], dtype=object)
+    return table[owner].tolist()
 
 
 # ---------------------------------------------------------------------------

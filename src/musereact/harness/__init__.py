@@ -5,7 +5,8 @@ sessions (IMU, audio, classifier scores, pitch tracks, ground truth) from
 compact :class:`SyntheticSpec` descriptions, `metrics` scores detector
 output against ground truth, and `oracles` provides deliberately naive
 reference implementations (exhaustive and cell-by-cell DTW, enumerated
-Viterbi, per-step LSTM, per-frame pitch) used to validate the fast paths.
+Viterbi, per-step LSTM, per-frame pitch, per-second event painting) used
+to validate the fast paths.
 """
 
 from .synth import (
@@ -30,8 +31,8 @@ from .metrics import (
     map_to_motion_domain,
     map_to_vocal_domain,
 )
-from .oracles import (dtw_loop_oracle, dtw_oracle, lstm_loop_oracle,
-                      pitch_loop_oracle, viterbi_oracle)
+from .oracles import (dtw_loop_oracle, dtw_oracle, expand_events_loop_oracle,
+                      lstm_loop_oracle, pitch_loop_oracle, viterbi_oracle)
 
 __all__ = [
     "NOTES_DIR",
@@ -54,6 +55,7 @@ __all__ = [
     "map_to_vocal_domain",
     "dtw_loop_oracle",
     "dtw_oracle",
+    "expand_events_loop_oracle",
     "lstm_loop_oracle",
     "pitch_loop_oracle",
     "viterbi_oracle",

@@ -6,7 +6,8 @@ path explicitly, and the Viterbi oracle scores every possible state
 sequence.  Both are exponential and refuse inputs beyond small sizes.  The
 DTW loop oracle is the textbook cell-by-cell recursion, for sizes the
 path enumeration cannot reach.  The LSTM and pitch loop oracles run one
-sequence, one gate and one frame at a time.
+sequence, one gate and one frame at a time, and the event oracle paints
+one second at a time.
 """
 
 from __future__ import annotations
@@ -121,6 +122,29 @@ def viterbi_oracle(
             best_logprob = logprob
             best_path = path
     return [hmm.states[i] for i in best_path], best_logprob
+
+
+def expand_events_loop_oracle(events, duration_s=None) -> list[ReactionLabel]:
+    """``core.expand_events_to_labels`` one event and one second at a time:
+    events in start order each overwrite the seconds whose midpoint they
+    cover within 1e-9."""
+    ordered = sorted(events, key=lambda e: (e.t_start, e.t_end))
+    for prev, cur in zip(ordered, ordered[1:]):
+        if cur.t_start < prev.t_end - 1e-9:
+            raise ParameterError(
+                f"events overlap near t={cur.t_start:g} ({prev.label} vs {cur.label})"
+            )
+    if duration_s is None:
+        duration_s = max((e.t_end for e in ordered), default=0.0)
+    count = int(math.floor(duration_s + 1e-9))
+    labels = [ReactionLabel.NON_REACTION] * count
+    for event in ordered:
+        first = int(math.ceil(event.t_start - 0.5 - 1e-9))
+        last = int(math.floor(event.t_end - 0.5 + 1e-9))
+        for i in range(max(first, 0), min(last, count - 1) + 1):
+            if event.t_start - 1e-9 <= i + 0.5 <= event.t_end + 1e-9:
+                labels[i] = event.label
+    return labels
 
 
 def _sigmoid(x):

@@ -5,14 +5,17 @@ A note track is the melody of a song down-sampled to one chroma symbol per
 stored one song per CSV file (``t,chroma`` with ``U`` for unvoiced) and the
 round trip through :func:`save_note_track` / :func:`load_note_track` is
 byte-identical for canonical files.  The shared :func:`core.read_csv_rows`
-checks the file, header and field counts; :func:`load_note_track` adds only
-the note-track rules: rows on the 0.1 s grid from t = 0 (blank lines do not
-count), symbols ``U`` or 0..11, and at least one row.
+checks the file, header and field counts; :func:`load_note_track_rows` adds
+only the note-track rules: rows on the 0.1 s grid from t = 0 (blank lines do
+not count), symbols ``U`` or 0..11, and at least one row.
+:func:`load_note_track` parses canonical files in bulk to the same track.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,7 @@ from .core import (
     PipelineConfig,
     is_plain_file_name,
     read_csv_rows,
+    read_text,
     write_text,
 )
 from .dsp import UNVOICED
@@ -61,21 +65,26 @@ def note_window(track: NoteTrack, t0: float, t1: float,
 
     The window is widened by ``margin_s`` on each side to absorb tempo and
     alignment slack, then clipped to the track.  A window that misses the
-    track entirely raises :class:`EmptyWindowError`.
+    track entirely raises :class:`EmptyWindowError`.  That is checked before
+    ``t1 > t0``: far along a song, ``t0 + 1.0`` may round back to ``t0``.
     """
-    if not t1 > t0:
-        raise ParameterError(f"need t1 > t0, got [{t0}, {t1})")
     if margin_s < 0:
         raise ParameterError("margin_s must be >= 0")
+    if t0 - margin_s >= track.duration_s or t1 + margin_s <= 0:
+        raise _outside(track, t0, t1, margin_s)
+    if not t1 > t0:
+        raise ParameterError(f"need t1 > t0, got [{t0}, {t1})")
     # Clipped before rounding: a huge margin makes an infinite bound.
     first = round(min(max((t0 - margin_s) / NOTE_HOP_S, 0.0), len(track)))
     last = round(min(max((t1 + margin_s) / NOTE_HOP_S, 0.0), len(track)))
     if first >= last:
-        raise EmptyWindowError(
-            f"window [{t0}, {t1}) +/- {margin_s} s lies outside the "
-            f"{track.duration_s:.1f} s track {track.song_id!r}"
-        )
+        raise _outside(track, t0, t1, margin_s)
     return track.symbols[first:last].copy()
+
+
+def _outside(track: NoteTrack, t0: float, t1: float, margin_s: float) -> EmptyWindowError:
+    return EmptyWindowError(f"window [{t0}, {t1}) +/- {margin_s} s lies outside the "
+                            f"{track.duration_s:.1f} s track {track.song_id!r}")
 
 
 def longest_note_window(margin_s: float) -> float:
@@ -92,10 +101,53 @@ def save_note_track(path: str | os.PathLike, track: NoteTrack) -> None:
         for i, sym in enumerate(track.symbols)))
 
 
+#: Up to 256 rows the bulk parser takes: an unsigned decimal time, a comma
+#: and ``U`` or 0..11, then a newline.  The regex engine keeps state for
+#: each repetition within one match, so a whole body is matched in blocks.
+_CANONICAL_ROWS = re.compile(r"(?:[0-9]+(?:\.[0-9]+)?,(?:U|1[01]|[0-9])\n){1,256}")
+
+
+def _is_canonical(body: str) -> bool:
+    """Whether ``body`` is one or more rows :data:`_CANONICAL_ROWS` takes."""
+    pos = 0
+    while pos < len(body):
+        match = _CANONICAL_ROWS.match(body, pos)
+        if match is None:
+            return False
+        pos = match.end()
+    return pos > 0
+
+
 def load_note_track(path: str | os.PathLike, song_id: str | None = None) -> NoteTrack:
-    """Parse a note-track CSV; ``song_id`` defaults to the file stem."""
+    """Parse a note-track CSV; ``song_id`` defaults to the file stem.
+
+    Equal to :func:`load_note_track_rows`, whose :class:`ParseError` it
+    raises.  A file of exactly the header line and canonical rows on the
+    0.1 s grid is parsed in bulk; anything else, every faulty file included,
+    goes through the row path.
+    """
     if song_id is None:
         song_id = os.path.splitext(os.path.basename(path))[0]
+    text = read_text(path)
+    head = "t,chroma\n"
+    body = text[len(head):]
+    if text.startswith(head) and _is_canonical(body):
+        times = np.loadtxt(io.StringIO(body), delimiter=",", usecols=0, comments=None,
+                           ndmin=1, dtype=float)
+        if (np.abs(times - np.arange(len(times)) * NOTE_HOP_S) <= 1e-6).all():
+            # Each symbol is the one or two characters after its row's comma.
+            raw = np.frombuffer(body.encode("ascii"), np.uint8)
+            after = np.flatnonzero(raw == ord(",")) + 1
+            one, two = raw[after].astype(int), raw[after + 1].astype(int)
+            symbols = np.where(one == ord("U"), UNVOICED, np.where(
+                two == ord("\n"), one - ord("0"), 10 + two - ord("0")))
+            return NoteTrack(song_id=song_id, symbols=symbols)
+    return load_note_track_rows(path, song_id)
+
+
+def load_note_track_rows(path: str | os.PathLike, song_id: str) -> NoteTrack:
+    """:func:`load_note_track`'s reference: one row of
+    :func:`core.read_csv_rows` at a time."""
     symbols = []
     for lineno, row in read_csv_rows(path, ["t", "chroma"]):
         try:

@@ -193,6 +193,24 @@ class TestDetect:
         assert core.load_events_jsonl(out / "sess.vocal.jsonl") == (
             core.merge_labels_to_events(expected.labels))
 
+    def test_one_session_scans_its_audio_once(self, corpus, monkeypatch):
+        """The loader checks the session; both pipelines' checks then find it
+        frozen and unchanged, and read no array."""
+        tmp_path, data_dir, config_path = corpus
+        session_dir = str(data_dir / "sess_a")
+        samples = core.load_session_dir(session_dir).audio.size
+        scanned = []
+        real = core._all_finite
+
+        def counting(x):
+            scanned.append(x.size)
+            return real(x)
+        monkeypatch.setattr(core, "_all_finite", counting)
+        assert main(["detect", "--session", session_dir, "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert scanned.count(samples) == 1
+        assert len(scanned) == 4  # imu_t, accel, gyro and audio
+
     def test_env_var_supplies_config(self, corpus, monkeypatch):
         tmp_path, data_dir, config_path = corpus
         monkeypatch.setenv("MUSEREACT_CONFIG", str(config_path))
@@ -1102,6 +1120,32 @@ class TestMetaJson:
                                         {"start_offset_in_song": 1.5e308}])
     def test_numbers_in_range_are_accepted(self, tmp_path, fields):
         assert self._detect_with_meta(tmp_path, **fields)[0] == 0
+
+    def test_far_song_offset_reports_the_window_outside_the_track(self, tmp_path,
+                                                                   monkeypatch):
+        """At an offset of 1e300, ``offset + i + 1.0 == offset + i``: each
+        corrected second's diagnostic says its note window lies outside the
+        track, not that the window is empty."""
+        monkeypatch.delenv("MUSEREACT_CONFIG", raising=False)
+        spec = harness.SyntheticSpec("sess", "u0", "tune", "lounge", duration_s=5,
+                                     script=((0, 5, S),), seed=1)
+        session = harness.write_corpus(tmp_path / "data", [spec])[0]
+        meta_path = os.path.join(session, "meta.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        meta["start_offset_in_song"] = 1e300
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        out = tmp_path / "out"
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(out)]) == 0
+        stats = json.loads((out / "sess.stats.json").read_bytes())["vocal"]
+        track = musicinfo.load_note_track(tmp_path / "data" / "notes" / "tune.csv")
+        failed = [i for i, stage in enumerate(stats["stages"]) if stage == "error"]
+        assert failed and stats["errors"] == len(failed)
+        assert stats["diagnostics"] == [
+            f"segment {i}: window [1e+300, 1e+300) +/- 0.5 s lies outside the "
+            f"{track.duration_s:.1f} s track 'tune'" for i in failed]
 
     def test_any_audio_rate_is_accepted_without_audio_wav(self, tmp_path):
         assert self._detect_with_meta(tmp_path, without_wav=True, audio_rate=1)[0] == 0

@@ -345,6 +345,105 @@ class TestSessionValidation:
             sess.validate()
 
 
+class TestFrozenSession:
+    """A passed check freezes the session, and a later check on the unchanged
+    session reads no array; any change to it makes the next check a full one."""
+
+    ARRAYS = ("imu_t", "accel", "gyro", "audio")
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        """The size of each array ``core._all_finite`` scans from now on."""
+        scanned = []
+        real = core._all_finite
+
+        def counting(x):
+            scanned.append(x.size)
+            return real(x)
+        monkeypatch.setattr(core, "_all_finite", counting)
+        return scanned
+
+    def test_second_validate_scans_nothing(self, monkeypatch):
+        sess = make_session()
+        scanned = self.count_scans(monkeypatch)
+        sess.validate()
+        assert sorted(scanned) == sorted(getattr(sess, n).size for n in self.ARRAYS)
+        sess.validate()
+        sess.validate()
+        assert len(scanned) == 4
+
+    def test_validate_makes_every_array_read_only(self):
+        sess = make_session()
+        assert all(getattr(sess, name).flags.writeable for name in self.ARRAYS)
+        sess.validate()
+        assert not any(getattr(sess, name).flags.writeable for name in self.ARRAYS)
+        segment = segment_session(sess)[1]
+        assert not any(getattr(segment, name).flags.writeable for name in self.ARRAYS)
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_in_place_write_after_validate_raises(self, name):
+        sess = make_session()
+        sess.validate()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sess, name).flat[3] = np.nan
+
+    @pytest.mark.parametrize("name,bad,message", [
+        ("imu_t", lambda s: np.where(np.arange(s.imu_t.size) == 9, np.nan, s.imu_t),
+         "IMU stream contains non-finite values"),
+        ("accel", lambda s: np.full_like(s.accel, np.inf),
+         "IMU stream contains non-finite values"),
+        ("gyro", lambda s: np.full_like(s.gyro, np.nan), "IMU stream contains non-finite values"),
+        ("audio", lambda s: np.append(s.audio[:-1], np.nan),
+         "audio contains non-finite values"),
+        ("audio_rate", lambda s: 0, "audio_rate must be positive"),
+    ])
+    def test_reassigning_a_field_checks_in_full(self, monkeypatch, name, bad, message):
+        sess = make_session()
+        sess.validate()
+        scanned = self.count_scans(monkeypatch)
+        setattr(sess, name, bad(sess))
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            sess.validate()
+        assert scanned
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            sess.validate()
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_writeable_again_forces_a_full_check(self, monkeypatch, name):
+        sess = make_session()
+        sess.validate()
+        scanned = self.count_scans(monkeypatch)
+        array = getattr(sess, name)
+        array.flags.writeable = True
+        sess.validate()
+        assert len(scanned) == 4 and not array.flags.writeable
+        array.flags.writeable = True
+        array.flat[array.size // 2] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            sess.validate()
+
+    def test_failed_check_records_and_freezes_nothing(self, monkeypatch):
+        sess = make_session()
+        sess.audio[100] = np.inf
+        scanned = self.count_scans(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="^audio contains non-finite values$"):
+                sess.validate()
+        assert len(scanned) == 8
+        assert all(getattr(sess, name).flags.writeable for name in self.ARRAYS)
+
+    def test_replace_of_a_checked_session_checks_in_full(self, monkeypatch):
+        sess = make_session()
+        sess.validate()
+        scanned = self.count_scans(monkeypatch)
+        copy = dataclasses.replace(sess, session_id="other")
+        assert copy.audio is sess.audio
+        copy.validate()
+        assert len(scanned) == 4
+        with pytest.raises(AlignmentError):
+            dataclasses.replace(sess, audio=sess.audio[:44100]).validate()
+
+
 #: Values the finiteness check must tell apart: non-finite, finite but with an
 #: overflowing square, signed zero and subnormals.
 SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 1.4e154, -0.0,
@@ -472,6 +571,52 @@ class TestEventMerging:
         ]
         with pytest.raises(ParameterError):
             expand_events_to_labels(events, duration_s=5.0)
+
+
+#: Event bounds on whole and half seconds, within a few 1e-9 of a second's
+#: midpoint, and anywhere in between.
+_EVENT_TIMES = st.one_of(
+    st.tuples(st.integers(0, 12), st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10,
+                                                   1e-9, 2e-9])).map(lambda p: p[0] + 0.5 + p[1]),
+    st.integers(-2, 14).map(float),
+    st.floats(-2.0, 14.0),
+)
+
+
+@st.composite
+def _event_lists(draw):
+    """Events between consecutive sorted bounds, some pulled back over the
+    previous event by up to 3e-9 (past the 1e-9 overlap tolerance), in any
+    order."""
+    bounds = sorted(draw(st.lists(_EVENT_TIMES, max_size=10)))
+    events = []
+    for t0, t1 in zip(bounds, bounds[1:]):
+        if t1 > t0 and draw(st.booleans()):
+            back = draw(st.sampled_from([0.0, 0.0, 5e-10, 1e-9, 3e-9]))
+            events.append(ReactionEvent(draw(st.sampled_from([S, W, H, N])), t0 - back, t1))
+    return draw(st.permutations(events))
+
+
+def _expand_outcome(expand, events, duration_s):
+    try:
+        return expand(events, duration_s)
+    except ParameterError as exc:
+        return "ParameterError", str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(events=_event_lists(),
+       duration_s=st.none() | _EVENT_TIMES | st.sampled_from([0.0, -3.0, 13.0 - 1e-9]))
+@example(events=[ReactionEvent(S, 0.0, 1.5 - 5e-10),  # covers second 1 within 1e-9
+                 ReactionEvent(W, 1.5 - 1.4e-9, 1.5 - 1.1e-9)],  # covers no second
+         duration_s=3.0)
+@example(events=[ReactionEvent(S, 0.0, 1.5), ReactionEvent(W, 1.5, 3.0)], duration_s=None)
+@example(events=[ReactionEvent(S, 0.0, 3.0), ReactionEvent(W, 2.0, 4.0)], duration_s=5.0)
+def test_expand_events_equals_the_loop_oracle(events, duration_s):
+    """The array expansion gives the per-second loop's labels, or its
+    overlap error with its message."""
+    want = _expand_outcome(harness.expand_events_loop_oracle, events, duration_s)
+    assert _expand_outcome(expand_events_to_labels, events, duration_s) == want
 
 
 class TestSessionDirIO:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from musereact import musicinfo
 from musereact.core import ConfigError, EmptyWindowError, ParameterError, ParseError
@@ -80,6 +82,26 @@ class TestNoteWindow:
                       for k in range(1, 4000))
         assert longest == musicinfo.longest_note_window(margin)
 
+    @pytest.mark.parametrize("t0", [1e300, 1.5e308, -1e300, 1e17])
+    def test_window_off_the_track_where_one_second_rounds_away(self, t0):
+        """Far along a song ``t0 + 1.0 == t0``: the window still lies outside
+        the track, and that is the error."""
+        track = make_track(n=100)
+        assert t0 + 1.0 == t0
+        with pytest.raises(EmptyWindowError) as err:
+            note_window(track, t0, t0 + 1.0)
+        assert str(err.value) == (
+            f"window [{t0}, {t0}) +/- 0.5 s lies outside the 10.0 s track 'tune'")
+
+    def test_reversed_window_on_the_track_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match=r"^need t1 > t0, got \[5, 3\)$"):
+            note_window(make_track(n=100), 5, 3)
+
+    @pytest.mark.parametrize("t0,t1", [(float("nan"), 1.0), (0.0, float("nan"))])
+    def test_nan_bound_is_a_parameter_error(self, t0, t1):
+        with pytest.raises(ParameterError, match="^need t1 > t0"):
+            note_window(make_track(n=100), t0, t1)
+
     def test_longest_window_of_an_unbounded_margin(self):
         assert musicinfo.longest_note_window(1e308) == float("inf")
 
@@ -119,6 +141,75 @@ class TestNoteTrackIO:
         assert "U" in text
         loaded = musicinfo.load_note_track(path)
         np.testing.assert_array_equal(loaded.symbols, [0, UNVOICED, 5])
+
+
+#: A note-track time field: on the grid as the writer writes it, on the grid
+#: in other spellings, near or off the grid, or no number at all.
+_TIME_FORMATS = st.sampled_from(["{:.1f}"] * 6 + [
+    "{:.3f}", "{:.7f}", "{:g}", "0{:.1f}", " {:.1f}", "{:.1f} ", "{:.1e}", "+{:.1f}"])
+
+
+@st.composite
+def _note_track_texts(draw):
+    head = draw(st.sampled_from(["t,chroma\n"] * 6 + [
+        "t,chroma\r\n", " t, chroma\n", "t,chroma", "t,chroma,x\n", ""]))
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ","])))
+        time = i * 0.1 + draw(st.sampled_from([0.0] * 6 + [5e-7, 2e-6, -0.1]))
+        field = draw(st.sampled_from(["", "x", "nan", "0.0.1"])
+                     | _TIME_FORMATS.map(lambda fmt: fmt.format(time)))
+        chroma = draw(st.sampled_from(["U"] * 3 + [str(v) for v in range(12)] * 2 + [
+            "12", "-1", "u", "3.0", " 3", "01", "x", "", "U,", "1,2"]))
+        lines.append(f"{field},{chroma}")
+    ends = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+    text = head + ends.join(lines)
+    return text + ends if lines and draw(st.booleans()) else text
+
+
+def _track_outcome(read):
+    """``(song_id, symbols, dtype)`` of the track ``read()`` returns, or the
+    type and message of what it raises."""
+    try:
+        track = read()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return track.song_id, track.symbols.tolist(), track.symbols.dtype
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=_note_track_texts())
+@example(text="t,chroma\n0.0,U\n0.1,11\n0.2,0\n")
+@example(text="t,chroma\n0.0,3\n\n0.1,4\n")
+@example(text="t,chroma\n0.0,3\n0.2,4\n")
+@example(text="t,chroma\n0.0,3\n0.1000005,4\n")
+@example(text="t,chroma\n0.0,3\n0.100005,4\n")
+@example(text="t,chroma\n0.0,3\n0.1,12\n")
+@example(text="t,chroma\n0.0\n0.1,3,4\n")
+@example(text="t,chroma\n0.0,3\n0.1,4")
+@example(text="t,chroma\n")
+def test_load_note_track_equals_the_row_path(tmp_path_factory, text):
+    """For any text, the bulk parser gives the row loop's track, or raises
+    its error with its message."""
+    path = tmp_path_factory.getbasetemp() / "song.csv"
+    path.write_bytes(text.encode())
+    want = _track_outcome(lambda: musicinfo.load_note_track_rows(path, "song"))
+    assert _track_outcome(lambda: musicinfo.load_note_track(path)) == want
+
+
+def test_written_note_tracks_are_parsed_in_bulk(tmp_path, monkeypatch):
+    """A track as :func:`save_note_track` writes it never takes the row path."""
+    track = make_track(n=1500, seed=4)
+    path = tmp_path / "tune.csv"
+    musicinfo.save_note_track(path, track)
+    want = musicinfo.load_note_track_rows(path, "tune")
+    monkeypatch.setattr(musicinfo, "load_note_track_rows", None)
+    got = musicinfo.load_note_track(path)
+    assert got.song_id == "tune"
+    assert got.symbols.dtype == want.symbols.dtype
+    assert np.array_equal(got.symbols, want.symbols)
+    assert np.array_equal(got.symbols, track.symbols)
 
 
 class TestMusicInfoStore:
