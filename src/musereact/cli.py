@@ -276,7 +276,7 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_train_hmm(args) -> int:
-    config = load_config(args.config).replace(enable_smoothing=False)
+    config = load_config(args.config)
     dirs = core.list_session_dirs(args.data)
     if not dirs:
         raise core.ConfigError(f"no session directories under {args.data}")

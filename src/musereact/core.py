@@ -262,16 +262,10 @@ class PipelineConfig:
 
     # --- vocal pipeline: music-information correction -------------------
     dtw_threshold: float = 30.0
-    note_window_margin_s: float = 0.5
-    pitch_conf_threshold: float = 0.5
-
-    # --- vocal pipeline: temporal smoothing -----------------------------
-    smoothing_window: int = 6
 
     # --- motion pipeline ------------------------------------------------
     motion_movement_low_g: float = 0.0092
     motion_movement_high_g: float = 0.114
-    imu_lowpass_hz: float = 5.0
     motion_decision_threshold: float = 0.5
 
     # --- stage toggles (ablations) --------------------------------------
@@ -305,23 +299,14 @@ class PipelineConfig:
         ):
             if not 0 <= getattr(self, low) < getattr(self, high):
                 raise ConfigError(f"need 0 <= {low} < {high}")
-        for name, nyquist in (("audio_lowpass_hz", CLASSIFIER_RATE_HZ / 2),
-                              ("imu_lowpass_hz", IMU_RATE_HZ / 2)):
-            if not 0 < getattr(self, name) < nyquist:
-                raise ConfigError(f"{name} must lie in (0, {nyquist:g}), below Nyquist")
-        for name, least in (("relax_top_k", 1), ("smoothing_window", 1),
-                            ("note_window_margin_s", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
-        from . import dsp, musicinfo  # here, as both modules import this one
-        # A segment's DTW distance is at most UNVOICED_COST per window frame
-        # (a window outnumbers its 10 pitch frames), so no higher threshold rejects.
-        reach = dsp.UNVOICED_COST * musicinfo.longest_note_window(self.note_window_margin_s)
-        if not 0 <= self.dtw_threshold < reach:
-            raise ConfigError(f"dtw_threshold must lie in [0, {reach:g}) at "
-                              f"note_window_margin_s {self.note_window_margin_s:g}")
-        if not self.pitch_conf_threshold > 0:  # a silent frame: f0 0 at confidence 0
-            raise ConfigError("pitch_conf_threshold must be > 0")
+        if not 0 < self.audio_lowpass_hz < CLASSIFIER_RATE_HZ / 2:
+            raise ConfigError(f"audio_lowpass_hz must lie in (0, {CLASSIFIER_RATE_HZ / 2:g}), "
+                              "below Nyquist")
+        if self.relax_top_k < 1:
+            raise ConfigError("relax_top_k must be >= 1")
+        from .musicinfo import DTW_REACH  # here, as musicinfo imports this module
+        if not 0 <= self.dtw_threshold < DTW_REACH:
+            raise ConfigError(f"dtw_threshold must lie in [0, {DTW_REACH:g})")
         if not 0 <= self.motion_decision_threshold <= 1:
             raise ConfigError("motion_decision_threshold must lie in [0, 1]")
 

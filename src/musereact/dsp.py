@@ -19,6 +19,10 @@ from .core import CLASSIFIER_RATE_HZ, InsufficientDataError, ParameterError, Pip
 #: Chroma symbol for frames whose pitch confidence fell below threshold.
 UNVOICED = -1
 
+#: Pitch confidence below which a frame is unvoiced; above 0, since a tracker
+#: reports a silent frame as f0 0 at confidence 0.
+PITCH_CONF_THRESHOLD = 0.5
+
 #: Substitution cost between a voiced and an unvoiced frame (half the
 #: worst-case circular pitch-class distance of 6 applies twice, see below).
 UNVOICED_COST = 6.0
@@ -226,7 +230,7 @@ def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def hz_to_chroma(f0_hz: float, confidence: float,
-                 conf_threshold: float = PipelineConfig.pitch_conf_threshold) -> int:
+                 conf_threshold: float = PITCH_CONF_THRESHOLD) -> int:
     """Map a pitch estimate to a pitch class 0..11, or :data:`UNVOICED`.
 
     Frames whose confidence falls below ``conf_threshold`` are unvoiced and
@@ -244,7 +248,7 @@ def hz_to_chroma(f0_hz: float, confidence: float,
 
 def chroma_sequence(
     f0s: np.ndarray, confidences: np.ndarray,
-    conf_threshold: float = PipelineConfig.pitch_conf_threshold,
+    conf_threshold: float = PITCH_CONF_THRESHOLD,
 ) -> np.ndarray:
     """Vector form of :func:`hz_to_chroma` over parallel f0/confidence arrays."""
     f0s = np.asarray(f0s, dtype=float)

@@ -10,6 +10,7 @@ query pattern (DTW over per-second reaction indices).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -64,16 +65,12 @@ class ReactionFeatures:
     motion_non_reaction_duration: float
     motion_non_reaction_rate: float
 
-    FEATURE_NAMES = (
-        "singing_duration", "singing_rate",
-        "whistling_duration", "whistling_rate",
-        "vocal_non_reaction_duration", "vocal_non_reaction_rate",
-        "head_motion_duration", "head_motion_rate",
-        "motion_non_reaction_duration", "motion_non_reaction_rate",
-    )
-
     def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in self.FEATURE_NAMES])
+        return np.array(dataclasses.astuple(self))
+
+
+#: The feature names in field order, which is the training CSV's column order.
+ReactionFeatures.FEATURE_NAMES = tuple(f.name for f in dataclasses.fields(ReactionFeatures))
 
 
 def _timeline_features(events, allowed, duration_s):

@@ -49,6 +49,9 @@ UNIT_SAMPLES = 7
 NUM_UNITS = 70
 NUM_FEATURES = 18
 
+#: Corner frequency of the first-order low-pass applied to the gyro stream.
+GYRO_LOWPASS_HZ = 5.0
+
 #: Windows scored per ``classify_many`` call; bounds the scratch memory of a block.
 MOTION_BLOCK = 128
 
@@ -322,9 +325,7 @@ def run_motion_pipeline(
     session.validate()
     if classifier is None:
         classifier = HeuristicMotionClassifier()
-    gyro_filtered = dsp.lowpass_first_order(
-        session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz
-    )
+    gyro_filtered = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, GYRO_LOWPASS_HZ)
 
     bounds = second_bounds(session)
     settled, failures = [False] * (len(bounds) - 1), {}

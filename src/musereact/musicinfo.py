@@ -25,15 +25,18 @@ from .core import (
     EmptyWindowError,
     ParameterError,
     ParseError,
-    PipelineConfig,
     is_plain_file_name,
     read_csv_rows,
     read_text,
     write_text,
 )
-from .dsp import UNVOICED
+from .dsp import UNVOICED, UNVOICED_COST
 
 NOTE_HOP_S = 0.1
+
+#: Slack, in seconds, that :func:`note_window` adds on each side of a song
+#: interval to absorb tempo and alignment error.
+NOTE_WINDOW_MARGIN_S = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +63,7 @@ class NoteTrack:
 
 
 def note_window(track: NoteTrack, t0: float, t1: float,
-                margin_s: float = PipelineConfig.note_window_margin_s) -> np.ndarray:
+                margin_s: float = NOTE_WINDOW_MARGIN_S) -> np.ndarray:
     """Slice of the reference melody around the song interval ``[t0, t1)``.
 
     The window is widened by ``margin_s`` on each side to absorb tempo and
@@ -92,6 +95,12 @@ def longest_note_window(margin_s: float) -> float:
     whole frames in ``1 + 2 * margin_s`` s plus one, as rounding each end may
     add half a frame (the slack absorbs float error there: 21 at 0.5 s)."""
     return float(np.floor((1.0 + 2.0 * margin_s) / NOTE_HOP_S + 1e-6)) + 1.0
+
+
+#: Exclusive upper bound of ``PipelineConfig.dtw_threshold``: a segment's
+#: DTW distance is at most ``UNVOICED_COST`` per window frame (a window
+#: outnumbers its 10 pitch frames), so no higher threshold rejects.
+DTW_REACH = UNVOICED_COST * longest_note_window(NOTE_WINDOW_MARGIN_S)
 
 
 def save_note_track(path: str | os.PathLike, track: NoteTrack) -> None:

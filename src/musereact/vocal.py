@@ -17,7 +17,7 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
 5. music-aware correction -- a deferred candidate stands only if the
    wearer's pitch contour warps onto the reference melody around the
    current song position (DTW over chroma, at most ``dtw_threshold``).
-6. HMM smoothing -- a Viterbi decode over the trailing ``smoothing_window``
+6. HMM smoothing -- a Viterbi decode over the trailing :data:`SMOOTHING_WINDOW`
    observations removes isolated flips.  All full-length windows of a
    session are decoded together as one array (:func:`smooth_labels`).
 
@@ -390,16 +390,15 @@ def correct_with_music(
 
     The tracker's chroma contour for the segment is DTW-aligned against the
     reference melody around the song position ``[t_start_song,
-    t_start_song + 1)``, widened by ``config.note_window_margin_s``.  A
+    t_start_song + 1)``, widened by :data:`musicinfo.NOTE_WINDOW_MARGIN_S`.  A
     distance above ``config.dtw_threshold`` rejects the candidate as
     ``non_reaction``; otherwise the candidate reaction is the label.
     """
     if not label.deferred:
         raise ParameterError("correction applies to deferred labels only")
     f0s, confs = pitch_tracker.track(audio, sample_rate, t_start_session)
-    observed = dsp.chroma_sequence(f0s, confs, config.pitch_conf_threshold)
-    reference = note_window(note_track, t_start_song, t_start_song + 1.0,
-                            config.note_window_margin_s)
+    observed = dsp.chroma_sequence(f0s, confs)
+    reference = note_window(note_track, t_start_song, t_start_song + 1.0)
     distance = dsp.dtw_distance(observed, reference)
     if distance > config.dtw_threshold:
         return ReactionLabel.NON_REACTION
@@ -409,6 +408,10 @@ def correct_with_music(
 # ---------------------------------------------------------------------------
 # HMM smoothing
 # ---------------------------------------------------------------------------
+
+#: Observations each second's Viterbi decode covers, its own included.
+SMOOTHING_WINDOW = 6
+
 
 @dataclass(frozen=True, eq=False)
 class HmmParams:
@@ -656,7 +659,7 @@ def run_vocal_pipeline(
         except Error as exc:
             failures[i] = exc
 
-    labels = smooth_labels(observed, hmm, config.smoothing_window) if smoothing else observed
+    labels = smooth_labels(observed, hmm, SMOOTHING_WINDOW) if smoothing else observed
     return CascadeResult(labels, observed, CascadeStats(stages, failures))
 
 

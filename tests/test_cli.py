@@ -1235,8 +1235,8 @@ class TestDetectConfig:
         ({"dtw_threshold": None}, "dtw_threshold must be a number"),
         ({"singing_classes": 5}, "singing_classes must be a list of names"),
         ({"enable_correction": "no"}, "enable_correction must be true or false"),
-        ({"note_window_margin_s": -1.0}, "note_window_margin_s must be >= 0"),
-        ({"dtw_threshold": 130}, "dtw_threshold must lie in [0, 126) at note_window_margin_s 0.5"),
+        ({"smoothing_window": 4}, "unknown config keys: smoothing_window"),
+        ({"dtw_threshold": 130}, "dtw_threshold must lie in [0, 126)"),
         ({"singing_classes": ["singing", "Whistling"]},
          "class 'whistling' is in both singing_classes and whistling_classes"),
     ])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from musereact import core, engage, harness, motion, musicinfo, vocal
+from musereact import core, dsp, engage, harness, motion, musicinfo, vocal
 from musereact.core import (
     AlignmentError,
     ConfigError,
@@ -87,6 +87,18 @@ class TestPipelineConfig:
     def test_defaults_validate(self):
         PipelineConfig().validate()
 
+    def test_fields_are_what_is_tuned_or_deployed(self):
+        """Fixed design values (sensing geometry, the gyro low-pass, the note
+        window margin, the pitch confidence cut, the smoothing window) are
+        module constants, not fields."""
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "vocal_movement_low_g", "vocal_movement_high_g", "sound_db_threshold",
+            "db_calibration", "audio_lowpass_hz", "margin_threshold", "relax_top_k",
+            "singing_classes", "whistling_classes", "ambiguous_classes", "dtw_threshold",
+            "motion_movement_low_g", "motion_movement_high_g", "motion_decision_threshold",
+            "enable_motion_filter", "enable_sound_filter", "enable_relaxation",
+            "enable_correction", "enable_smoothing"]
+
     def test_range_filters_ordered(self):
         with pytest.raises(ConfigError):
             PipelineConfig(vocal_movement_low_g=0.2, vocal_movement_high_g=0.1).validate()
@@ -100,7 +112,7 @@ class TestPipelineConfig:
             PipelineConfig(dtw_threshold=float("inf")).validate()
 
     def test_json_round_trip(self):
-        cfg = PipelineConfig().replace(dtw_threshold=30.0, smoothing_window=4)
+        cfg = PipelineConfig().replace(dtw_threshold=30.0, relax_top_k=4)
         again = PipelineConfig.from_dict(json.loads(cfg.to_json()))
         assert again == cfg
 
@@ -118,7 +130,7 @@ class TestPipelineConfig:
         ({"dtw_threshold": True}, "dtw_threshold must be a number"),
         ({"dtw_threshold": [30]}, "dtw_threshold must be a number"),
         ({"dtw_threshold": 10 ** 400}, "dtw_threshold must be finite"),
-        ({"smoothing_window": 4.0}, "smoothing_window must be an integer"),
+        ({"relax_top_k": 4.0}, "relax_top_k must be an integer"),
         ({"relax_top_k": False}, "relax_top_k must be an integer"),
         ({"enable_correction": 0}, "enable_correction must be true or false"),
         ({"singing_classes": "sing"}, "singing_classes must be a list of names"),
@@ -134,10 +146,6 @@ class TestPipelineConfig:
         ("audio_lowpass_hz", 8000.0, "audio_lowpass_hz must lie in (0, 8000), below Nyquist"),
         ("audio_lowpass_hz", 7999.0, None),
         ("audio_lowpass_hz", 1e-3, None),
-        ("imu_lowpass_hz", 0.0, "imu_lowpass_hz must lie in (0, 35), below Nyquist"),
-        ("imu_lowpass_hz", 35.0, "imu_lowpass_hz must lie in (0, 35), below Nyquist"),
-        ("imu_lowpass_hz", 34.9, None),
-        ("imu_lowpass_hz", 1e-3, None),
         ("motion_decision_threshold", -0.01, "motion_decision_threshold must lie in [0, 1]"),
         ("motion_decision_threshold", 1.01, "motion_decision_threshold must lie in [0, 1]"),
         ("motion_decision_threshold", 0.0, None),
@@ -169,8 +177,8 @@ class TestPipelineConfig:
         assert cfg.singing_classes == ("singing", "Singing", "singing")
 
     def test_json_integers_fill_float_fields(self):
-        cfg = PipelineConfig.from_dict({"dtw_threshold": 30, "smoothing_window": 4})
-        assert cfg == PipelineConfig().replace(dtw_threshold=30.0, smoothing_window=4)
+        cfg = PipelineConfig.from_dict({"dtw_threshold": 30, "relax_top_k": 4})
+        assert cfg == PipelineConfig().replace(dtw_threshold=30.0, relax_top_k=4)
         assert type(cfg.dtw_threshold) is float
 
     def test_partial_json_fills_defaults(self):
@@ -181,36 +189,27 @@ class TestPipelineConfig:
     def test_every_constructor_validates(self, tmp_path):
         with pytest.raises(ConfigError, match="^relax_top_k must be >= 1$"):
             PipelineConfig().replace(relax_top_k=0)
-        with pytest.raises(ConfigError, match="^smoothing_window must be >= 1$"):
-            PipelineConfig(smoothing_window=0)
+        with pytest.raises(ConfigError, match="^relax_top_k must be >= 1$"):
+            PipelineConfig(relax_top_k=0)
         path = tmp_path / "config.json"
         path.write_text('{"relax_top_k": 0}')
         with pytest.raises(ConfigError) as err:
             PipelineConfig.load(path)
         assert str(err.value) == f"{path}: relax_top_k must be >= 1"
 
-    def test_negative_note_window_margin_rejected(self):
-        with pytest.raises(ConfigError, match="^note_window_margin_s must be >= 0$"):
-            PipelineConfig(note_window_margin_s=-1.0)
-        PipelineConfig(note_window_margin_s=0.0)
-
-    def test_pitch_conf_threshold_must_be_positive(self):
-        """A tracker reports a silent frame as f0 0 at confidence 0; a
-        threshold of 0 would call it voiced, and correction could not map it."""
-        with pytest.raises(ConfigError, match="^pitch_conf_threshold must be > 0$"):
-            PipelineConfig(pitch_conf_threshold=0.0)
-        PipelineConfig(pitch_conf_threshold=1e-9)
-
-    @pytest.mark.parametrize("margin, reach", [(0.0, 66.0), (0.5, 126.0), (1.0, 186.0)])
-    def test_dtw_threshold_must_be_able_to_reject(self, margin, reach):
-        """Ten unvoiced frames against the longest window ``note_window`` can
-        return cost 6 per window frame; a threshold at that distance or above
+    def test_dtw_threshold_must_be_able_to_reject(self):
+        """Ten unvoiced frames against the longest window ``note_window``
+        returns cost 6 per window frame; a threshold at that distance or above
         could never reject a segment."""
-        PipelineConfig(note_window_margin_s=margin, dtw_threshold=reach - 0.1)
+        track = musicinfo.NoteTrack("tune", np.zeros(400, dtype=int))
+        widest = max((musicinfo.note_window(track, k * 0.05, k * 0.05 + 1.0)
+                      for k in range(1, 400)), key=len)
+        reach = dsp.dtw_distance(np.full(10, dsp.UNVOICED), widest)
+        assert reach == musicinfo.DTW_REACH == 126.0
+        PipelineConfig(dtw_threshold=reach - 0.1)
         with pytest.raises(ConfigError) as err:
-            PipelineConfig(note_window_margin_s=margin, dtw_threshold=reach)
-        assert str(err.value) == (f"dtw_threshold must lie in [0, {reach:g}) "
-                                  f"at note_window_margin_s {margin:g}")
+            PipelineConfig(dtw_threshold=reach)
+        assert str(err.value) == "dtw_threshold must lie in [0, 126)"
 
     def test_default_dtw_threshold_can_reject(self):
         assert PipelineConfig().dtw_threshold == 30.0
@@ -256,7 +255,7 @@ def ten_second_session():
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(fields=CONFIG_FIELDS)
-@example(fields={"note_window_margin_s": -1.0})
+@example(fields={"relax_top_k": 0})
 def test_a_config_that_constructs_runs_both_pipelines(ten_second_session, fields):
     """Either construction raises ConfigError, or both pipelines run over the
     session with no per-second diagnostics and no warnings."""
@@ -735,7 +734,10 @@ CSV_FORMATS = {
                    musicinfo.load_note_track,
                    lambda track: track.symbols.tolist()),
     "training": ("train.csv",
-                 ",".join(engage.ReactionFeatures.FEATURE_NAMES) + ",target",
+                 "singing_duration,singing_rate,whistling_duration,whistling_rate,"
+                 "vocal_non_reaction_duration,vocal_non_reaction_rate,"
+                 "head_motion_duration,head_motion_rate,"
+                 "motion_non_reaction_duration,motion_non_reaction_rate,target",
                  [",".join(["0.5"] * 10 + [str(k % 5 + 1)]) for k in range(4)],
                  engage.load_training_csv,
                  lambda table: (table[0].tolist(), table[1])),

@@ -16,12 +16,6 @@ from musereact.core import (
 from musereact.harness import dtw_loop_oracle, dtw_oracle
 
 
-def motion_prefilter(accel, low_g, high_g):
-    """The motion cascade's stage 1 on one slice: the vocal cascade's closed
-    band check, called with the motion band."""
-    return vocal.vocal_motion_prefilter(accel, low_g, high_g)
-
-
 def tail_rms(x, n=4000):
     return float(np.sqrt(np.mean(np.square(x[-n:]))))
 
@@ -83,9 +77,10 @@ class TestMovementLevel:
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning")
 class TestMovementFilter:
-    """``movement_filter`` settles every slice as the per-slice prefilters of
-    both cascades do: the same band test, boundaries included, and the same
-    error for a slice of 0 or 1 samples."""
+    """``movement_filter`` settles every slice as the per-slice prefilter
+    ``vocal.vocal_motion_prefilter`` does, in both cascades: the same band
+    test, boundaries included, and the same error for a slice of 0 or 1
+    samples."""
 
     @staticmethod
     def random_table(seed):
@@ -107,26 +102,24 @@ class TestMovementFilter:
         return accel, bounds, float(min(edges)), float(max(edges))
 
     @staticmethod
-    def per_slice(prefilter, accel, bounds, low_g, high_g):
-        """Oracle: ``prefilter`` on each slice; one that raises is a failure,
+    def per_slice(accel, bounds, low_g, high_g):
+        """Oracle: the prefilter on each slice; one that raises is a failure,
         and a failed slice is settled at stage 1 too."""
         settled, failures = [], {}
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             try:
-                settled.append(prefilter(accel[lo:hi], low_g, high_g))
+                settled.append(vocal.vocal_motion_prefilter(accel[lo:hi], low_g, high_g))
             except InsufficientDataError as exc:
                 settled.append(True)
                 failures[i] = str(exc)
         return settled, failures
 
-    @pytest.mark.parametrize("prefilter", [vocal.vocal_motion_prefilter,
-                                           motion_prefilter])
     @pytest.mark.parametrize("seed", range(20))
-    def test_equals_the_per_slice_prefilters(self, prefilter, seed):
+    def test_equals_the_per_slice_prefilters(self, seed):
         accel, bounds, low_g, high_g = self.random_table(seed)
         settled, failures = dsp.movement_filter(accel, bounds, low_g, high_g)
         assert (settled.tolist(), {i: str(exc) for i, exc in failures.items()}) == \
-            self.per_slice(prefilter, accel, bounds, low_g, high_g)
+            self.per_slice(accel, bounds, low_g, high_g)
         assert all(type(exc) is InsufficientDataError for exc in failures.values())
         levels = dsp.movement_levels(accel, bounds)
         counts = np.diff(bounds)
@@ -152,18 +145,16 @@ class TestMovementFilter:
             enable_motion_filter=enabled, enable_correction=False, enable_smoothing=False)
         scores = vocal.ScoreVector(("speech", "a", "b", "c", "d"), [0.2] * 5)
         classifier = vocal.ScoreFileClassifier(dict.fromkeys(range(len(counts)), scores))
-        results = {vocal.vocal_motion_prefilter:
-                   vocal.run_vocal_pipeline(session, classifier, config=config),
-                   motion_prefilter: motion.run_motion_pipeline(session, config=config)}
-        settled, failures = self.per_slice(
-            vocal.vocal_motion_prefilter, session.accel, bounds, low_g, high_g)
+        results = (vocal.run_vocal_pipeline(session, classifier, config=config),
+                   motion.run_motion_pipeline(session, config=config))
+        oracle = self.per_slice(session.accel, bounds, low_g, high_g)
+        settled, failures = oracle
         assert True in settled and False in settled and failures
-        for prefilter, result in results.items():
+        for result in results:
             record = result.stats
             stopped = [stage is Stage.MOTION_FILTER for stage in record.stages]
             stage_1 = {i: str(exc) for i, exc in record.failures.items()
                        if record.stages[i] is Stage.MOTION_FILTER}
-            oracle = self.per_slice(prefilter, session.accel, bounds, low_g, high_g)
             assert (stopped, stage_1) == (oracle if enabled else ([False] * len(stopped), {}))
 
 
@@ -346,6 +337,7 @@ class TestHzToChroma:
 
     def test_low_confidence_is_unvoiced(self):
         assert dsp.hz_to_chroma(500.0, 0.2) == dsp.UNVOICED
+        assert dsp.hz_to_chroma(0.0, 0.0) == dsp.UNVOICED  # a tracker's silent frame
 
     def test_octave_invariance_sample(self):
         rng = np.random.default_rng(3)

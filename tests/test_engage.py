@@ -89,11 +89,13 @@ class TestReactionFeatures:
         with pytest.raises(ParameterError):
             reaction_features([ev(S, 20, 40)], [], duration_s=30.0)
 
-    def test_vector_round_trip(self):
+    def test_vector_has_ten_features(self):
         feats = reaction_features([ev(S, 0, 10), ev(W, 15, 20)],
                                   [ev(H, 5, 25)], duration_s=40.0)
         vec = feats.to_vector()
         assert vec.shape == (10,)
+        assert vec.tolist() == [getattr(feats, name)
+                                for name in engage.ReactionFeatures.FEATURE_NAMES]
 
 
 def depth(node):

@@ -19,6 +19,7 @@ from musereact.core import (
 )
 from musereact.harness import SyntheticSpec, evaluate, generate_session, lstm_loop_oracle
 from musereact.motion import (
+    GYRO_LOWPASS_HZ,
     NUM_FEATURES,
     HeuristicMotionClassifier,
     LstmClassifier,
@@ -500,7 +501,7 @@ class TestMotionUnitTable:
         bounds = second_bounds(session)
         ends = np.array([bounds[i + 1] for i, stage in enumerate(result.stats.stages)
                          if stage is Stage.CLASSIFIER], dtype=int)
-        gyro = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz)
+        gyro = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, GYRO_LOWPASS_HZ)
         expected = extract_motion_units(gyro[ends[:, None] + np.arange(-490, 0)])
         got = np.concatenate(recorder.stacks) if recorder.stacks else expected[:0]
         assert np.array_equal(got, expected)

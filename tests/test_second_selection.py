@@ -32,6 +32,7 @@ from musereact.core import (
 )
 from musereact.harness import SyntheticSpec, generate_session
 from musereact.motion import (
+    GYRO_LOWPASS_HZ,
     MOTION_BLOCK,
     WINDOW_SAMPLES,
     HeuristicMotionClassifier,
@@ -80,7 +81,7 @@ def mask_motion(session, classifier, config):
     and the message of each failed second."""
     session.validate()
     gyro_filtered = dsp.lowpass_first_order(
-        session.gyro, IMU_RATE_HZ, config.imu_lowpass_hz)
+        session.gyro, IMU_RATE_HZ, GYRO_LOWPASS_HZ)
     window = WINDOW_SAMPLES
     counts = dict.fromkeys(("total", "prefiltered", "cold_start", "classified", "errors"), 0)
     labels, stages, failures = [], [], {}
@@ -169,7 +170,7 @@ def mask_vocal(session, classifier, pitch_tracker, note_track, hmm, config):
             failures[segment.index] = str(exc)
         stages.append(stage)
         observed.append(label)
-        labels.append(vocal.smooth(observed[-config.smoothing_window:], hmm))
+        labels.append(vocal.smooth(observed[-vocal.SMOOTHING_WINDOW:], hmm))
     return labels, observed, stages, counts, failures
 
 
@@ -406,7 +407,7 @@ def test_motion_blocks_equal_per_second_oracle(classified, kind):
     elif kind == "lstm":
         classifier = RecordingLstm(LstmWeights.random(np.random.default_rng(5), scale=0.5))
     else:
-        filtered = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, CONFIG.imu_lowpass_hz)
+        filtered = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, GYRO_LOWPASS_HZ)
         classifier = RaisingClassifier([
             extract_motion_units(filtered[bounds[s + 1] - WINDOW_SAMPLES:bounds[s + 1]])
             for s in chosen])

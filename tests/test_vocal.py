@@ -884,7 +884,7 @@ class TestBatchedSmoothing:
             note_store=MusicInfoStore({"tune": generated.note_track}), hmm=hmm,
             config=PipelineConfig().replace(dtw_threshold=30.0))
         assert calls == []
-        window = PipelineConfig().smoothing_window
+        window = vocal.SMOOTHING_WINDOW
         assert result.labels == [
             viterbi_path(hmm, result.observed[max(0, i + 1 - window):i + 1])[0][-1]
             for i in range(60)]
