@@ -346,6 +346,10 @@ class Session:
     places second 0 of the session on the song's own timeline, which the
     music-information correction stage needs.
 
+    ``audio`` is ``int16`` PCM as loaded, standing for its samples scaled by
+    1/32767, or float samples in [-1, 1]; other dtypes become float.  Read it
+    through :meth:`audio_samples`, which converts only the slice asked for.
+
     A session that passes :meth:`validate` is frozen: its arrays are
     read-only, so the data the pipelines read is the data that was checked.
     The arrays are not copied, so a caller's own float array becomes
@@ -360,7 +364,7 @@ class Session:
     imu_t: np.ndarray          # (n,) seconds, strictly increasing
     accel: np.ndarray          # (n, 3) in g
     gyro: np.ndarray           # (n, 3) in deg/s
-    audio: np.ndarray | None = None   # mono float samples in [-1, 1]
+    audio: np.ndarray | None = None   # mono int16 PCM, or float samples in [-1, 1]
     audio_rate: int = AUDIO_RATE_HZ
     start_offset_in_song: float = 0.0
 
@@ -369,7 +373,8 @@ class Session:
         self.accel = np.asarray(self.accel, dtype=float)
         self.gyro = np.asarray(self.gyro, dtype=float)
         if self.audio is not None:
-            self.audio = np.asarray(self.audio, dtype=float)
+            audio = np.asarray(self.audio)
+            self.audio = audio if audio.dtype == np.int16 else audio.astype(float, copy=False)
 
     def __setattr__(self, name, value):
         # Any assignment, the constructor's included, voids a passed check.
@@ -379,15 +384,15 @@ class Session:
     def validate(self) -> None:
         """Check shapes, finiteness, IMU timing and audio alignment.
 
-        A passed check makes ``imu_t``, ``accel``, ``gyro`` and ``audio``
-        read-only and records the pass.  A later call returns at once,
-        reading no array, unless a field has been assigned since or an
-        array's ``writeable`` flag has been turned back on; then it checks
-        in full.  A failed check records nothing and freezes nothing.
+        ``int16`` audio, which holds no NaN or inf, is not scanned for
+        finiteness.  A passed check makes ``imu_t``, ``accel``, ``gyro`` and
+        ``audio`` read-only and records the pass and the IMU step.  A later
+        call returns at once, reading no array, unless a field has been
+        assigned since or an array's ``writeable`` flag has been turned back
+        on; then it checks in full.  A failed check records nothing and
+        freezes nothing.
         """
-        arrays = [a for a in (self.imu_t, self.accel, self.gyro, self.audio)
-                  if a is not None]
-        if self._checked and not any(a.flags.writeable for a in arrays):
+        if self._frozen():
             return
         n = self.imu_t.shape[0]
         if self.imu_t.ndim != 1 or n < 2:
@@ -412,7 +417,7 @@ class Session:
         if self.audio is not None:
             if self.audio.ndim != 1:
                 raise ParameterError("audio must be a mono 1-D array")
-            if not _all_finite(self.audio):
+            if self.audio.dtype != np.int16 and not _all_finite(self.audio):
                 raise ParameterError("audio contains non-finite values")
             if self.audio_rate <= 0:
                 raise ParameterError("audio_rate must be positive")
@@ -423,16 +428,31 @@ class Session:
                     f"audio and IMU spans disagree by {skew:.2f} s "
                     f"(> {STREAM_ALIGNMENT_TOLERANCE_S:.0f} s)"
                 )
-        for array in arrays:
+        for array in self._arrays():
             array.flags.writeable = False
+        object.__setattr__(self, "_imu_step", step)
         object.__setattr__(self, "_checked", True)
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [a for a in (self.imu_t, self.accel, self.gyro, self.audio) if a is not None]
+
+    def _frozen(self) -> bool:
+        """True while the last passed check still holds (see :meth:`validate`)."""
+        return self._checked and not any(a.flags.writeable for a in self._arrays())
+
+    def audio_samples(self, start: int, stop: int) -> np.ndarray:
+        """Float samples ``audio[start:stop]``; ``int16`` PCM is divided by 32767."""
+        if self.audio.dtype == np.int16:
+            return np.divide(self.audio[start:stop], 32767.0, dtype=float)
+        return self.audio[start:stop]
 
     @property
     def duration_s(self) -> float:
         """Session length in seconds (audio span when audio is present)."""
         if self.audio is not None:
             return len(self.audio) / self.audio_rate
-        return float(self.imu_t[-1] - self.imu_t[0] + np.median(np.diff(self.imu_t)))
+        step = self._imu_step if self._frozen() else np.median(np.diff(self.imu_t))
+        return float(self.imu_t[-1] - self.imu_t[0] + step)
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -497,7 +517,7 @@ def segment_session(session: Session) -> list[SensorSegment]:
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         audio = None
         if session.audio is not None:
-            audio = session.audio[i * session.audio_rate:(i + 1) * session.audio_rate]
+            audio = session.audio_samples(i * session.audio_rate, (i + 1) * session.audio_rate)
         segments.append(SensorSegment(
             index=i, t_start=float(i), t_end=float(i + 1),
             imu_t=session.imu_t[lo:hi],
@@ -600,7 +620,8 @@ def _fmt(value: float) -> str:
 
 
 def save_session_dir(path: str | os.PathLike, session: Session) -> None:
-    """Write ``meta.json``, ``imu.csv`` and (if present) ``audio.wav``."""
+    """Write ``meta.json``, ``imu.csv`` and (if present) ``audio.wav``: ``int16``
+    audio as it is, float audio clipped to [-1, 1], scaled by 32767 and rounded."""
     os.makedirs(path, exist_ok=True)
     meta = {
         "session_id": session.session_id,
@@ -617,16 +638,18 @@ def save_session_dir(path: str | os.PathLike, session: Session) -> None:
                fmt="%.10g", delimiter=",", header=",".join(_IMU_HEADER), comments="")
     write_text(os.path.join(path, "imu.csv"), imu.getvalue())
     if session.audio is not None:
-        pcm = np.clip(session.audio, -1.0, 1.0)  # the one float temporary
-        pcm *= 32767.0
-        np.round(pcm, out=pcm)
-        scipy.io.wavfile.write(
-            os.path.join(path, "audio.wav"), session.audio_rate, pcm.astype(np.int16)
-        )
+        pcm = session.audio
+        if pcm.dtype != np.int16:
+            pcm = np.clip(pcm, -1.0, 1.0)  # the one float temporary
+            pcm *= 32767.0
+            np.round(pcm, out=pcm)
+            pcm = pcm.astype(np.int16)
+        scipy.io.wavfile.write(os.path.join(path, "audio.wav"), session.audio_rate, pcm)
 
 
 def load_session_dir(path: str | os.PathLike) -> Session:
-    """Read a session directory back into a validated :class:`Session`."""
+    """Read a session directory back into a validated :class:`Session`, whose
+    ``audio`` is the ``int16`` PCM of ``audio.wav`` as read, not converted."""
     meta_path = os.path.join(path, "meta.json")
     meta = read_json(meta_path)
     for key in ("session_id", "subject_id", "song_id", "place"):
@@ -652,18 +675,18 @@ def load_session_dir(path: str | os.PathLike) -> Session:
             warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
             warnings.filterwarnings("error", "Reached EOF", scipy.io.wavfile.WavFileWarning)
             try:
-                wav_rate, pcm = scipy.io.wavfile.read(wav_path)
-            except (ValueError, struct.error, scipy.io.wavfile.WavFileWarning):
+                wav_rate, audio = scipy.io.wavfile.read(wav_path)
+            # scipy raises UnboundLocalError when the data chunk's id is damaged
+            except (ValueError, struct.error, UnboundLocalError, scipy.io.wavfile.WavFileWarning):
                 raise ParseError(f"{wav_path}: not a readable WAV file") from None
         if "audio_rate" in meta and wav_rate != audio_rate:
             raise ParseError(f"{meta_path}: audio_rate {audio_rate} disagrees with "
                              f"the {wav_rate} Hz of {wav_path}")
         audio_rate = wav_rate
-        if pcm.ndim != 1:
+        if audio.ndim != 1:
             raise ParseError(f"{wav_path}: expected mono audio")
-        if pcm.dtype != np.int16:
-            raise ParseError(f"{wav_path}: expected 16-bit PCM, got {pcm.dtype}")
-        audio = np.divide(pcm, 32767.0, dtype=float)  # no float64 copy of pcm first
+        if audio.dtype != np.int16:
+            raise ParseError(f"{wav_path}: expected 16-bit PCM, got {audio.dtype}")
 
     session = Session(
         session_id=session_id,

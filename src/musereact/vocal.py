@@ -629,7 +629,7 @@ def run_vocal_pipeline(
 
     def settle(i):
         """Second ``i`` through stages 2-5, entering each in ``stages[i]``."""
-        audio = None if session.audio is None else session.audio[i * rate:(i + 1) * rate]
+        audio = None if session.audio is None else session.audio_samples(i * rate, (i + 1) * rate)
         stages[i] = Stage.SOUND_FILTER
         if (config.enable_sound_filter and audio is not None
                 and vocal_sound_prefilter(

@@ -193,12 +193,13 @@ class TestDetect:
         assert core.load_events_jsonl(out / "sess.vocal.jsonl") == (
             core.merge_labels_to_events(expected.labels))
 
-    def test_one_session_scans_its_audio_once(self, corpus, monkeypatch):
-        """The loader checks the session; both pipelines' checks then find it
-        frozen and unchanged, and read no array."""
+    def test_one_session_is_scanned_once(self, corpus, monkeypatch):
+        """The loader checks the session, scanning the IMU arrays but not the
+        int16 audio; both pipelines' checks then find it frozen and unchanged,
+        and read no array."""
         tmp_path, data_dir, config_path = corpus
         session_dir = str(data_dir / "sess_a")
-        samples = core.load_session_dir(session_dir).audio.size
+        samples = core.load_session_dir(session_dir).imu_t.size
         scanned = []
         real = core._all_finite
 
@@ -208,8 +209,7 @@ class TestDetect:
         monkeypatch.setattr(core, "_all_finite", counting)
         assert main(["detect", "--session", session_dir, "--config", str(config_path),
                      "--out", str(tmp_path / "out")]) == 0
-        assert scanned.count(samples) == 1
-        assert len(scanned) == 4  # imu_t, accel, gyro and audio
+        assert scanned == [samples, 3 * samples, 3 * samples]  # imu_t, accel and gyro
 
     def test_env_var_supplies_config(self, corpus, monkeypatch):
         tmp_path, data_dir, config_path = corpus
@@ -1178,7 +1178,8 @@ class TestAudioWav:
         lambda wav: b"", lambda wav: b"hello",
         lambda wav: wav[:4], lambda wav: wav[:12], lambda wav: wav[:20],
         lambda wav: wav[:-1001],  # the data chunk ends early
-    ], ids=["empty", "not_riff", "cut_4", "cut_12", "cut_20", "short_data"])
+        lambda wav: wav[:36] + b"dat\0" + wav[40:],  # the data chunk's id is damaged
+    ], ids=["empty", "not_riff", "cut_4", "cut_12", "cut_20", "short_data", "data_id"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, cut):
         wav = os.path.join(small_session(tmp_path / "data"), "audio.wav")
         with open(wav, "rb") as fh:

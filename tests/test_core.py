@@ -4,10 +4,13 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -431,6 +434,27 @@ class TestFrozenSession:
         assert len(scanned) == 8
         assert all(getattr(sess, name).flags.writeable for name in self.ARRAYS)
 
+    def test_duration_reuses_the_checked_imu_step(self, monkeypatch):
+        """Without audio, the duration is the IMU span plus the median step:
+        computed while unchecked or re-opened, the checked step otherwise."""
+        sess = make_session(with_audio=False, seed=4)
+        rng = np.random.default_rng(4)
+        sess.imu_t = np.arange(sess.imu_t.size) / 70.0 + rng.uniform(0.0, 0.004, sess.imu_t.size)
+
+        def expected(s):
+            return float(s.imu_t[-1] - s.imu_t[0] + np.median(np.diff(s.imu_t)))
+        want = expected(sess)
+        assert sess.duration_s == want  # unchecked
+        sess.validate()
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "median", None)  # the frozen session needs no median
+            assert sess.duration_s == want
+        sess.imu_t.flags.writeable = True  # re-opened, then changed
+        sess.imu_t *= 70.0 / 72.0
+        assert sess.duration_s == expected(sess) != want
+        sess.validate()
+        assert sess.duration_s == expected(sess)
+
     def test_replace_of_a_checked_session_checks_in_full(self, monkeypatch):
         sess = make_session()
         sess.validate()
@@ -636,7 +660,8 @@ class TestSessionDirIO:
         np.testing.assert_allclose(loaded.gyro, sess.gyro, atol=1e-9)
         # audio survives 16-bit quantization
         assert len(loaded.audio) == len(sess.audio)
-        np.testing.assert_allclose(loaded.audio, sess.audio, atol=1.0 / 32767)
+        np.testing.assert_allclose(loaded.audio_samples(0, len(loaded.audio)), sess.audio,
+                                   atol=1.0 / 32767)
 
     def test_round_trip_without_audio(self, tmp_path):
         sess = make_session(duration_s=2.0, with_audio=False)
@@ -676,6 +701,106 @@ class TestSessionDirIO:
         (tmp_path / "not_a_session").mkdir()
         found = core.list_session_dirs(tmp_path)
         assert [os.path.basename(p) for p in found] == ["a", "b", "c"]
+
+
+class PatchKeepingClassifier(vocal.SoundEventClassifier):
+    """Replays recorded scores, keeping every log-mel patch it is shown."""
+
+    def __init__(self, scores):
+        self.replay = vocal.ScoreFileClassifier(scores)
+        self.patches = {}
+
+    def classify(self, patch, index):
+        self.patches[index] = patch
+        return self.replay.classify(None, index)
+
+
+class TestPcmAudio:
+    """A loaded session keeps the int16 PCM of its ``audio.wav``; each read
+    converts only its own slice, to the samples the whole-file conversion gives."""
+
+    def test_int16_is_kept_and_not_scanned(self, monkeypatch):
+        sess = make_session(duration_s=3.0)
+        pcm = np.round(sess.audio * 32767.0).astype(np.int16)
+        sess = dataclasses.replace(sess, audio=pcm)
+        assert sess.audio is pcm
+        assert dataclasses.replace(sess, audio=pcm.astype(np.int32)).audio.dtype == float
+        scanned = TestFrozenSession.count_scans(monkeypatch)
+        sess.validate()
+        assert pcm.size not in scanned and len(scanned) == 3
+        with pytest.raises(AlignmentError):
+            dataclasses.replace(sess, audio=pcm[:44100]).validate()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rate=st.sampled_from([8000, 16000, 44100]),
+           seconds=st.integers(1, 3), tail=st.integers(0, 999))
+    @example(seed=0, rate=8000, seconds=1, tail=0)
+    def test_each_second_equals_the_whole_file_conversion(self, seed, rate, seconds, tail):
+        rng = np.random.default_rng(seed)
+        pcm = rng.integers(-32768, 32768, seconds * rate + tail).astype(np.int16)
+        pcm[rng.integers(0, pcm.size, 8)] = -32768
+        pcm[rng.integers(0, pcm.size, 8)] = 32767
+        sess = dataclasses.replace(make_session(duration_s=1.0, with_audio=False),
+                                   audio=pcm, audio_rate=rate)
+        whole = np.divide(pcm, 32767.0, dtype=float)
+        for i in range(seconds + 1):
+            got = sess.audio_samples(i * rate, (i + 1) * rate)
+            assert got.dtype == np.float64
+            assert got.tobytes() == whole[i * rate:(i + 1) * rate].tobytes()
+
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        """Kept as int16, every sample round-trips, -32768 included (a float
+        session is clipped to [-1, 1], where -32768 would come back -32767)."""
+        core.save_session_dir(tmp_path / "a", make_session(duration_s=3.0))
+        pcm = np.random.default_rng(2).integers(-32768, 32768, 3 * 44100).astype(np.int16)
+        pcm[[0, 7, -1]] = [-32768, 32767, -32768]
+        scipy.io.wavfile.write(tmp_path / "a" / "audio.wav", 44100, pcm)
+        loaded = core.load_session_dir(tmp_path / "a")
+        assert loaded.audio.dtype == np.int16
+        np.testing.assert_array_equal(loaded.audio, pcm)
+        core.save_session_dir(tmp_path / "b", loaded)
+        assert ((tmp_path / "b" / "audio.wav").read_bytes()
+                == (tmp_path / "a" / "audio.wav").read_bytes())
+
+    def test_load_peak_memory_stays_near_the_pcm_bytes(self, tmp_path):
+        core.save_session_dir(tmp_path, make_session(duration_s=60.0))
+        tracemalloc.start()
+        try:
+            loaded = core.load_session_dir(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.audio.nbytes == 60 * 44100 * 2
+        assert peak < 1.5 * loaded.audio.nbytes
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), place=st.sampled_from(sorted(harness.PLACE_PROFILES)),
+           label=st.sampled_from([S, W]), start=st.integers(0, 4), length=st.integers(2, 5))
+    def test_pipelines_read_pcm_as_its_float_conversion(self, seed, place, label, start,
+                                                        length):
+        spec = harness.SyntheticSpec("pcm", "u0", "tune", place, duration_s=10,
+                                     script=((start, start + length, label),), seed=seed)
+        generated = harness.generate_session(spec)
+        with tempfile.TemporaryDirectory() as root:
+            core.save_session_dir(root, generated.session)
+            loaded = core.load_session_dir(root)
+        assert loaded.audio.dtype == np.int16
+        converted = dataclasses.replace(
+            loaded, audio=np.divide(loaded.audio, 32767.0, dtype=float))
+        store = musicinfo.MusicInfoStore({"tune": generated.note_track})
+        runs = []
+        for session in (loaded, converted):
+            classifier = PatchKeepingClassifier(generated.scores)
+            results = (vocal.run_vocal_pipeline(session, classifier,
+                                                vocal.AutocorrelationPitchTracker(), store),
+                       motion.run_motion_pipeline(session, motion.HeuristicMotionClassifier()))
+            runs.append((
+                [(r.labels, r.observed, r.stats.stages,
+                  {i: (type(e), str(e)) for i, e in r.stats.failures.items()})
+                 for r in results],
+                {i: patch.tobytes() for i, patch in classifier.patches.items()}))
+        assert runs[0] == runs[1]
+        assert runs[0][1]  # some second reached the classifier
 
 
 class TestLabelAndEventFiles:
