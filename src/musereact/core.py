@@ -31,8 +31,10 @@ files (``imu.csv`` and ``pitch.csv``) are read by :func:`read_csv_matrix`,
 which parses a well-formed file in bulk with ``np.loadtxt`` and hands any
 other to the row-by-row path, so its values and errors are the reference's.
 
-Every text file of the package is written and read through the file layer
-here: :func:`write_text` (UTF-8, newlines as given), :func:`json_document`
+Every file of the package is written and read through the file layer here:
+:func:`write_bytes` and :func:`read_bytes` open every file, and build the
+rest: :func:`write_wav` and :func:`read_wav` (``audio.wav``),
+:func:`write_text` (UTF-8, newlines as given), :func:`json_document`
 (keys sorted, 2-space indent), :func:`write_jsonl` and :func:`read_jsonl` (a
 bad line raises ``<path>: line N: <msg>``), and :func:`read_document`, which
 builds a model from the object of :func:`read_json` (``<path>: bad <kind>
@@ -50,12 +52,10 @@ import math
 import os
 import struct
 import sys
-import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io.wavfile
 
 IMU_RATE_HZ = 70.0
 AUDIO_RATE_HZ = 44100
@@ -384,13 +384,13 @@ class Session:
     def validate(self) -> None:
         """Check shapes, finiteness, IMU timing and audio alignment.
 
-        ``int16`` audio, which holds no NaN or inf, is not scanned for
-        finiteness.  A passed check makes ``imu_t``, ``accel``, ``gyro`` and
-        ``audio`` read-only and records the pass and the IMU step.  A later
-        call returns at once, reading no array, unless a field has been
-        assigned since or an array's ``writeable`` flag has been turned back
-        on; then it checks in full.  A failed check records nothing and
-        freezes nothing.
+        Audio must be ``int16`` or floating; ``int16`` audio, which holds no
+        NaN or inf, is not scanned for finiteness.  A passed check makes
+        ``imu_t``, ``accel``, ``gyro`` and ``audio`` read-only and records
+        the pass and the IMU step.  A later call returns at once, reading no
+        array, unless a field has been assigned since or an array's
+        ``writeable`` flag has been turned back on; then it checks in full.
+        A failed check records nothing and freezes nothing.
         """
         if self._frozen():
             return
@@ -417,8 +417,12 @@ class Session:
         if self.audio is not None:
             if self.audio.ndim != 1:
                 raise ParameterError("audio must be a mono 1-D array")
-            if self.audio.dtype != np.int16 and not _all_finite(self.audio):
-                raise ParameterError("audio contains non-finite values")
+            if self.audio.dtype != np.int16:
+                if self.audio.dtype.kind != "f":
+                    raise ParameterError(
+                        f"audio must be int16 PCM or float samples, got {self.audio.dtype}")
+                if not _all_finite(self.audio):
+                    raise ParameterError("audio contains non-finite values")
             if self.audio_rate <= 0:
                 raise ParameterError("audio_rate must be positive")
             imu_span = float(self.imu_t[-1] - self.imu_t[0]) + step
@@ -644,7 +648,7 @@ def save_session_dir(path: str | os.PathLike, session: Session) -> None:
             pcm *= 32767.0
             np.round(pcm, out=pcm)
             pcm = pcm.astype(np.int16)
-        scipy.io.wavfile.write(os.path.join(path, "audio.wav"), session.audio_rate, pcm)
+        write_wav(os.path.join(path, "audio.wav"), session.audio_rate, pcm)
 
 
 def load_session_dir(path: str | os.PathLike) -> Session:
@@ -670,23 +674,11 @@ def load_session_dir(path: str | os.PathLike) -> Session:
     audio = None
     wav_path = os.path.join(path, "audio.wav")
     if os.path.exists(wav_path):
-        with warnings.catch_warnings():
-            # scipy warns, and returns what it read, when the data chunk ends early
-            warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
-            warnings.filterwarnings("error", "Reached EOF", scipy.io.wavfile.WavFileWarning)
-            try:
-                wav_rate, audio = scipy.io.wavfile.read(wav_path)
-            # scipy raises UnboundLocalError when the data chunk's id is damaged
-            except (ValueError, struct.error, UnboundLocalError, scipy.io.wavfile.WavFileWarning):
-                raise ParseError(f"{wav_path}: not a readable WAV file") from None
+        wav_rate, audio = read_wav(wav_path)
         if "audio_rate" in meta and wav_rate != audio_rate:
             raise ParseError(f"{meta_path}: audio_rate {audio_rate} disagrees with "
                              f"the {wav_rate} Hz of {wav_path}")
         audio_rate = wav_rate
-        if audio.ndim != 1:
-            raise ParseError(f"{wav_path}: expected mono audio")
-        if audio.dtype != np.int16:
-            raise ParseError(f"{wav_path}: expected 16-bit PCM, got {audio.dtype}")
 
     session = Session(
         session_id=session_id,
@@ -704,17 +696,30 @@ def load_session_dir(path: str | os.PathLike) -> Session:
     return session
 
 
+def read_bytes(path: str | os.PathLike) -> bytes:
+    """The package's one file reader: the whole file's bytes.  A missing file
+    raises :class:`ParseError` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ParseError(f"{path}: file not found") from None
+
+
+def write_bytes(path: str | os.PathLike, *chunks) -> None:
+    """The package's one file writer: the bytes-like ``chunks``, in order."""
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
 def read_text(path: str | os.PathLike) -> str:
     """The whole file as UTF-8 text, newlines left as they are.
 
     A missing file or undecodable bytes raise :class:`ParseError` naming the
     path (and, for bad bytes, the line they sit on).
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
+    data = read_bytes(path)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -723,9 +728,74 @@ def read_text(path: str | os.PathLike) -> str:
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
-    """The package's one file writer: ``text`` as UTF-8, newlines as given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """``text`` as UTF-8, newlines as given."""
+    write_bytes(path, text.encode("utf-8"))
+
+
+#: The canonical header of a mono 16-bit PCM WAV file: the RIFF chunk, a
+#: 16-byte ``fmt `` chunk and the ``data`` chunk's id and size.
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+
+#: The tail shared by the sub-format GUIDs of ``WAVE_FORMAT_EXTENSIBLE``,
+#: whose first 4 bytes hold the plain format tag.
+_WAV_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def write_wav(path: str | os.PathLike, rate: int, pcm: np.ndarray) -> None:
+    """Write mono ``int16`` samples as a 16-bit PCM WAV file with the
+    canonical 44-byte header (the bytes ``scipy.io.wavfile.write`` gives)."""
+    pcm = np.ascontiguousarray(pcm, dtype="<i2")
+    if pcm.nbytes > 0xFFFFFFFF - 36:
+        raise ParameterError("audio exceeds the 4 GiB size limit of a WAV file")
+    write_bytes(path, _WAV_HEADER.pack(b"RIFF", 36 + pcm.nbytes, b"WAVE", b"fmt ", 16,
+                                       1, 1, rate, 2 * rate, 2, 16, b"data", pcm.nbytes),
+                pcm)
+
+
+def read_wav(path: str | os.PathLike) -> tuple[int, np.ndarray]:
+    """The rate and the samples of a mono 16-bit PCM WAV file.
+
+    The samples are a read-only ``int16`` view of the file's bytes.  Chunks
+    before ``data`` other than ``fmt `` are skipped with their pad byte, and
+    ``WAVE_FORMAT_EXTENSIBLE`` stands for its sub-format.  A file cut short,
+    a missing chunk or a compressed format raises :class:`ParseError` "not a
+    readable WAV file"; then more than one channel "expected mono audio",
+    and samples of another type "expected 16-bit PCM, got <type>".
+    """
+    data = read_bytes(path)
+    unreadable = ParseError(f"{path}: not a readable WAV file")
+    if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+        raise unreadable
+    fmt, pos = None, 12
+    while True:
+        if pos + 8 > len(data):
+            raise unreadable
+        chunk_id, size = struct.unpack_from("<4sI", data, pos)
+        pos += 8
+        if pos + size > len(data):
+            raise unreadable
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            if size < 16:
+                raise unreadable
+            fmt = list(struct.unpack_from("<HHIIHH", data, pos))
+            if fmt[0] == 0xFFFE and size >= 40:  # cbSize, then the sub-format GUID
+                extension, sub_format = struct.unpack_from("<H6xI", data, pos + 16)
+                if extension >= 22 and data[pos + 28:pos + 40] == _WAV_GUID_TAIL:
+                    fmt[0] = sub_format
+        pos += size + size % 2
+    if fmt is None:
+        raise unreadable
+    tag, channels, rate, _, block_align, bits = fmt
+    if tag not in (1, 3) or block_align != channels * -(-bits // 8):
+        raise unreadable
+    if channels != 1:
+        raise ParseError(f"{path}: expected mono audio")
+    kind = "uint8" if tag == 1 and bits <= 8 else f"{'int' if tag == 1 else 'float'}{bits}"
+    if kind != "int16":
+        raise ParseError(f"{path}: expected 16-bit PCM, got {kind}")
+    return rate, np.frombuffer(data, "<i2", count=size // 2, offset=pos)
 
 
 def json_document(obj) -> str:

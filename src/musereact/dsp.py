@@ -12,7 +12,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.signal
 
 from .core import CLASSIFIER_RATE_HZ, InsufficientDataError, ParameterError, PipelineConfig
 
@@ -123,13 +122,24 @@ def lowpass_first_order(
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise ParameterError("cannot filter an empty signal")
+    import scipy.signal  # here, so that importing the package does not load scipy
+
     b, a = _butter_first_order(cutoff_hz, sample_rate_hz)
     return scipy.signal.lfilter(b, a, signal, axis=0)
 
 
 @functools.lru_cache(maxsize=16)
 def _butter_first_order(cutoff_hz, sample_rate_hz):
-    coefficients = scipy.signal.butter(1, cutoff_hz, btype="low", fs=sample_rate_hz)
+    """``scipy.signal.butter(1, cutoff_hz, fs=sample_rate_hz)``, read-only.
+
+    The closed form of its bilinear design, with scipy's own operations in
+    scipy's order so the bits match: the cutoff pre-warped to
+    ``w = 4 tan(pi fc / fs)``, then ``b = [w, w] / (4 + w)`` and
+    ``a = [1, -(4 - w) / (4 + w)]``, each divided as ``x * (1 / (4 + w))``.
+    """
+    w = 4.0 * np.tan(np.pi * (cutoff_hz / (sample_rate_hz / 2)) / 2.0)
+    scale = 1.0 / (4.0 + w)
+    coefficients = np.array([w * scale, w * scale]), np.array([1.0, -((4.0 - w) * scale)])
     for arr in coefficients:
         arr.flags.writeable = False
     return coefficients
@@ -138,6 +148,8 @@ def _butter_first_order(cutoff_hz, sample_rate_hz):
 @functools.lru_cache(maxsize=16)
 def _resample_filter(up: int, down: int) -> np.ndarray:
     """``resample_poly``'s default anti-aliasing FIR for ``(up, down)``, read-only."""
+    import scipy.signal
+
     rate = max(up, down)
     h = scipy.signal.firwin(20 * rate + 1, 1.0 / rate, window=("kaiser", 5.0))
     h.flags.writeable = False
@@ -154,6 +166,8 @@ def resample(audio: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
         raise ParameterError("audio must be a non-empty 1-D array")
     if from_hz == to_hz:
         return audio.copy()
+    import scipy.signal
+
     g = math.gcd(from_hz, to_hz)
     up, down = to_hz // g, from_hz // g
     # resample_poly copies an array window and scales it by ``up`` exactly as

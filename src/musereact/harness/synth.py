@@ -22,6 +22,9 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2 loads numpy.random on first use: load it with the package, not
+# inside the first session generated.
+from numpy.random import default_rng
 
 from ..core import (
     AUDIO_RATE_HZ,
@@ -189,7 +192,7 @@ def make_melody(song_id: str, num_symbols: int) -> NoteTrack:
     """
     if num_symbols < 1:
         raise ParameterError("num_symbols must be >= 1")
-    rng = np.random.default_rng(zlib.crc32(song_id.encode("utf-8")))
+    rng = default_rng(zlib.crc32(song_id.encode("utf-8")))
     symbols = np.empty(num_symbols, dtype=int)
     note = int(rng.integers(0, 12))
     filled = 0
@@ -219,7 +222,7 @@ def generate_session(
     """
     spec.validate()
     profile = PLACE_PROFILES[spec.place]
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
     duration = spec.duration_s
     if note_track is None:
         needed = int((spec.start_offset_in_song + duration + 2) / NOTE_HOP_S)
@@ -341,7 +344,7 @@ def _make_audio(rng, spec, truth, roles, profile, note_track):
         phase = 2.0 * np.pi * np.cumsum(inst) / AUDIO_RATE_HZ
         lo = t0 * AUDIO_RATE_HZ
         audio[lo:lo + samples] += amp * np.sin(phase) * (inst > 0)
-    return np.clip(audio, -1.0, 1.0)
+    return np.clip(audio, -1.0, 1.0, out=audio)
 
 
 def _score_vector(weights: dict[str, float]) -> ScoreVector:
@@ -463,7 +466,7 @@ def make_vocal_corpus(
     """Specs for a corpus of singing/whistling sessions in one place."""
     specs = []
     for i in range(num_sessions):
-        rng = np.random.default_rng([base_seed, i])
+        rng = default_rng([base_seed, i])
         specs.append(SyntheticSpec(
             session_id=f"v{i:03d}",
             subject_id=f"subj{i % 6:02d}",
@@ -486,7 +489,7 @@ def make_motion_corpus(
     """Specs for head-motion sessions (long nodding spans) in one place."""
     specs = []
     for i in range(num_sessions):
-        rng = np.random.default_rng([base_seed, 1000 + i])
+        rng = default_rng([base_seed, 1000 + i])
         specs.append(SyntheticSpec(
             session_id=f"m{i:03d}",
             subject_id=f"subj{i % 6:02d}",
@@ -528,7 +531,7 @@ def make_engagement_dataset(
     hum.  Feature vectors come from :func:`reaction_features` applied to the
     scripted truth events, so the whole engage stack is exercised.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     duration_s = 60
     rows, ratings, familiarity, subjects = [], [], [], []
     for subject in range(num_subjects):

@@ -33,7 +33,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import (
     CLASSIFIER_RATE_HZ,
@@ -260,6 +259,22 @@ def save_pitch_file(path: str | os.PathLike, f0s: np.ndarray, confs: np.ndarray)
         f"{k * PITCH_HOP_S:.1f},{f0s[k]:.6g},{confs[k]:.6g}\n" for k in range(len(f0s))))
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth number ``2^a 3^b 5^c >= n`` (``n >= 1``), the FFT
+    length ``scipy.fft.next_fast_len(n, real=True)`` gives."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            fast = odd << ((n - 1) // odd).bit_length()  # least odd * 2^a >= n
+            if fast < best:
+                best = fast
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 class AutocorrelationPitchTracker(PitchTracker):
     """Reference tracker: FFT autocorrelation peak per 0.1 s frame.
 
@@ -284,7 +299,7 @@ class AutocorrelationPitchTracker(PitchTracker):
         frames = frames - frames.mean(axis=1, keepdims=True)
         # A circular autocorrelation of length n equals the linear one at
         # every lag below n - frame + 1, so this n is exact up to lag_max.
-        n = scipy.fft.next_fast_len(frame + lag_max, real=True)
+        n = _next_fast_len(frame + lag_max)
         spectrum = np.fft.rfft(frames, n=n, axis=1)
         r = np.fft.irfft(spectrum * np.conj(spectrum), n=n, axis=1)[:, :lag_max + 1]
         voiced = r[:, 0] > 0  # a silent frame keeps f0 0, confidence 0

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -813,6 +815,50 @@ class TestTrainHmm:
                      "--config", str(config_path), "--hmm", str(hmm_path),
                      "--out", str(out)])
         assert code == 0
+
+
+class TestCommandsLoadNoScipy:
+    """The commands that need no audio front end run without importing scipy:
+    ``scipy.signal`` is imported only by the resampler and the first-order
+    low-pass, which replayed inputs never reach."""
+
+    SCRIPT = ("import json, sys\n"
+              "from musereact.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "                                if m.split('.')[0] == 'scipy')]))\n")
+
+    def test_detect_vocal_eval_train_and_recommend(self, corpus):
+        tmp_path, data_dir, config_path = corpus
+        out, pool = tmp_path / "out", tmp_path / "pool"
+        pool.mkdir()
+        query = [ReactionEvent(label=S, t_start=0.0, t_end=3.0),
+                 ReactionEvent(label=H, t_start=5.0, t_end=8.0)]
+        core.save_events_jsonl(tmp_path / "query.jsonl", query)
+        core.save_events_jsonl(pool / "same.jsonl", query)
+        core.save_events_jsonl(pool / "other.jsonl", query[1:])
+        TestTrainTree().make_csv(tmp_path / "ratings.csv", [5, 5, 5, 1, 1, 1])
+        commands = [
+            ["detect", "--pipeline", "vocal", "--session", str(data_dir / "sess_a"),
+             "--config", str(config_path), "--out", str(out)],
+            ["eval", "--pred", str(out / "sess_a.vocal.jsonl"),
+             "--truth", str(data_dir / "sess_a" / "labels.csv"), "--task", "vocal",
+             "--stats", str(out / "sess_a.stats.json"), "--report", str(tmp_path / "r.json")],
+            ["train-hmm", "--data", str(data_dir), "--config", str(config_path),
+             "--out", str(tmp_path / "hmm.json")],
+            ["train-tree", "--task", "rating", "--data", str(tmp_path / "ratings.csv"),
+             "--out", str(tmp_path / "tree.json")],
+            ["recommend", "--pattern", str(tmp_path / "query.jsonl"), "--pool", str(pool)],
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+            os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(commands), proc.stderr
+        assert loaded == []
 
 
 class TestTrainTree:

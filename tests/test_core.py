@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -329,6 +330,16 @@ class TestSessionValidation:
         array.flat[array.size // 2] = value
         setattr(sess, name, array)
         with pytest.raises(ParameterError, match="non-finite"):
+            sess.validate()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.bool_, np.complex128])
+    def test_audio_neither_int16_nor_float_rejected(self, dtype):
+        """Only int16 PCM is scaled when read, so other integer audio would
+        reach the pipelines unscaled."""
+        sess = make_session()
+        sess.audio = (sess.audio * 32767).astype(dtype)
+        with pytest.raises(ParameterError, match=(
+                f"^audio must be int16 PCM or float samples, got {np.dtype(dtype)}$")):
             sess.validate()
 
     @pytest.mark.parametrize("name", ["accel", "gyro", "audio"])
@@ -701,6 +712,101 @@ class TestSessionDirIO:
         (tmp_path / "not_a_session").mkdir()
         found = core.list_session_dirs(tmp_path)
         assert [os.path.basename(p) for p in found] == ["a", "b", "c"]
+
+
+#: The tail of every WAVE_FORMAT_EXTENSIBLE sub-format GUID; its first 4
+#: bytes hold the plain format tag.
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def wav_chunk(chunk_id: bytes, payload: bytes, order: str = "<") -> bytes:
+    """One RIFF chunk, with its pad byte when the payload's length is odd."""
+    return chunk_id + struct.pack(order + "I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def wav_file(rate: int, pcm, layout: str = "extensible", tag: int = 1,
+             channels: int = 1, bits: int = 16) -> bytes:
+    """A WAV file of ``pcm`` built by hand.  ``layout`` is ``extensible`` (a
+    40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk for format ``tag``), ``list``
+    (an odd-sized LIST chunk before the data), ``unknown`` (an odd-sized
+    chunk of an id no reader knows) or ``rifx`` (the big-endian variant)."""
+    order = ">" if layout == "rifx" else "<"
+    align = channels * bits // 8
+    fmt = struct.pack(order + "HHIIHH", tag, channels, rate, rate * align, align, bits)
+    if layout == "extensible":
+        fmt = (struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, rate * align, align, bits,
+                           22, bits, 4) + struct.pack("<I", tag) + GUID_TAIL)
+    chunks = [wav_chunk(b"fmt ", fmt, order)]
+    if layout in ("list", "unknown"):
+        info = b"INFOISFT" + struct.pack("<I", 5) + b"test\0"
+        chunks.append(wav_chunk(b"LIST" if layout == "list" else b"junq", info))
+    chunks.append(wav_chunk(b"data", np.asarray(pcm, dtype=order + "i2").tobytes(), order))
+    body = b"WAVE" + b"".join(chunks)
+    return (b"RIFX" if layout == "rifx" else b"RIFF") + struct.pack(order + "I", len(body)) + body
+
+
+def scipy_read(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)  # unknown chunks
+        return scipy.io.wavfile.read(path)
+
+
+PCM16 = st.lists(st.sampled_from([-32768, -32767, 0, 32767]) | st.integers(-32768, 32767),
+                 max_size=300)
+
+
+class TestWavFile:
+    """``core.write_wav`` writes ``scipy.io.wavfile.write``'s bytes, and
+    ``core.read_wav`` reads what ``scipy.io.wavfile.read`` reads from every
+    mono 16-bit PCM layout it accepts."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rate=st.sampled_from([8000, 16000, 44100, 48000]) | st.integers(1, 2**31 - 1),
+           samples=PCM16)
+    @example(rate=44100, samples=[])
+    @example(rate=1, samples=[-32768, 32767, -32767])
+    def test_round_trip_matches_scipy(self, rate, samples):
+        pcm = np.array(samples, dtype=np.int16)
+        with tempfile.TemporaryDirectory() as root:
+            ours, theirs = os.path.join(root, "ours.wav"), os.path.join(root, "theirs.wav")
+            core.write_wav(ours, rate, pcm)
+            scipy.io.wavfile.write(theirs, rate, pcm)
+            with open(ours, "rb") as fh, open(theirs, "rb") as gh:
+                assert fh.read() == gh.read()
+            for layout in (None, "extensible", "list", "unknown"):
+                if layout is not None:
+                    with open(theirs, "wb") as fh:
+                        fh.write(wav_file(rate, pcm, layout))
+                got_rate, got = core.read_wav(theirs)
+                want_rate, want = scipy_read(theirs)
+                assert got_rate == want_rate == rate
+                assert got.dtype == want.dtype == np.int16
+                assert got.tobytes() == want.tobytes() == pcm.tobytes()
+
+    def test_samples_are_a_view_of_the_file_bytes(self, tmp_path):
+        core.write_wav(tmp_path / "a.wav", 44100, np.arange(-50, 50, dtype=np.int16))
+        _, pcm = core.read_wav(tmp_path / "a.wav")
+        assert isinstance(pcm.base, bytes) and not pcm.flags.writeable
+
+    @pytest.mark.parametrize("data, message", [
+        (wav_file(44100, [1, 2, 3], "rifx"), "not a readable WAV file"),
+        (wav_file(44100, [1, 2, 3], "list")[:-3], "not a readable WAV file"),
+        (wav_file(44100, [1, 2, 3], "extensible", tag=2), "not a readable WAV file"),
+        (wav_file(44100, [1, 2], "extensible", tag=3, bits=32), "expected 16-bit PCM, got float32"),
+        (wav_file(44100, [1, 2], "extensible", tag=3, channels=2, bits=32),
+         "expected mono audio"),
+    ], ids=["rifx", "cut_data", "adpcm", "extensible_float32", "extensible_stereo"])
+    def test_rejects_with_one_line(self, tmp_path, data, message):
+        (tmp_path / "a.wav").write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            core.read_wav(tmp_path / "a.wav")
+        assert str(err.value) == f"{tmp_path / 'a.wav'}: {message}"
+
+    def test_rifx_is_a_contract_change(self, tmp_path):
+        """scipy reads the big-endian variant; the file layer does not."""
+        (tmp_path / "a.wav").write_bytes(wav_file(44100, [1, -2, 3], "rifx"))
+        rate, pcm = scipy_read(tmp_path / "a.wav")
+        assert rate == 44100 and pcm.tolist() == [1, -2, 3]
 
 
 class PatchKeepingClassifier(vocal.SoundEventClassifier):

@@ -183,6 +183,16 @@ class TestLowpass:
                 dsp.lowpass_first_order(x, 70, 5.0), scipy.signal.lfilter(b, a, x, axis=0))
         assert not any(arr.flags.writeable for arr in dsp._butter_first_order(5.0, 70))
 
+    @pytest.mark.parametrize("fs", [7.5, 50, 70, 100, 1000, 8000, 16000, 22050, 44100, 48000])
+    def test_closed_form_design_is_scipys_bit_for_bit(self, fs):
+        """Over a grid of cutoffs at each rate, 5 Hz / 70 Hz and 2 kHz / 16 kHz among them."""
+        cutoffs = np.concatenate([np.linspace(fs / 2000, 0.999 * fs / 2, 301), [5.0, 2000.0]])
+        for fc in cutoffs[cutoffs < fs / 2].tolist():
+            want = scipy.signal.butter(1, fc, btype="low", fs=fs)
+            got = dsp._butter_first_order.__wrapped__(fc, fs)
+            for w, g in zip(want, got):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (fc, fs)
+
     def test_dc_gain_is_unity(self):
         x = np.full(16000, 0.37)
         y = dsp.lowpass_first_order(x, 16000, 2000)

@@ -1,5 +1,5 @@
 """Every file ``src/`` opens and every JSON text it encodes goes through
-``core``'s file layer."""
+``core``'s file layer: ``audio.wav`` and the text files alike."""
 
 import ast
 import pathlib
@@ -8,8 +8,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "musereact"
 
 #: (module path under src/musereact, enclosing function, call) -> why the call is there.
 ALLOWED = {
-    ("core.py", "read_text", "open"): "the one reader of a whole file",
-    ("core.py", "write_text", "open"): "the one writer of a file",
+    ("core.py", "read_bytes", "open"): "the one reader of a whole file",
+    ("core.py", "write_bytes", "open"): "the one writer of a file",
     ("core.py", "json_document", "json.dumps"): "the one JSON-document layout",
     ("core.py", "write_jsonl", "json.dumps"): "the one JSON-lines line layout",
 }

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -520,6 +521,10 @@ class TestAutocorrelationPitchTracker:
         want_f0s, want_confs = pitch_loop_oracle(audio, sr, 80.0, 1000.0)
         np.testing.assert_array_equal(f0s, want_f0s)
         np.testing.assert_allclose(confs, want_confs, rtol=0, atol=1e-12)
+
+    def test_fft_length_is_scipys_next_fast_len(self):
+        for n in range(1, 200_001):
+            assert vocal._next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
 class TestHmmTraining:
