@@ -17,8 +17,8 @@ N = ReactionLabel.NON_REACTION
 PREFILTERS = (Stage.MOTION_FILTER, Stage.SOUND_FILTER)
 
 full_cfg = PipelineConfig().replace(dtw_threshold=30.0, enable_smoothing=False)
-map_cfg = PipelineConfig().replace(
-    enable_relaxation=False, enable_correction=False, enable_smoothing=False)
+map_cfg = PipelineConfig().replace(  # margin 0: every top-1 maps directly
+    margin_threshold=0.0, enable_correction=False, enable_smoothing=False)
 
 truth_all, mapped_all = [], []
 pairs = []          # (truth, observed) per session, for HMM training

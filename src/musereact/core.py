@@ -241,10 +241,13 @@ class PipelineConfig:
 
     The defaults reproduce the published operating point and are written only
     here.  Every instance is valid: construction, and so :meth:`replace`,
-    :meth:`from_dict` and :meth:`load`, runs :meth:`validate`.
+    :meth:`from_dict` and :meth:`load`, runs :meth:`validate`.  The prefilters
+    and rank relaxation always run; a threshold is how each is tuned or
+    neutralised.
     """
 
     # --- vocal pipeline: prefilters -------------------------------------
+    # Neutral values: a movement band [0, 1e308]; sound_db_threshold <= db_calibration - 240.
     vocal_movement_low_g: float = 0.0104
     vocal_movement_high_g: float = 0.12
     sound_db_threshold: float = 49.0
@@ -254,6 +257,7 @@ class PipelineConfig:
     audio_lowpass_hz: float = 2000.0
 
     # --- vocal pipeline: classification ---------------------------------
+    # margin_threshold 0 maps every top-1 class directly (no margin is < 0).
     margin_threshold: float = 0.9
     relax_top_k: int = 5
     singing_classes: tuple[str, ...] = ("singing", "humming")
@@ -269,9 +273,6 @@ class PipelineConfig:
     motion_decision_threshold: float = 0.5
 
     # --- stage toggles (ablations) --------------------------------------
-    enable_motion_filter: bool = True
-    enable_sound_filter: bool = True
-    enable_relaxation: bool = True
     enable_correction: bool = True
     enable_smoothing: bool = True
 
@@ -407,7 +408,7 @@ class Session:
             raise ParameterError("IMU timestamps must be strictly increasing")
         if self.imu_t[0] < 0:
             raise ParameterError("IMU timestamps must start at or after 0")
-        step = float(np.median(dt))
+        step = _median(dt)
         rate = 1.0 / step
         if abs(rate - IMU_RATE_HZ) > IMU_RATE_TOLERANCE_HZ:
             raise ParameterError(
@@ -457,6 +458,15 @@ class Session:
             return len(self.audio) / self.audio_rate
         step = self._imu_step if self._frozen() else np.median(np.diff(self.imu_t))
         return float(self.imu_t[-1] - self.imu_t[0] + step)
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty finite 1-D array at numpy's own partition
+    points, as ``np.median``'s NaN check imports ``numpy.ma``.  Bit for bit, but
+    a zero median there is +0.0 (numpy sums from it); a zero step is refused."""
+    half, odd = len(x) // 2, len(x) % 2
+    part = np.partition(x, (half, -1) if odd else (half - 1, half, -1))
+    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
 def _all_finite(x: np.ndarray) -> bool:

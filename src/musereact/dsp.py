@@ -3,7 +3,7 @@
 Everything here is a pure function of numpy arrays: movement/sound levels
 and the one-pass movement prefilter, the audio front end for the sound-event
 classifier (resample, first-order low-pass, 96x64 log-mel patch), chroma from
-pitch, and dynamic time warping over chroma sequences with an unvoiced symbol.
+pitch at a fixed confidence cut, and DTW over chroma with an unvoiced symbol.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def movement_levels(accel: np.ndarray, bounds) -> np.ndarray:
     bounds = np.asarray(bounds)
     starts, counts = bounds[:-1], np.diff(bounds)
     levels = np.full(len(counts), np.nan)
-    for n in np.unique(counts[counts >= 2]):
+    for n in sorted(set(counts[counts >= 2].tolist())):  # np.unique imports numpy.ma
         rows = np.flatnonzero(counts == n)
         levels[rows] = np.std(magnitude[starts[rows, None] + np.arange(n)], axis=1)
     return levels
@@ -243,16 +243,15 @@ def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
 # chroma
 # ---------------------------------------------------------------------------
 
-def hz_to_chroma(f0_hz: float, confidence: float,
-                 conf_threshold: float = PITCH_CONF_THRESHOLD) -> int:
+def hz_to_chroma(f0_hz: float, confidence: float) -> int:
     """Map a pitch estimate to a pitch class 0..11, or :data:`UNVOICED`.
 
-    Frames whose confidence falls below ``conf_threshold`` are unvoiced and
-    their ``f0_hz`` is ignored.  Voiced frames are converted through the
-    nearest equal-tempered note (A4 = 440 Hz = note 69) and folded mod 12,
-    which makes the result octave invariant.
+    Frames whose confidence falls below :data:`PITCH_CONF_THRESHOLD` are
+    unvoiced and their ``f0_hz`` is ignored.  Voiced frames are converted
+    through the nearest equal-tempered note (A4 = 440 Hz = note 69) and folded
+    mod 12, which makes the result octave invariant.
     """
-    if not confidence >= conf_threshold:  # also catches NaN confidence
+    if not confidence >= PITCH_CONF_THRESHOLD:  # also catches NaN confidence
         return UNVOICED
     if not (math.isfinite(f0_hz) and f0_hz > 0):
         raise ParameterError(f"voiced frame needs f0 > 0, got {f0_hz!r}")
@@ -260,19 +259,13 @@ def hz_to_chroma(f0_hz: float, confidence: float,
     return int(note % 12)
 
 
-def chroma_sequence(
-    f0s: np.ndarray, confidences: np.ndarray,
-    conf_threshold: float = PITCH_CONF_THRESHOLD,
-) -> np.ndarray:
+def chroma_sequence(f0s: np.ndarray, confidences: np.ndarray) -> np.ndarray:
     """Vector form of :func:`hz_to_chroma` over parallel f0/confidence arrays."""
     f0s = np.asarray(f0s, dtype=float)
     confidences = np.asarray(confidences, dtype=float)
     if f0s.shape != confidences.shape or f0s.ndim != 1:
         raise ParameterError("f0s and confidences must be equal-length 1-D arrays")
-    return np.array(
-        [hz_to_chroma(f, c, conf_threshold) for f, c in zip(f0s, confidences)],
-        dtype=int,
-    )
+    return np.array([hz_to_chroma(f, c) for f, c in zip(f0s, confidences)], dtype=int)
 
 
 def chroma_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

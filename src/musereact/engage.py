@@ -260,12 +260,12 @@ def _majority(targets):
 
 def _build_node(features, targets, depth, max_depth, min_leaf):
     if (depth >= max_depth or len(targets) < 2 * min_leaf
-            or len(np.unique(targets)) == 1):
+            or (targets == targets[0]).all()):
         return TreeNode(value=_majority(targets))
     best = None  # (impurity, feature, threshold)
     for feature in range(features.shape[1]):
         column = features[:, feature]
-        distinct = np.unique(column)
+        distinct = sorted(set(column.tolist()))  # np.unique imports numpy.ma
         for lo, hi in zip(distinct, distinct[1:]):
             threshold = (lo + hi) / 2.0
             mask = column <= threshold

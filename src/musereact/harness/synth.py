@@ -112,6 +112,11 @@ class SyntheticSpec:
     start_offset_in_song: int = 0
     seed: int = 0
 
+    @property
+    def note_frames(self) -> int:
+        """Note-track length covering the session's song span, with 2 s to spare."""
+        return int((self.start_offset_in_song + self.duration_s + 2) / NOTE_HOP_S)
+
     def validate(self) -> None:
         if self.place not in PLACE_PROFILES:
             raise ParameterError(
@@ -225,8 +230,7 @@ def generate_session(
     rng = default_rng(spec.seed)
     duration = spec.duration_s
     if note_track is None:
-        needed = int((spec.start_offset_in_song + duration + 2) / NOTE_HOP_S)
-        note_track = make_melody(spec.song_id, needed)
+        note_track = make_melody(spec.song_id, spec.note_frames)
 
     truth = [ReactionLabel.NON_REACTION] * duration
     for t0, t1, label in spec.script:
@@ -624,8 +628,7 @@ def write_corpus(out_dir: str | os.PathLike, specs: list[SyntheticSpec]) -> list
     needed: dict[str, int] = {}
     for spec in specs:
         spec.validate()
-        length = int((spec.start_offset_in_song + spec.duration_s + 2) / NOTE_HOP_S)
-        needed[spec.song_id] = max(needed.get(spec.song_id, 0), length)
+        needed[spec.song_id] = max(needed.get(spec.song_id, 0), spec.note_frames)
     notes_dir = os.path.join(out_dir, NOTES_DIR)
     os.makedirs(notes_dir, exist_ok=True)
     tracks = {}

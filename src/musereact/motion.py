@@ -1,7 +1,7 @@
 """Rhythmic head-motion detection from the earbud gyroscope.
 
-The pipeline mirrors the vocal cascade's shape: a movement prefilter, one
-:func:`dsp.movement_filter` pass over the session's level table, drops
+The pipeline mirrors the vocal cascade's shape: a movement prefilter that
+always runs (its band tunes it), one :func:`dsp.movement_filter` pass, drops
 seconds that are clearly still or exercise-level, then a sliding seven-second
 gyro window (low-passed at 5 Hz) is summarized into 70 motion units x 18
 statistical features and scored by a sequence classifier.  Each window labels
@@ -328,10 +328,8 @@ def run_motion_pipeline(
     gyro_filtered = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, GYRO_LOWPASS_HZ)
 
     bounds = second_bounds(session)
-    settled, failures = [False] * (len(bounds) - 1), {}
-    if config.enable_motion_filter:
-        settled, failures = dsp.movement_filter(
-            session.accel, bounds, config.motion_movement_low_g, config.motion_movement_high_g)
+    settled, failures = dsp.movement_filter(
+        session.accel, bounds, config.motion_movement_low_g, config.motion_movement_high_g)
     stages = [Stage.MOTION_FILTER if out else
               Stage.CLASSIFIER if boundary >= WINDOW_SAMPLES else Stage.COLD_START
               for out, boundary in zip(settled, bounds[1:])]

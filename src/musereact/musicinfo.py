@@ -9,11 +9,13 @@ checks the file, header and field counts; :func:`load_note_track_rows` adds
 only the note-track rules: rows on the 0.1 s grid from t = 0 (blank lines do
 not count), symbols ``U`` or 0..11, and at least one row.
 :func:`load_note_track` parses canonical files in bulk to the same track.
+:func:`note_window` widens each second by the fixed :data:`NOTE_WINDOW_MARGIN_S`.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -62,45 +64,37 @@ class NoteTrack:
         return len(self.symbols) * NOTE_HOP_S
 
 
-def note_window(track: NoteTrack, t0: float, t1: float,
-                margin_s: float = NOTE_WINDOW_MARGIN_S) -> np.ndarray:
+def note_window(track: NoteTrack, t0: float, t1: float) -> np.ndarray:
     """Slice of the reference melody around the song interval ``[t0, t1)``.
 
-    The window is widened by ``margin_s`` on each side to absorb tempo and
-    alignment slack, then clipped to the track.  A window that misses the
-    track entirely raises :class:`EmptyWindowError`.  That is checked before
-    ``t1 > t0``: far along a song, ``t0 + 1.0`` may round back to ``t0``.
+    The window is widened by :data:`NOTE_WINDOW_MARGIN_S` on each side to
+    absorb tempo and alignment slack, then clipped to the track.  A window that
+    misses the track entirely raises :class:`EmptyWindowError`.  That is checked
+    before ``t1 > t0``: far along a song, ``t0 + 1.0`` may round back to ``t0``.
     """
-    if margin_s < 0:
-        raise ParameterError("margin_s must be >= 0")
-    if t0 - margin_s >= track.duration_s or t1 + margin_s <= 0:
-        raise _outside(track, t0, t1, margin_s)
+    if t0 - NOTE_WINDOW_MARGIN_S >= track.duration_s or t1 + NOTE_WINDOW_MARGIN_S <= 0:
+        raise _outside(track, t0, t1)
     if not t1 > t0:
         raise ParameterError(f"need t1 > t0, got [{t0}, {t1})")
-    # Clipped before rounding: a huge margin makes an infinite bound.
-    first = round(min(max((t0 - margin_s) / NOTE_HOP_S, 0.0), len(track)))
-    last = round(min(max((t1 + margin_s) / NOTE_HOP_S, 0.0), len(track)))
+    # Clipped before rounding: a far-off bound divides to infinity.
+    first = round(min(max((t0 - NOTE_WINDOW_MARGIN_S) / NOTE_HOP_S, 0.0), len(track)))
+    last = round(min(max((t1 + NOTE_WINDOW_MARGIN_S) / NOTE_HOP_S, 0.0), len(track)))
     if first >= last:
-        raise _outside(track, t0, t1, margin_s)
+        raise _outside(track, t0, t1)
     return track.symbols[first:last].copy()
 
 
-def _outside(track: NoteTrack, t0: float, t1: float, margin_s: float) -> EmptyWindowError:
-    return EmptyWindowError(f"window [{t0}, {t1}) +/- {margin_s} s lies outside the "
-                            f"{track.duration_s:.1f} s track {track.song_id!r}")
-
-
-def longest_note_window(margin_s: float) -> float:
-    """Most symbols :func:`note_window` returns for a one-second interval: the
-    whole frames in ``1 + 2 * margin_s`` s plus one, as rounding each end may
-    add half a frame (the slack absorbs float error there: 21 at 0.5 s)."""
-    return float(np.floor((1.0 + 2.0 * margin_s) / NOTE_HOP_S + 1e-6)) + 1.0
+def _outside(track: NoteTrack, t0: float, t1: float) -> EmptyWindowError:
+    return EmptyWindowError(f"window [{t0}, {t1}) +/- {NOTE_WINDOW_MARGIN_S} s lies outside "
+                            f"the {track.duration_s:.1f} s track {track.song_id!r}")
 
 
 #: Exclusive upper bound of ``PipelineConfig.dtw_threshold``: a segment's
 #: DTW distance is at most ``UNVOICED_COST`` per window frame (a window
-#: outnumbers its 10 pitch frames), so no higher threshold rejects.
-DTW_REACH = UNVOICED_COST * longest_note_window(NOTE_WINDOW_MARGIN_S)
+#: outnumbers its 10 pitch frames), so no higher threshold rejects.  The longest
+#: window is 21 frames: 2 s of them, plus one as rounding each end adds up to half.
+DTW_REACH = UNVOICED_COST * (
+    math.floor((1.0 + 2.0 * NOTE_WINDOW_MARGIN_S) / NOTE_HOP_S + 1e-6) + 1.0)
 
 
 def save_note_track(path: str | os.PathLike, track: NoteTrack) -> None:

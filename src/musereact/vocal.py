@@ -21,6 +21,8 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
    observations removes isolated flips.  All full-length windows of a
    session are decoded together as one array (:func:`smooth_labels`).
 
+Stages 1, 2 and 4 always run, and a threshold tunes or neutralises each;
+``enable_correction`` and ``enable_smoothing`` switch stages 5 and 6.
 ``run_vocal_pipeline`` settles stage 1 in one pass over the level table, then
 walks the rest from stage 2, recording in a :class:`core.CascadeStats` the last
 stage each second entered and each failure; each stage is also exposed alone.
@@ -60,7 +62,7 @@ from .core import (
     write_text,
 )
 from . import dsp
-from .musicinfo import MusicInfoStore, NoteTrack, note_window
+from .musicinfo import NOTE_HOP_S, MusicInfoStore, NoteTrack, note_window
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,7 @@ def save_score_file(path: str | os.PathLike, scores_by_index: dict[int, ScoreVec
 # pitch tracking
 # ---------------------------------------------------------------------------
 
-PITCH_HOP_S = 0.1
+PITCH_HOP_S = NOTE_HOP_S  # correction warps pitch frames onto note symbols: one grid
 PITCH_FRAMES_PER_SEGMENT = 10
 #: f0 range :class:`AutocorrelationPitchTracker` searches: sung and whistled pitch.
 PITCH_MIN_HZ = 80.0
@@ -637,18 +639,15 @@ def run_vocal_pipeline(
     rate = session.audio_rate
     total = len(bounds) - 1
     stages = [Stage.MOTION_FILTER] * total
-    settled, failures = np.zeros(total, dtype=bool), {}
-    if config.enable_motion_filter:
-        settled, failures = dsp.movement_filter(
-            session.accel, bounds, config.vocal_movement_low_g, config.vocal_movement_high_g)
+    settled, failures = dsp.movement_filter(
+        session.accel, bounds, config.vocal_movement_low_g, config.vocal_movement_high_g)
 
     def settle(i):
         """Second ``i`` through stages 2-5, entering each in ``stages[i]``."""
         audio = None if session.audio is None else session.audio_samples(i * rate, (i + 1) * rate)
         stages[i] = Stage.SOUND_FILTER
-        if (config.enable_sound_filter and audio is not None
-                and vocal_sound_prefilter(
-                    audio, config.sound_db_threshold, config.db_calibration)):
+        if audio is not None and vocal_sound_prefilter(
+                audio, config.sound_db_threshold, config.db_calibration):
             return ReactionLabel.NON_REACTION
 
         stages[i] = Stage.CLASSIFIER
@@ -658,7 +657,7 @@ def run_vocal_pipeline(
                 raise InsufficientDataError("classifier needs audio but session has none")
             patch = dsp.log_mel_patch(preprocess_segment_audio(audio, rate, config))
         scores = classifier.classify(patch, i)
-        label = (relax_rank if config.enable_relaxation else map_labels)(scores, config)
+        label = relax_rank(scores, config)
 
         if label.deferred and config.enable_correction:
             stages[i] = Stage.CORRECTION

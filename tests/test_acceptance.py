@@ -136,7 +136,7 @@ def test_criterion_05_filtering_ablation():
     t_start = time.monotonic()
     full_cfg = PipelineConfig().replace(dtw_threshold=30.0, enable_smoothing=False)
     map_cfg = PipelineConfig().replace(
-        enable_relaxation=False, enable_correction=False, enable_smoothing=False)
+        margin_threshold=0.0, enable_correction=False, enable_smoothing=False)
     worst_gap, worst_ratio = np.inf, np.inf
     prefilters = (core.Stage.MOTION_FILTER, core.Stage.SOUND_FILTER)
     for seed in range(10):

@@ -820,13 +820,17 @@ class TestTrainHmm:
 class TestCommandsLoadNoScipy:
     """The commands that need no audio front end run without importing scipy:
     ``scipy.signal`` is imported only by the resampler and the first-order
-    low-pass, which replayed inputs never reach."""
+    low-pass, which replayed inputs never reach.  Nor do they load
+    ``numpy.ma``, which ``np.median`` imports."""
 
     SCRIPT = ("import json, sys\n"
+              "import numpy\n"
+              "eager = set(sys.modules)  # numpy 1.x imports numpy.ma itself\n"
               "from musereact.cli import main\n"
               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-              "                                if m.split('.')[0] == 'scipy')]))\n")
+              "print(json.dumps([codes, sorted(m for m in set(sys.modules) - eager\n"
+              "                                if m.split('.')[0] == 'scipy'\n"
+              "                                or m.split('.')[:2] == ['numpy', 'ma'])]))\n")
 
     def test_detect_vocal_eval_train_and_recommend(self, corpus):
         tmp_path, data_dir, config_path = corpus
@@ -1286,6 +1290,9 @@ class TestDetectConfig:
         ({"dtw_threshold": 130}, "dtw_threshold must lie in [0, 126)"),
         ({"singing_classes": ["singing", "Whistling"]},
          "class 'whistling' is in both singing_classes and whistling_classes"),
+        ({"enable_motion_filter": False}, "unknown config keys: enable_motion_filter"),
+        ({"enable_sound_filter": False}, "unknown config keys: enable_sound_filter"),
+        ({"enable_relaxation": True}, "unknown config keys: enable_relaxation"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"

@@ -100,7 +100,6 @@ class TestPipelineConfig:
             "db_calibration", "audio_lowpass_hz", "margin_threshold", "relax_top_k",
             "singing_classes", "whistling_classes", "ambiguous_classes", "dtw_threshold",
             "motion_movement_low_g", "motion_movement_high_g", "motion_decision_threshold",
-            "enable_motion_filter", "enable_sound_filter", "enable_relaxation",
             "enable_correction", "enable_smoothing"]
 
     def test_range_filters_ordered(self):
@@ -503,6 +502,20 @@ def test_all_finite_equals_isfinite_all():
                 squares = float(view.ravel() @ view.ravel())
             overflowed_but_finite += want and not math.isfinite(squares)
     assert overflowed_but_finite > 50  # the elementwise fallback ran
+
+
+#: Nonzero finite values; a few repeat often, so middle elements tie.
+MEDIAN_VALUES = st.sampled_from([1 / 70, 1 / 69, 0.5, -3.0]) | st.floats(
+    -1e300, 1e300, allow_nan=False).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(MEDIAN_VALUES, min_size=1, max_size=199))
+@example(values=[1 / 70] * 4200)
+def test_partition_median_is_numpys_bit_for_bit(values):
+    """``Session.validate``'s IMU step median equals ``np.median``."""
+    x = np.array(values)
+    assert np.float64(core._median(x)).tobytes() == np.float64(np.median(x)).tobytes()
 
 
 class TestSegmentation:

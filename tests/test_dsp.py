@@ -126,11 +126,9 @@ class TestMovementFilter:
         assert (np.isnan(levels) & (counts >= 2)).any()  # an overflowing slice
         assert {0, 1} <= set(counts.tolist())
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_both_cascades_settle_stage_1_from_the_table(self, enabled):
-        """With the movement filter on, each cascade leaves exactly the
-        per-slice oracle's seconds in ``motion_filter`` and fails exactly its
-        short seconds there; turned off, no second stops at stage 1."""
+    def test_both_cascades_settle_stage_1_from_the_table(self):
+        """Each cascade leaves exactly the per-slice oracle's seconds in
+        ``motion_filter`` and fails exactly its short seconds there."""
         accel, bounds, low_g, high_g = self.random_table(1)
         counts = np.diff(bounds)
         t = np.concatenate([i + np.arange(n) / n if n else [] for i, n in enumerate(counts)])
@@ -142,7 +140,7 @@ class TestMovementFilter:
         config = PipelineConfig(
             vocal_movement_low_g=low_g, vocal_movement_high_g=high_g,
             motion_movement_low_g=low_g, motion_movement_high_g=high_g,
-            enable_motion_filter=enabled, enable_correction=False, enable_smoothing=False)
+            enable_correction=False, enable_smoothing=False)
         scores = vocal.ScoreVector(("speech", "a", "b", "c", "d"), [0.2] * 5)
         classifier = vocal.ScoreFileClassifier(dict.fromkeys(range(len(counts)), scores))
         results = (vocal.run_vocal_pipeline(session, classifier, config=config),
@@ -155,7 +153,7 @@ class TestMovementFilter:
             stopped = [stage is Stage.MOTION_FILTER for stage in record.stages]
             stage_1 = {i: str(exc) for i, exc in record.failures.items()
                        if record.stages[i] is Stage.MOTION_FILTER}
-            assert (stopped, stage_1) == (oracle if enabled else ([False] * len(stopped), {}))
+            assert (stopped, stage_1) == oracle
 
 
 class TestSoundLevel:

@@ -382,8 +382,11 @@ class TestMotionPipeline:
         assert result.labels == [N] * 15
 
     def test_disabled_prefilter_classifies_everything(self):
+        """An open movement band neutralises the prefilter: every second with
+        a full window reaches the classifier."""
         generated = generate_session(motion_spec(duration_s=20, script=((8, 16, H),)))
-        config = PipelineConfig().replace(enable_motion_filter=False)
+        config = PipelineConfig().replace(
+            motion_movement_low_g=0.0, motion_movement_high_g=1e308)
         result = run_motion_pipeline(generated.session, config=config)
         assert result.stats.count(Stage.MOTION_FILTER) == 0
         assert result.stats.count(Stage.CLASSIFIER) == 20 - result.stats.count(Stage.COLD_START)
@@ -491,13 +494,11 @@ def jittered_session(seconds, seed, jitter):
 class TestMotionUnitTable:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(seconds=st.integers(7, 300), seed=st.integers(0, 2**32 - 1),
-           jitter=st.sampled_from([0.0, 0.05, 0.3]), motion_filter=st.booleans())
-    def test_gathered_units_equal_each_window_summarized(
-            self, seconds, seed, jitter, motion_filter):
+           jitter=st.sampled_from([0.0, 0.05, 0.3]))
+    def test_gathered_units_equal_each_window_summarized(self, seconds, seed, jitter):
         session = jittered_session(seconds, seed, jitter)
-        config = PipelineConfig().replace(enable_motion_filter=motion_filter)
         recorder = RecordingClassifier()
-        result = run_motion_pipeline(session, recorder, config)
+        result = run_motion_pipeline(session, recorder)
         bounds = second_bounds(session)
         ends = np.array([bounds[i + 1] for i, stage in enumerate(result.stats.stages)
                          if stage is Stage.CLASSIFIER], dtype=int)

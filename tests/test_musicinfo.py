@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from musereact import musicinfo
 from musereact.core import ConfigError, EmptyWindowError, ParameterError, ParseError
-from musereact.dsp import UNVOICED
+from musereact.dsp import UNVOICED, UNVOICED_COST
 from musereact.musicinfo import MusicInfoStore, NoteTrack, note_window
 
 
@@ -37,19 +37,19 @@ class TestNoteWindow:
     def test_interior_window(self):
         """One second plus 0.5 s margin on each side is 20 hops."""
         track = make_track(n=300)
-        window = note_window(track, 10.0, 11.0, margin_s=0.5)
+        window = note_window(track, 10.0, 11.0)
         assert len(window) == 20
         np.testing.assert_array_equal(window, track.symbols[95:115])
 
     def test_left_clip(self):
         track = make_track(n=300)
-        window = note_window(track, 0.0, 1.0, margin_s=0.5)
+        window = note_window(track, 0.0, 1.0)
         assert len(window) == 15
         np.testing.assert_array_equal(window, track.symbols[:15])
 
     def test_right_clip(self):
         track = make_track(n=100)  # 10 s
-        window = note_window(track, 9.0, 10.0, margin_s=0.5)
+        window = note_window(track, 9.0, 10.0)
         np.testing.assert_array_equal(window, track.symbols[85:])
 
     def test_beyond_song_end(self):
@@ -62,25 +62,14 @@ class TestNoteWindow:
         with pytest.raises(EmptyWindowError):
             note_window(track, -10.0, -9.0)
 
-    def test_zero_margin(self):
-        track = make_track(n=100)
-        window = note_window(track, 3.0, 4.0, margin_s=0.0)
-        np.testing.assert_array_equal(window, track.symbols[30:40])
-
-    def test_margin_beyond_float_range_takes_whole_track(self):
-        track = make_track(n=100)
-        window = note_window(track, 3.0, 4.0, margin_s=1e308)
-        np.testing.assert_array_equal(window, track.symbols)
-
-    @pytest.mark.parametrize("margin", [0.0, 0.05, 0.13, 0.25, 0.5, 0.55, 1.0, 2.37])
-    def test_longest_window_is_the_longest_returned(self, margin):
+    def test_longest_window_is_the_longest_returned(self):
         """Over song positions on a 0.05 s grid, the longest one-second window
-        is exactly :func:`longest_note_window`: rounding both ends can add a
-        frame (21 at the default 0.5 s, not 20)."""
+        is the one :data:`musicinfo.DTW_REACH` is derived from: rounding both
+        ends can add a frame (21 at the 0.5 s margin, not 20)."""
         track = make_track(n=4000)
-        longest = max(len(note_window(track, k * 0.05, k * 0.05 + 1.0, margin))
+        longest = max(len(note_window(track, k * 0.05, k * 0.05 + 1.0))
                       for k in range(1, 4000))
-        assert longest == musicinfo.longest_note_window(margin)
+        assert longest == musicinfo.DTW_REACH / UNVOICED_COST == 21
 
     @pytest.mark.parametrize("t0", [1e300, 1.5e308, -1e300, 1e17])
     def test_window_off_the_track_where_one_second_rounds_away(self, t0):
@@ -101,9 +90,6 @@ class TestNoteWindow:
     def test_nan_bound_is_a_parameter_error(self, t0, t1):
         with pytest.raises(ParameterError, match="^need t1 > t0"):
             note_window(make_track(n=100), t0, t1)
-
-    def test_longest_window_of_an_unbounded_margin(self):
-        assert musicinfo.longest_note_window(1e308) == float("inf")
 
 
 class TestNoteTrackIO:

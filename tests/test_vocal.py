@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from musereact import dsp, vocal
@@ -244,6 +244,31 @@ class TestRankRelaxation:
         assert relax_rank(sv, config) == PipelineLabel(S, deferred=True)
         just_above = PipelineConfig().replace(margin_threshold=0.8750001)
         assert relax_rank(sv, just_above) == PipelineLabel(S, deferred=True)
+
+
+#: Class names the default config maps (in several cases) and some it does not.
+RANKED_NAMES = ("Singing", "humming", "Whistle", "WHISTLING", "Speech", "music",
+                "Typing", "Silence", "Vehicle", "Animal")
+
+
+@st.composite
+def tied_score_vectors(draw):
+    """Score vectors of small integer weights, so ties and zero margins are common."""
+    names = draw(st.lists(st.sampled_from(RANKED_NAMES), min_size=2, max_size=8, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names))
+                   .filter(any))
+    return ScoreVector(class_names=names, scores=np.array(weights) / sum(weights))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(scores=tied_score_vectors(), top_k=st.integers(1, 8))
+@example(scores=ScoreVector(("Typing", "Singing"), np.array([0.5, 0.5])), top_k=5)
+def test_zero_margin_threshold_is_plain_label_mapping(scores, top_k):
+    """No margin is negative, so ``margin_threshold = 0`` neutralises rank
+    relaxation: every vector, ties included, maps through its top-1 class."""
+    config = PipelineConfig(relax_top_k=top_k)
+    assert scores.margin() >= 0.0
+    assert relax_rank(scores, config.replace(margin_threshold=0.0)) == map_labels(scores, config)
 
 
 class ConstantPitchTracker(vocal.PitchTracker):
@@ -689,6 +714,27 @@ class TestVocalPipeline:
         labels_in_events = {e.label for e in merge_labels_to_events(result.labels)}
         assert S in labels_in_events and W in labels_in_events
 
+    @staticmethod
+    def silent_stages(config):
+        """Stages of a session whose audio is all zeros, every second past stage 1."""
+        session = generate_session(singing_spec()).session
+        session = dataclasses.replace(session, audio=np.zeros_like(session.audio))
+        classifier = ScoreFileClassifier(dict.fromkeys(range(30), scores_for(Silence=0.9)))
+        config = config.replace(vocal_movement_low_g=0.0, vocal_movement_high_g=1e308,
+                                enable_correction=False, enable_smoothing=False)
+        return set(run_vocal_pipeline(session, classifier, config=config).stats.stages)
+
+    @pytest.mark.parametrize("calibration", [94.0, 0.0, -57.3, 130.0, 1e6])
+    def test_threshold_at_the_silence_floor_passes_digital_silence(self, calibration):
+        """An all-zero second measures ``db_calibration - 240`` dB, so a
+        ``sound_db_threshold`` there neutralises the sound prefilter."""
+        config = PipelineConfig(db_calibration=calibration,
+                                sound_db_threshold=calibration - 240)
+        assert self.silent_stages(config) == {Stage.CLASSIFIER}
+
+    def test_default_threshold_settles_digital_silence(self):
+        assert self.silent_stages(PipelineConfig()) == {Stage.SOUND_FILTER}
+
     def test_16_khz_session_reaches_the_patch_only_low_passed(self):
         """Audio recorded at the classifier rate is not resampled: each patch is
         the log-mel of the second's audio after the 2 kHz low-pass alone."""
@@ -705,7 +751,8 @@ class TestVocalPipeline:
                 return scores_for(Silence=0.9)
 
         config = PipelineConfig().replace(
-            enable_motion_filter=False, enable_sound_filter=False,
+            vocal_movement_low_g=0.0, vocal_movement_high_g=1e308,
+            sound_db_threshold=PipelineConfig.db_calibration - 240,
             enable_correction=False, enable_smoothing=False)
         classifier = Recording()
         result = run_vocal_pipeline(session, classifier, config=config)
@@ -831,7 +878,8 @@ class TestVocalPipeline:
         observed = [S] * 12
         observed[6] = N
         config = PipelineConfig().replace(
-            enable_motion_filter=False, enable_sound_filter=False,
+            vocal_movement_low_g=0.0, vocal_movement_high_g=1e308,
+            sound_db_threshold=PipelineConfig.db_calibration - 240,
             enable_correction=False)
         result = run_vocal_pipeline(
             generated.session, Replay(observed),
