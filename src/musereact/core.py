@@ -235,6 +235,22 @@ def json_fields(cls, raw: dict, kind: str) -> dict:
     return values
 
 
+#: Keys of older config documents (``PipelineConfig.save`` writes every
+#: field) that are no longer fields: each loads only at the value of the
+#: behaviour now fixed.  Key -> (JSON type, that value, what to set instead).
+_REMOVED_CONFIG_KEYS = {
+    "enable_motion_filter": ("bool", True, "movement bands of [0, 1e308] (vocal_movement_"
+                             "low_g/high_g, motion_movement_low_g/high_g) pass every second"),
+    "enable_sound_filter": ("bool", True, "a sound_db_threshold at or below "
+                            "db_calibration - 240 passes every second"),
+    "enable_relaxation": ("bool", True, "a margin_threshold of 0 relaxes no second"),
+    "note_window_margin_s": ("float", 0.5, "tune dtw_threshold instead"),
+    "pitch_conf_threshold": ("float", 0.5, "tune dtw_threshold instead"),
+    "smoothing_window": ("int", 6, "enable_smoothing false turns smoothing off"),
+    "imu_lowpass_hz": ("float", 5.0, "tune motion_decision_threshold instead"),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every tunable threshold of the detection pipelines, with defaults.
@@ -317,8 +333,16 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """A config from a JSON object's fields; an unknown key or a value not
-        of its field's JSON type raises :class:`ConfigError`."""
-        return cls(**json_fields(cls, raw, "config"))
+        of its field's JSON type raises :class:`ConfigError`.  A removed key
+        (:data:`_REMOVED_CONFIG_KEYS`) at the value now fixed is ignored; at
+        any other value it raises, naming what to set instead."""
+        for key in sorted(_REMOVED_CONFIG_KEYS.keys() & raw.keys()):
+            kind, fixed, instead = _REMOVED_CONFIG_KEYS[key]
+            if not (_JSON_FIELD_TYPES[kind][1](raw[key]) and raw[key] == fixed):
+                raise ConfigError(  # lower() spells True as JSON does
+                    f"{key} was removed and can only be {str(fixed).lower()}; {instead}")
+        return cls(**json_fields(cls, {key: value for key, value in raw.items()
+                                       if key not in _REMOVED_CONFIG_KEYS}, "config"))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PipelineConfig":

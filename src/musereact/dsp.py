@@ -2,13 +2,15 @@
 
 Everything here is a pure function of numpy arrays: movement/sound levels
 and the one-pass movement prefilter, the audio front end for the sound-event
-classifier (resample, first-order low-pass, 96x64 log-mel patch), chroma from
-pitch at a fixed confidence cut, and DTW over chroma with an unvoiced symbol.
+classifier (resample, first-order low-pass, 96x64 log-mel patch), the same
+low-pass without scipy for the gyro, chroma from pitch at a fixed confidence
+cut, and DTW over chroma with an unvoiced symbol.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -110,11 +112,53 @@ def sound_level_db(audio: np.ndarray,
 def lowpass_first_order(
     signal: np.ndarray, sample_rate_hz: float, cutoff_hz: float
 ) -> np.ndarray:
-    """Causal first-order Butterworth low-pass (bilinear transform).
+    """Causal first-order Butterworth low-pass (bilinear transform), run by
+    ``scipy.signal.lfilter``; the audio front end's filter.
 
     The pre-warped design keeps the -3 dB point exactly at ``cutoff_hz`` and
     unity gain at DC.  2-D inputs are filtered column-wise.
     """
+    signal, (b, a) = _first_order_design(signal, sample_rate_hz, cutoff_hz)
+    import scipy.signal  # here, so that importing the package does not load scipy
+
+    return scipy.signal.lfilter(b, a, signal, axis=0)
+
+
+#: Samples per column that :func:`lowpass_first_order_loop` turns into Python
+#: floats at a time, which bounds its memory.
+_LOOP_CHUNK = 4096
+
+
+def lowpass_first_order_loop(
+    signal: np.ndarray, sample_rate_hz: float, cutoff_hz: float
+) -> np.ndarray:
+    """:func:`lowpass_first_order` without scipy, equal to it bit for bit.
+
+    With ``q = b0 * x`` and ``p = b1 * x`` formed by numpy, each sample is
+    one Python step in ``lfilter``'s own order, ``y = (p[n-1] - y * a1) +
+    q[n]`` from a zero state, so every rounding is the same.  Each column is
+    run :data:`_LOOP_CHUNK` samples at a time, carrying ``p`` and ``y`` over.
+    About 20 times slower per sample than ``lfilter``, so it suits the 70 Hz
+    gyro, where it saves the process the ``scipy.signal`` import.
+    """
+    signal, ((b0, b1), (_, a1)) = _first_order_design(signal, sample_rate_hz, cutoff_hz)
+    a1 = float(a1)
+    columns = signal.reshape(len(signal), -1)
+    out = np.empty_like(columns)
+    for k in range(columns.shape[1]):
+        p_last = y = 0.0
+        for start in range(0, len(columns), _LOOP_CHUNK):
+            x = columns[start:start + _LOOP_CHUNK, k]
+            p = (b1 * x).tolist()
+            out[start:start + len(x), k] = [
+                y := (p_before - y * a1) + q_n
+                for p_before, q_n in zip(itertools.chain((p_last,), p), (b0 * x).tolist())]
+            p_last = p[-1]
+    return out.reshape(signal.shape)
+
+
+def _first_order_design(signal, sample_rate_hz, cutoff_hz):
+    """The checked float signal and the ``(b, a)`` design of the low-passes."""
     if not 0 < cutoff_hz < sample_rate_hz / 2:
         raise ParameterError(
             f"cutoff {cutoff_hz} Hz must lie in (0, {sample_rate_hz / 2}) Hz"
@@ -122,10 +166,7 @@ def lowpass_first_order(
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise ParameterError("cannot filter an empty signal")
-    import scipy.signal  # here, so that importing the package does not load scipy
-
-    b, a = _butter_first_order(cutoff_hz, sample_rate_hz)
-    return scipy.signal.lfilter(b, a, signal, axis=0)
+    return signal, _butter_first_order(cutoff_hz, sample_rate_hz)
 
 
 @functools.lru_cache(maxsize=16)
@@ -208,10 +249,8 @@ MEL_FILTERBANK_16K = mel_filterbank()
 MEL_FILTERBANK_16K.flags.writeable = False
 
 
-#: Sample index of every kept STFT frame, and the periodic Hann window.
-_PATCH_FRAME_INDEX = np.arange(PATCH_FRAMES)[:, None] * STFT_HOP + np.arange(STFT_WINDOW)
+#: The periodic Hann window of every STFT frame.
 _STFT_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT_WINDOW) / STFT_WINDOW)
-_PATCH_FRAME_INDEX.flags.writeable = False
 _STFT_HANN.flags.writeable = False
 
 
@@ -234,7 +273,10 @@ def log_mel_patch(audio_16k: np.ndarray) -> np.ndarray:
             f"need >= {min_len} samples for a {PATCH_FRAMES}-frame patch, "
             f"got {len(audio_16k)}"
         )
-    frames = audio_16k[_PATCH_FRAME_INDEX] * _STFT_HANN
+    step = audio_16k.strides[0]  # the kept frames, as a read-only view
+    frames = np.lib.stride_tricks.as_strided(
+        audio_16k, (PATCH_FRAMES, STFT_WINDOW), (STFT_HOP * step, step),
+        writeable=False) * _STFT_HANN
     magnitude = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=1))
     return np.log(magnitude @ MEL_FILTERBANK_16K + MEL_LOG_OFFSET)
 

@@ -314,18 +314,20 @@ def run_motion_pipeline(
 ) -> CascadeResult:
     """Label every full second of a session as head_motion / non_reaction.
 
-    The gyro stream is low-passed once (first-order, 5 Hz); each second is
-    then labeled from the trailing 490-sample window ending at that second's
-    boundary.  Seconds without a full window (the first six of a session)
-    and seconds rejected by the movement prefilter are ``non_reaction``.
-    The windows left are scored :data:`MOTION_BLOCK` at a time.  A stage
-    error downgrades its second to ``non_reaction`` and lands in
-    ``stats.failures``; nothing smooths, so ``observed`` is ``labels``.
+    Each second is labeled from the trailing 490-sample window of low-passed
+    gyro (first-order, 5 Hz) ending at that second's boundary.  Seconds
+    without a full window (the first six of a session) and seconds rejected
+    by the movement prefilter are ``non_reaction``.  The filter is causal,
+    so only the gyro up to the last window left is filtered, by
+    :func:`dsp.lowpass_first_order_loop`, and none when no window is left;
+    the windows are those of the whole filtered stream, bit for bit.  They
+    are scored :data:`MOTION_BLOCK` at a time.  A stage error downgrades its
+    second to ``non_reaction`` and lands in ``stats.failures``; nothing
+    smooths, so ``observed`` is ``labels``.
     """
     session.validate()
     if classifier is None:
         classifier = HeuristicMotionClassifier()
-    gyro_filtered = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, GYRO_LOWPASS_HZ)
 
     bounds = second_bounds(session)
     settled, failures = dsp.movement_filter(
@@ -336,6 +338,9 @@ def run_motion_pipeline(
 
     labels = [ReactionLabel.NON_REACTION] * len(stages)
     pending = [second for second, stage in enumerate(stages) if stage == Stage.CLASSIFIER]
+    if pending:
+        gyro_filtered = dsp.lowpass_first_order_loop(
+            session.gyro[:bounds[pending[-1] + 1]], IMU_RATE_HZ, GYRO_LOWPASS_HZ)
     unit_starts = np.arange(-WINDOW_SAMPLES, 0, UNIT_SAMPLES)
     for first in range(0, len(pending), MOTION_BLOCK):
         block = pending[first:first + MOTION_BLOCK]

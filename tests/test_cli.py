@@ -19,7 +19,7 @@ import scipy.io.wavfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from musereact import core, engage, harness, motion, musicinfo, vocal
+from musereact import cli, core, dsp, engage, harness, motion, musicinfo, vocal
 from musereact.cli import main
 from musereact.core import PipelineConfig, ReactionEvent, ReactionLabel
 from musereact.vocal import HmmParams
@@ -819,9 +819,9 @@ class TestTrainHmm:
 
 class TestCommandsLoadNoScipy:
     """The commands that need no audio front end run without importing scipy:
-    ``scipy.signal`` is imported only by the resampler and the first-order
-    low-pass, which replayed inputs never reach.  Nor do they load
-    ``numpy.ma``, which ``np.median`` imports."""
+    ``scipy.signal`` is imported only by the resampler and the audio
+    low-pass, which replayed inputs never reach; the gyro low-pass is
+    scipy-free.  Nor do they load ``numpy.ma``, which ``np.median`` imports."""
 
     SCRIPT = ("import json, sys\n"
               "import numpy\n"
@@ -854,15 +854,102 @@ class TestCommandsLoadNoScipy:
              "--out", str(tmp_path / "tree.json")],
             ["recommend", "--pattern", str(tmp_path / "query.jsonl"), "--pool", str(pool)],
         ]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-            os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert codes == [0] * len(commands), proc.stderr
-        assert loaded == []
+        assert self.run(commands) == []
+
+    def test_detect_both_pipelines_heuristic_and_lstm(self, corpus):
+        tmp_path, data_dir, config_path = corpus
+        lstm = tmp_path / "lstm.json"
+        motion.LstmWeights.random(np.random.default_rng(0)).save(lstm)
+        detect = ["detect", "--data", str(data_dir), "--config", str(config_path)]
+        outs = [tmp_path / "out", tmp_path / "out_lstm"]
+        assert self.run([[*detect, "--out", str(outs[0])],
+                         [*detect, "--lstm", str(lstm), "--out", str(outs[1])]]) == []
+        for out in outs:  # the gyro low-pass ran
+            stats = json.loads((out / "sess_b.stats.json").read_text())
+            assert stats["motion"]["classified"] > 0
+
+    def run(self, commands):
+        """The scipy and ``numpy.ma`` modules a fresh process loads running
+        ``commands``, each of which must exit 0."""
+        codes, loaded = run_script(self.SCRIPT, commands)
+        assert codes == [0] * len(commands)
+        return loaded
+
+
+def run_script(script, commands, **env):
+    """The JSON value a fresh ``python -c script`` prints last, given
+    ``commands`` as JSON in ``argv[1]`` and this checkout's ``src`` first on
+    its path."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+        os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestMainInOneProcess:
+    """``main`` builds its parser once per process.  A run of calls in one
+    process exits and writes to stdout and stderr exactly as the same
+    calls do each in a fresh process, usage and data errors included."""
+
+    SCRIPT = ("import contextlib, io, json, sys\n"
+              "from musereact.cli import main\n"
+              "results = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        try:\n"
+              "            code = main(argv)\n"
+              "        except SystemExit as exc:  # argparse's usage errors and --help\n"
+              "            code = exc.code\n"
+              "    results.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(results))\n")
+
+    def run(self, commands):
+        return run_script(self.SCRIPT, commands, COLUMNS="80")
+
+    def test_calls_in_one_process_match_fresh_processes(self, corpus):
+        tmp_path, data_dir, config_path = corpus
+        out, pool = tmp_path / "out", tmp_path / "pool"
+        pool.mkdir()
+        core.save_events_jsonl(pool / "one.jsonl",
+                               [ReactionEvent(label=S, t_start=0.0, t_end=3.0)])
+        vocal_a = ["detect", "--pipeline", "vocal", "--session", str(data_dir / "sess_a"),
+                   "--config", str(config_path), "--out", str(out)]
+        commands = [
+            vocal_a,
+            ["detect", "--out", str(out)],  # no sessions: exit 1 from main
+            ["detect", "--data", str(data_dir), "--workers", "0", "--out", str(out)],
+            ["eval", "--pred", str(tmp_path / "missing.jsonl"), "--truth",
+             str(data_dir / "sess_a" / "labels.csv"), "--report", str(tmp_path / "r.json")],
+            ["detect", "--session", str(data_dir / "sess_b"), "--config", str(config_path),
+             "--out", str(out)],
+            ["recommend", "--pattern", str(out / "sess_a.vocal.jsonl"), "--pool", str(pool)],
+            ["recommend", "--help"],
+            vocal_a,
+        ]
+        together = self.run(commands)
+        assert [code for code, _, _ in together] == [0, 1, 1, 2, 0, 0, 0, 0]
+        assert together == [result for argv in commands for result in self.run([argv])]
+        assert together[0] == together[-1]
+        assert together[1][2].endswith(
+            "musereact detect: error: no sessions given (use --session or --data)\n")
+        assert together[2][2].endswith(
+            "musereact detect: error: argument --workers: must be >= 1, got 0\n")
+
+    def test_parser_is_built_once(self, monkeypatch, tmp_path):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda real=cli.build_parser: (builds.append(1), real())[1])
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["detect", "--out", str(tmp_path)]) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
 
 
 class TestTrainTree:
@@ -1286,13 +1373,37 @@ class TestDetectConfig:
         ({"dtw_threshold": None}, "dtw_threshold must be a number"),
         ({"singing_classes": 5}, "singing_classes must be a list of names"),
         ({"enable_correction": "no"}, "enable_correction must be true or false"),
-        ({"smoothing_window": 4}, "unknown config keys: smoothing_window"),
+        ({"smoothing_window": 4}, "smoothing_window was removed and can only be 6; "
+                                  "enable_smoothing false turns smoothing off"),
         ({"dtw_threshold": 130}, "dtw_threshold must lie in [0, 126)"),
         ({"singing_classes": ["singing", "Whistling"]},
          "class 'whistling' is in both singing_classes and whistling_classes"),
-        ({"enable_motion_filter": False}, "unknown config keys: enable_motion_filter"),
-        ({"enable_sound_filter": False}, "unknown config keys: enable_sound_filter"),
-        ({"enable_relaxation": True}, "unknown config keys: enable_relaxation"),
+        ({"enable_motion_filter": False},
+         "enable_motion_filter was removed and can only be true; movement bands of "
+         "[0, 1e308] (vocal_movement_low_g/high_g, motion_movement_low_g/high_g) "
+         "pass every second"),
+        ({"enable_sound_filter": False},
+         "enable_sound_filter was removed and can only be true; a sound_db_threshold "
+         "at or below db_calibration - 240 passes every second"),
+        ({"enable_relaxation": False}, "enable_relaxation was removed and can only be "
+                                       "true; a margin_threshold of 0 relaxes no second"),
+        ({"note_window_margin_s": 0.25}, "note_window_margin_s was removed and can only "
+                                         "be 0.5; tune dtw_threshold instead"),
+        ({"pitch_conf_threshold": 0.7}, "pitch_conf_threshold was removed and can only "
+                                        "be 0.5; tune dtw_threshold instead"),
+        ({"imu_lowpass_hz": 4}, "imu_lowpass_hz was removed and can only be 5.0; "
+                                "tune motion_decision_threshold instead"),
+        # The value must also be of the removed field's JSON type.
+        ({"enable_relaxation": 1}, "enable_relaxation was removed and can only be "
+                                   "true; a margin_threshold of 0 relaxes no second"),
+        ({"smoothing_window": 6.0}, "smoothing_window was removed and can only be 6; "
+                                    "enable_smoothing false turns smoothing off"),
+        # Removed keys are checked first, in name order; one at its fixed
+        # value is dropped before the unknown-key check.
+        ({"smoothing_window": 5, "enable_sound_filter": False, "imu_rate_hz": 70},
+         "enable_sound_filter was removed and can only be true; a sound_db_threshold "
+         "at or below db_calibration - 240 passes every second"),
+        ({"smoothing_window": 6, "imu_rate_hz": 70}, "unknown config keys: imu_rate_hz"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -1300,6 +1411,61 @@ class TestDetectConfig:
         assert main(["detect", "--session", str(tmp_path / "s"), "--config",
                      str(config), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"musereact detect: error: {config}: {message}\n"
+
+
+class TestOldConfigDocuments:
+    """``PipelineConfig.save`` writes every field, so each document saved
+    before a field was removed names it.  Such a document still loads when
+    every removed key holds the behaviour that is now fixed."""
+
+    #: The bytes ``PipelineConfig().replace(dtw_threshold=30.0).save`` wrote
+    #: while the config had 19 fields, three of them stage switches.
+    NINETEEN_FIELDS = (
+        '{\n  "ambiguous_classes": [\n    "speech",\n    "music"\n  ],\n'
+        '  "audio_lowpass_hz": 2000.0,\n  "db_calibration": 94.0,\n'
+        '  "dtw_threshold": 30.0,\n  "enable_correction": true,\n'
+        '  "enable_motion_filter": true,\n  "enable_relaxation": true,\n'
+        '  "enable_smoothing": true,\n  "enable_sound_filter": true,\n'
+        '  "margin_threshold": 0.9,\n  "motion_decision_threshold": 0.5,\n'
+        '  "motion_movement_high_g": 0.114,\n  "motion_movement_low_g": 0.0092,\n'
+        '  "relax_top_k": 5,\n  "singing_classes": [\n    "singing",\n'
+        '    "humming"\n  ],\n  "sound_db_threshold": 49.0,\n'
+        '  "vocal_movement_high_g": 0.12,\n  "vocal_movement_low_g": 0.0104,\n'
+        '  "whistling_classes": [\n    "whistling",\n    "whistle"\n  ]\n}\n')
+
+    #: The 23 fields before that: four design values that are now constants.
+    TWENTY_THREE_FIELDS = {**json.loads(NINETEEN_FIELDS), "imu_lowpass_hz": 5.0,
+                           "note_window_margin_s": 0.5, "pitch_conf_threshold": 0.5,
+                           "smoothing_window": 6}
+
+    @pytest.mark.parametrize("text", [
+        NINETEEN_FIELDS, core.json_document(TWENTY_THREE_FIELDS)], ids=["19", "23"])
+    def test_detects_as_todays_document(self, corpus, capsys, text):
+        tmp_path, data_dir, config_path = corpus
+        old = tmp_path / "old.json"
+        old.write_text(text)
+        assert PipelineConfig.load(old) == PipelineConfig.load(config_path)
+        written = []
+        for config in (old, config_path):
+            out = tmp_path / f"out_{config.stem}"
+            capsys.readouterr()
+            assert main(["detect", "--data", str(data_dir), "--config", str(config),
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().err == f"detect: processed 2 sessions into {out}\n"
+            written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert written[0] == written[1] and len(written[0]) == 8
+
+    def test_fixed_values_are_todays_constants(self):
+        fixed = {key: value for key, (_, value, _) in core._REMOVED_CONFIG_KEYS.items()}
+        assert fixed == {
+            "enable_motion_filter": True, "enable_sound_filter": True,
+            "enable_relaxation": True,
+            "note_window_margin_s": musicinfo.NOTE_WINDOW_MARGIN_S,
+            "pitch_conf_threshold": dsp.PITCH_CONF_THRESHOLD,
+            "smoothing_window": vocal.SMOOTHING_WINDOW,
+            "imu_lowpass_hz": motion.GYRO_LOWPASS_HZ,
+        }
+        assert not fixed.keys() & {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 @pytest.fixture(scope="module")

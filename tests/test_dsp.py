@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from musereact import dsp, motion, vocal
 from musereact.core import (
@@ -220,6 +222,63 @@ class TestLowpass:
         for col in range(3):
             np.testing.assert_allclose(
                 y[:, col], dsp.lowpass_first_order(x[:, col], 70, 5), atol=1e-12)
+
+
+#: Values the loop must round exactly as lfilter does: signed zeros, the
+#: smallest and largest subnormals, the smallest normal and the range ends.
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                  -2.225073858507201e-308, 2.2250738585072014e-308, 1e-310, 1e6, -1e6)
+CHUNK = dsp._LOOP_CHUNK
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(length=st.integers(1, 2 * CHUNK + 100) | st.integers(1, 40),
+       columns=st.sampled_from([None, 3]),
+       design=st.sampled_from([(70, 5.0), (16000, 2000.0)]),
+       values=st.sampled_from(["uniform", "special"]),
+       scale=st.sampled_from([1.0, 300.0, 1e6]),
+       seed=st.integers(0, 2**32 - 1),
+       sprinkled=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(SPECIAL_VALUES)),
+                          max_size=12))
+# One whole chunk; past two chunks; special values across a chunk boundary.
+@example(length=CHUNK, columns=3, design=(70, 5.0), values="uniform", scale=300.0,
+         seed=0, sprinkled=[])
+@example(length=2 * CHUNK + 1, columns=3, design=(70, 5.0), values="uniform",
+         scale=1e6, seed=1, sprinkled=[(2 * CHUNK, -0.0)])
+@example(length=CHUNK + 1, columns=None, design=(16000, 2000.0), values="special",
+         scale=1.0, seed=2, sprinkled=[])
+def test_loop_is_lfilter_bit_for_bit(length, columns, design, scale, values, seed, sprinkled):
+    """The scipy-free gyro low-pass equals ``scipy.signal.lfilter`` on the
+    same design, to the last bit and the sign of every zero."""
+    rng = np.random.default_rng(seed)
+    shape = (length,) if columns is None else (length, columns)
+    x = (rng.uniform(-scale, scale, shape) if values == "uniform"
+         else rng.choice(SPECIAL_VALUES, shape))
+    flat = x.reshape(-1)
+    for position, value in sprinkled:
+        flat[position % flat.size] = value
+    fs, fc = design
+    b, a = scipy.signal.butter(1, fc, btype="low", fs=fs)
+    want = scipy.signal.lfilter(b, a, x, axis=0)
+    got = dsp.lowpass_first_order_loop(x, fs, fc)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLowpassLoop:
+    def test_checks_as_the_lfilter_path_does(self):
+        for fs, fc in ((70, 0.0), (70, 35.0), (70, -1.0)):
+            with pytest.raises(ParameterError, match="must lie in"):
+                dsp.lowpass_first_order_loop(np.ones(10), fs, fc)
+        with pytest.raises(ParameterError, match="empty"):
+            dsp.lowpass_first_order_loop(np.empty((0, 3)), 70, 5.0)
+
+    def test_filters_a_read_only_strided_view(self):
+        """A validated session's gyro is read-only; a view may have any strides."""
+        x = np.random.default_rng(3).normal(0, 40, (2 * CHUNK + 9, 3))
+        x.flags.writeable = False
+        got = dsp.lowpass_first_order_loop(x[::2], 70, 5.0)
+        assert got.tobytes() == dsp.lowpass_first_order(x[::2], 70, 5.0).tobytes()
 
 
 class TestResample:

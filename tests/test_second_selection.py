@@ -424,3 +424,64 @@ def test_motion_blocks_equal_per_second_oracle(classified, kind):
         assert counts["classified"] == classified - len(chosen)
     if classified > 20:
         assert H in labels[6:] and N in labels[6:]
+
+
+class RecordingHeuristic(HeuristicMotionClassifier):
+    """The heuristic, keeping every window it scores."""
+
+    def __init__(self):
+        self.windows = []
+
+    def classify_many(self, units):
+        self.windows.extend(units)
+        return super().classify_many(units)
+
+
+def _still_tail(session, seconds):
+    """``session`` held still over its last ``seconds`` seconds, so the
+    prefilter settles them and the last scored window ends early."""
+    accel = session.accel.copy()
+    accel[session.imu_t >= math.floor(session.duration_s) - seconds] = [0.0, 0.0, 1.0]
+    return dataclasses.replace(session, accel=accel)
+
+
+PREFIX_SESSIONS = {
+    "generated": lambda generated: generated.session,
+    "still_tail": lambda generated: _still_tail(steady_session(30), 8),
+    "cold_start_only": lambda generated: steady_session(0),
+    "still": lambda generated: generate_session(SyntheticSpec(
+        session_id="still", subject_id="s", song_id="tune", place="lounge",
+        duration_s=20, activity="still", seed=4)).session,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PREFIX_SESSIONS))
+def test_motion_filters_only_the_gyro_its_windows_read(monkeypatch, generated, kind):
+    """The pipeline low-passes the gyro up to the end of the last window it
+    scores, and none when no second reaches the classifier.  Its labels,
+    stages and failures are the whole-stream reference's, and every window
+    it scores is the window of the whole stream filtered by lfilter."""
+    session = PREFIX_SESSIONS[kind](generated)
+    filtered_lengths = []
+    loop = dsp.lowpass_first_order_loop
+    monkeypatch.setattr(dsp, "lowpass_first_order_loop", lambda signal, *design: (
+        filtered_lengths.append(len(signal)), loop(signal, *design))[1])
+    classifier = RecordingHeuristic()
+    result = run_motion_pipeline(session, classifier, CONFIG)
+    labels, stages, counts, failures = mask_motion(session, HeuristicMotionClassifier(), CONFIG)
+    assert result.labels == labels
+    assert_motion_record(result, stages, counts, failures)
+
+    bounds = second_bounds(session)
+    pending = [second for second, stage in enumerate(stages) if stage == Stage.CLASSIFIER]
+    assert filtered_lengths == ([bounds[pending[-1] + 1]] if pending else [])
+    whole = dsp.lowpass_first_order(session.gyro, IMU_RATE_HZ, GYRO_LOWPASS_HZ)
+    want = [extract_motion_units(whole[bounds[s + 1] - WINDOW_SAMPLES:bounds[s + 1]])
+            for s in pending]
+    assert len(classifier.windows) == len(want)
+    for got_window, want_window in zip(classifier.windows, want):
+        assert got_window.tobytes() == want_window.tobytes()
+    if kind in ("cold_start_only", "still"):
+        assert not pending
+    if kind == "still_tail":
+        assert pending and filtered_lengths[0] <= len(session.gyro) - 8 * 70
