@@ -419,7 +419,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (1) and --help (0)
+        return exc.code
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -26,10 +26,11 @@ Every headered CSV of the package -- ``imu.csv`` and ``labels.csv`` here,
 of :func:`read_csv_rows`, the reference reader and error reporter.  It raises
 :class:`ParseError` naming the file and line for a missing file, bytes that
 are not UTF-8, an empty file, a wrong header or a wrong field count, and
-skips blank lines; each format parses only its own fields.  The all-numeric
-files (``imu.csv`` and ``pitch.csv``) are read by :func:`read_csv_matrix`,
-which parses a well-formed file in bulk with ``np.loadtxt`` and hands any
-other to the row-by-row path, so its values and errors are the reference's.
+skips blank lines; each format parses only its own fields.  The three
+numeric formats -- ``imu.csv`` (:func:`read_csv_matrix`), ``pitch.csv`` and
+note tracks -- are parsed in bulk by :func:`parse_csv_bulk`, the last two
+checked on their 0.1 s grid by :func:`off_grid`; any file refused there goes
+to the format's row reader, so its values and errors are the reference's.
 
 Every file of the package is written and read through the file layer here:
 :func:`write_bytes` and :func:`read_bytes` open every file, and build the
@@ -52,6 +53,7 @@ import math
 import os
 import struct
 import sys
+import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -926,29 +928,43 @@ def read_csv_rows(
         yield lineno, row
 
 
-def read_csv_matrix(path: str | os.PathLike, header: list[str]) -> np.ndarray:
-    """The numbers of a headered CSV file as an ``(n, len(header))`` float array.
+def parse_csv_bulk(text: str, header: list[str], dtype=float) -> np.ndarray | None:
+    """The rows of a headered CSV ``text`` parsed by one ``np.loadtxt`` call.
 
-    Equal to parsing every row :func:`read_csv_rows` yields with ``float()``
-    (:func:`read_csv_matrix_rows`), whose :class:`ParseError` it raises,
-    ``<path>: line N: non-numeric field`` included.  When the file starts
-    with exactly the header line, ``np.loadtxt`` parses the body in bulk;
-    anything it refuses, or shapes otherwise, goes through the row path.
+    None when ``text`` does not start with exactly the header line, holds no
+    rows, or has a body ``loadtxt`` refuses or shapes otherwise; the caller
+    then reads the file row by row.  A plain ``dtype`` gives an ``(n,
+    len(header))`` array, a structured one (a field per column) a 1-D array.
     """
-    text = read_text(path)
     line = ",".join(header) + "\n"
     body = text[len(line):]
-    if text.startswith(line) and body.strip("\r\n"):  # loadtxt warns on no rows
-        try:
+    if not (text.startswith(line) and body.strip("\r\n")):  # loadtxt warns on no rows
+        return None
+    dtype = np.dtype(dtype)
+    try:
+        with warnings.catch_warnings():
+            # numpy < 1.25 reads "3.0" into an int column through a float, warning.
+            warnings.simplefilter("error", DeprecationWarning)
             # comments=None: a '#' line is a field like any other.
             table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                               ndmin=2, dtype=float)
-        except ValueError:
-            pass
-        else:
-            if table.shape[1] == len(header):
-                return table
-    return read_csv_matrix_rows(path, header)
+                               ndmin=1 if dtype.names else 2, dtype=dtype)
+    except (ValueError, DeprecationWarning):
+        return None
+    return table if dtype.names or table.shape[1] == len(header) else None
+
+
+def off_grid(times: np.ndarray, origin: float, hop_s: float) -> bool:
+    """Whether any ``times[k]`` is not within 1e-6 s of ``origin + k * hop_s``,
+    a NaN included: the row readers' grid check, with their float operations."""
+    return not (np.abs(times - (origin + np.arange(len(times)) * hop_s)) <= 1e-6).all()
+
+
+def read_csv_matrix(path: str | os.PathLike, header: list[str]) -> np.ndarray:
+    """The numbers of a headered CSV file as an ``(n, len(header))`` float array:
+    :func:`parse_csv_bulk`'s or, for any text it refuses, those of the reference
+    :func:`read_csv_matrix_rows`, whose :class:`ParseError` it raises."""
+    table = parse_csv_bulk(read_text(path), header)
+    return read_csv_matrix_rows(path, header) if table is None else table
 
 
 def read_csv_matrix_rows(path: str | os.PathLike, header: list[str]) -> np.ndarray:

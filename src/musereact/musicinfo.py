@@ -8,16 +8,15 @@ byte-identical for canonical files.  The shared :func:`core.read_csv_rows`
 checks the file, header and field counts; :func:`load_note_track_rows` adds
 only the note-track rules: rows on the 0.1 s grid from t = 0 (blank lines do
 not count), symbols ``U`` or 0..11, and at least one row.
-:func:`load_note_track` parses canonical files in bulk to the same track.
+:func:`load_note_track` parses the file in bulk through
+:func:`core.parse_csv_bulk` and :func:`core.off_grid` to the same track.
 :func:`note_window` widens each second by the fixed :data:`NOTE_WINDOW_MARGIN_S`.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,8 @@ from .core import (
     ParameterError,
     ParseError,
     is_plain_file_name,
+    off_grid,
+    parse_csv_bulk,
     read_csv_rows,
     read_text,
     write_text,
@@ -104,47 +105,27 @@ def save_note_track(path: str | os.PathLike, track: NoteTrack) -> None:
         for i, sym in enumerate(track.symbols)))
 
 
-#: Up to 256 rows the bulk parser takes: an unsigned decimal time, a comma
-#: and ``U`` or 0..11, then a newline.  The regex engine keeps state for
-#: each repetition within one match, so a whole body is matched in blocks.
-_CANONICAL_ROWS = re.compile(r"(?:[0-9]+(?:\.[0-9]+)?,(?:U|1[01]|[0-9])\n){1,256}")
-
-
-def _is_canonical(body: str) -> bool:
-    """Whether ``body`` is one or more rows :data:`_CANONICAL_ROWS` takes."""
-    pos = 0
-    while pos < len(body):
-        match = _CANONICAL_ROWS.match(body, pos)
-        if match is None:
-            return False
-        pos = match.end()
-    return pos > 0
+_NOTE_HEADER = ["t", "chroma"]
 
 
 def load_note_track(path: str | os.PathLike, song_id: str | None = None) -> NoteTrack:
     """Parse a note-track CSV; ``song_id`` defaults to the file stem.
 
     Equal to :func:`load_note_track_rows`, whose :class:`ParseError` it
-    raises.  A file of exactly the header line and canonical rows on the
-    0.1 s grid is parsed in bulk; anything else, every faulty file included,
-    goes through the row path.
+    raises.  A text with no ``-`` is parsed in bulk (:func:`core.parse_csv_bulk`,
+    ``U`` read as ``UNVOICED``) and kept when its times lie on the 0.1 s grid
+    from 0 (:func:`core.off_grid`) and its symbols in 0..11; anything else,
+    every faulty file included, goes through the row path.
     """
     if song_id is None:
         song_id = os.path.splitext(os.path.basename(path))[0]
     text = read_text(path)
-    head = "t,chroma\n"
-    body = text[len(head):]
-    if text.startswith(head) and _is_canonical(body):
-        times = np.loadtxt(io.StringIO(body), delimiter=",", usecols=0, comments=None,
-                           ndmin=1, dtype=float)
-        if (np.abs(times - np.arange(len(times)) * NOTE_HOP_S) <= 1e-6).all():
-            # Each symbol is the one or two characters after its row's comma.
-            raw = np.frombuffer(body.encode("ascii"), np.uint8)
-            after = np.flatnonzero(raw == ord(",")) + 1
-            one, two = raw[after].astype(int), raw[after + 1].astype(int)
-            symbols = np.where(one == ord("U"), UNVOICED, np.where(
-                two == ord("\n"), one - ord("0"), 10 + two - ord("0")))
-            return NoteTrack(song_id=song_id, symbols=symbols)
+    # Without a '-' in the text, a symbol below 0 can only be a 'U' read as UNVOICED.
+    table = None if "-" in text else parse_csv_bulk(
+        text.replace(",U\n", f",{UNVOICED}\n"), _NOTE_HEADER, [("t", float), ("chroma", int)])
+    if (table is not None and (table["chroma"] <= 11).all()
+            and not off_grid(table["t"], 0.0, NOTE_HOP_S)):
+        return NoteTrack(song_id=song_id, symbols=table["chroma"].copy())
     return load_note_track_rows(path, song_id)
 
 
@@ -152,12 +133,12 @@ def load_note_track_rows(path: str | os.PathLike, song_id: str) -> NoteTrack:
     """:func:`load_note_track`'s reference: one row of
     :func:`core.read_csv_rows` at a time."""
     symbols = []
-    for lineno, row in read_csv_rows(path, ["t", "chroma"]):
+    for lineno, row in read_csv_rows(path, _NOTE_HEADER):
         try:
             t = float(row[0])
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: bad time {row[0]!r}") from None
-        if abs(t - len(symbols) * NOTE_HOP_S) > 1e-6:
+        if not abs(t - len(symbols) * NOTE_HOP_S) <= 1e-6:
             raise ParseError(f"{path}: line {lineno}: time {t:g} breaks the 0.1 s grid")
         text = row[1].strip()
         if text == "U":

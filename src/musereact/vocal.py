@@ -52,10 +52,12 @@ from .core import (
     Stage,
     VOCAL_STATES,
     json_document,
-    read_csv_matrix,
+    off_grid,
+    parse_csv_bulk,
     read_csv_rows,
     read_document,
     read_jsonl,
+    read_text,
     second_bounds,
     segment_session,  # unused here; benchmarks/layers.py traces vocal.segment_session
     write_jsonl,
@@ -209,17 +211,13 @@ class FilePitchTracker(PitchTracker):
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "FilePitchTracker":
-        """Read ``pitch.csv`` in bulk; on any fault, :meth:`_from_rows` reports
-        the first offending line."""
-        try:
-            table = read_csv_matrix(path, _PITCH_HEADER)
-        except ParseError:
-            return cls._from_rows(path)
-        if len(table) and np.isfinite(table).all():
-            t = table[:, 0]
-            # The same float operations as the grid check in _from_rows.
-            if not (np.abs(t - (t[0] + np.arange(len(t)) * PITCH_HOP_S)) > 1e-6).any():
-                return cls(t[0], table[:, 1], table[:, 2])
+        """``pitch.csv`` parsed in bulk (:func:`core.parse_csv_bulk`) when it is all
+        finite and on the 0.1 s grid from its first time (:func:`core.off_grid`);
+        any other file goes to :meth:`_from_rows`, which names the first bad line."""
+        table = parse_csv_bulk(read_text(path), _PITCH_HEADER)
+        if (table is not None and np.isfinite(table).all()
+                and not off_grid(table[:, 0], table[0, 0], PITCH_HOP_S)):
+            return cls(table[0, 0], table[:, 1], table[:, 2])
         return cls._from_rows(path)
 
     @classmethod
@@ -233,7 +231,7 @@ class FilePitchTracker(PitchTracker):
                 raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
             if not all(map(math.isfinite, (t, f0, conf))):
                 raise ParseError(f"{path}: line {lineno}: non-finite field")
-            if times and abs(t - (times[0] + len(times) * PITCH_HOP_S)) > 1e-6:
+            if times and not abs(t - (times[0] + len(times) * PITCH_HOP_S)) <= 1e-6:
                 raise ParseError(
                     f"{path}: line {lineno}: time {t:g} breaks the 0.1 s grid"
                 )

@@ -111,9 +111,7 @@ class TestDetect:
         assert "usage" in err.lower()
 
     def test_unknown_flag_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["detect", "--out", str(tmp_path / "o"), "--frobnicate"])
-        assert err.value.code == 1
+        assert main(["detect", "--out", str(tmp_path / "o"), "--frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_parallel_workers_match_serial(self, corpus):
@@ -161,10 +159,8 @@ class TestDetect:
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
-        with pytest.raises(SystemExit) as err:
-            main(["detect", "--session", str(tmp_path), "--out", str(tmp_path / "o"),
-                  "--workers", workers])
-        assert err.value.code == 1
+        assert main(["detect", "--session", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--workers", workers]) == 1
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_lstm_is_not_read_for_the_vocal_pipeline(self, corpus):
@@ -726,6 +722,16 @@ class TestOwnNoteTrackOnly:
         assert capsys.readouterr().err == (
             f"musereact detect: error: {track}: line 2: chroma 13 outside 0..11\n")
 
+    def test_nan_time_in_own_track_names_the_line(self, tmp_path, capsys):
+        """``abs(nan - t) > 1e-6`` is False, so a NaN time used to pass the grid check."""
+        session = small_session(tmp_path / "data")
+        track = tmp_path / "data" / harness.NOTES_DIR / "tune.csv"
+        track.write_text("t,chroma\n0.0,3\nnan,4\n")
+        assert main(["detect", "--session", session, "--pipeline", "vocal",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {track}: line 3: time nan breaks the 0.1 s grid\n")
+
     def test_missing_own_track_is_no_note_track(self, tmp_path, capsys):
         session = small_session(tmp_path / "data")
         notes = tmp_path / "data" / harness.NOTES_DIR
@@ -900,10 +906,7 @@ class TestMainInOneProcess:
               "for argv in json.loads(sys.argv[1]):\n"
               "    out, err = io.StringIO(), io.StringIO()\n"
               "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-              "        try:\n"
-              "            code = main(argv)\n"
-              "        except SystemExit as exc:  # argparse's usage errors and --help\n"
-              "            code = exc.code\n"
+              "        code = main(argv)\n"
               "    results.append([code, out.getvalue(), err.getvalue()])\n"
               "print(json.dumps(results))\n")
 
@@ -992,10 +995,8 @@ class TestTrainTree:
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flag, value, least):
         path = tmp_path / "train.csv"
         self.make_csv(path, [1, 2, 3, 4, 5])
-        with pytest.raises(SystemExit) as err:
-            main(["train-tree", "--task", "rating", "--data", str(path), flag, value,
-                  "--out", str(tmp_path / "tree.json")])
-        assert err.value.code == 1
+        assert main(["train-tree", "--task", "rating", "--data", str(path), flag, value,
+                     "--out", str(tmp_path / "tree.json")]) == 1
         usage, *_, message = capsys.readouterr().err.splitlines()
         assert usage.startswith("usage: musereact train-tree ")
         assert message == (f"musereact train-tree: error: argument {flag}: "
@@ -1074,10 +1075,8 @@ class TestRecommend:
 
     @pytest.mark.parametrize("top", ["0", "-3"])
     def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):
-        with pytest.raises(SystemExit) as err:
-            main(["recommend", "--pattern", str(tmp_path / "q.jsonl"),
-                  "--pool", str(tmp_path), "--top", top])
-        assert err.value.code == 1
+        assert main(["recommend", "--pattern", str(tmp_path / "q.jsonl"),
+                     "--pool", str(tmp_path), "--top", top]) == 1
         assert "usage" in capsys.readouterr().err.lower()
 
 

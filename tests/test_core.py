@@ -1128,6 +1128,30 @@ def test_written_imu_and_pitch_files_are_read_in_bulk(tmp_path, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(pitch, pitch_rows))
 
 
+def test_an_int_read_through_a_float_is_refused(monkeypatch):
+    """numpy 1.23 and 1.24 read ``3.0`` into an int column through a float and
+    warn, where later numpy raises: the warning refuses the text too, so the
+    row reader, which rejects ``3.0``, reports it."""
+    args = ("t,chroma\n0.0,3\n", ["t", "chroma"], [("t", float), ("chroma", int)])
+    assert core.parse_csv_bulk(*args)["chroma"].tolist() == [3]
+
+    def warning_loadtxt(*a, real=np.loadtxt, **kw):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    assert core.parse_csv_bulk(*args) is None
+
+
+@pytest.mark.parametrize("times, origin, off", [
+    ([0.0, 0.1, 0.2], 0.0, False), ([2.3, 2.4000009], 2.3, False),
+    ([0.0, 0.100002], 0.0, True), ([0.0, float("nan")], 0.0, True),
+    ([0.0, float("inf")], 0.0, True), ([], 0.0, False)])
+def test_off_grid(times, origin, off):
+    assert core.off_grid(np.array(times), origin, 0.1) is off
+
+
 #: JSON document loaders: name -> (file name, load function taking the file path).
 JSON_LOADERS = {
     "config": ("config.json", PipelineConfig.load),

@@ -119,6 +119,13 @@ class TestNoteTrackIO:
         with pytest.raises(ParseError, match="line 3: time 0.2 breaks the 0.1 s grid"):
             musicinfo.load_note_track(path)
 
+    def test_nan_time_breaks_the_grid(self, tmp_path):
+        """``abs(nan - t) > 1e-6`` is False: a NaN time used to load."""
+        path = tmp_path / "nan.csv"
+        path.write_text("t,chroma\n0.0,3\nnan,4\n")
+        with pytest.raises(ParseError, match=r"nan\.csv: line 3: time nan breaks the 0.1 s grid$"):
+            musicinfo.load_note_track(path)
+
     def test_unvoiced_marker(self, tmp_path):
         track = NoteTrack(song_id="u", symbols=np.array([0, UNVOICED, 5]))
         path = tmp_path / "u.csv"
@@ -175,6 +182,12 @@ def _track_outcome(read):
 @example(text="t,chroma\n0.0\n0.1,3,4\n")
 @example(text="t,chroma\n0.0,3\n0.1,4")
 @example(text="t,chroma\n")
+@example(text="t,chroma\n0.0,-1\n")
+@example(text="t,chroma\n-0.0,3\n0.1,U\n")
+@example(text="t,chroma\n0.0,U\r\n")
+@example(text="t,chroma\n0.0,3.0\n")
+@example(text="t,chroma\n0.0,3e0\n")
+@example(text="t,chroma\n0.0,3\nnan,4\n")
 def test_load_note_track_equals_the_row_path(tmp_path_factory, text):
     """For any text, the bulk parser gives the row loop's track, or raises
     its error with its message."""

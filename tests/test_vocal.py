@@ -9,7 +9,7 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from musereact import dsp, vocal
+from musereact import core, dsp, vocal
 from musereact.core import (
     CLASSIFIER_RATE_HZ,
     ConfigError,
@@ -503,6 +503,24 @@ def test_pitch_file_read_in_bulk_equals_the_row_check(tmp_path_factory, t0, kind
         return tracker._t0, tracker._f0s.tolist(), tracker._confs.tolist()
 
     assert outcome(FilePitchTracker.from_file) == outcome(FilePitchTracker._from_rows)
+
+
+def test_a_refused_pitch_file_is_read_row_by_row_once(tmp_path, monkeypatch):
+    """A file the bulk parser refuses goes straight to the row reader: one pass
+    of ``core.read_csv_rows``, not a failed matrix read and then another."""
+    path = tmp_path / "pitch.csv"
+    path.write_text("t,f0,confidence\n0.0,200,0.5\n0.1,x,0.5\n")
+    calls = []
+
+    def spy(*args, real=core.read_csv_rows):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "read_csv_rows", spy)
+    monkeypatch.setattr(vocal, "read_csv_rows", spy)
+    with pytest.raises(ParseError, match=r"pitch\.csv: line 3: non-numeric field$"):
+        FilePitchTracker.from_file(path)
+    assert calls == [(path, vocal._PITCH_HEADER)]
 
 
 class TestAutocorrelationPitchTracker:
