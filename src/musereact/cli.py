@@ -216,6 +216,12 @@ def _cmd_detect(args) -> int:
         _detect_one, pipeline=args.pipeline, config=config, hmm=hmm,
         seq_classifier=seq_classifier, notes_dir=args.notes, out_dir=args.out,
         out_file=out_file)
+    first: dict[str, str] = {}  # outputs are named by session id
+    for session_dir in dirs if len(dirs) > 1 else ():
+        session_id = core.session_meta(session_dir)[1]
+        if first.setdefault(session_id, session_dir) != session_dir:
+            raise core.ConfigError(
+                f"{session_dir}: session_id {session_id!r} repeats {first[session_id]}")
     # The fork start method launches every worker up front, so never more
     # workers than sessions.
     workers = min(args.workers, len(dirs))

@@ -239,17 +239,25 @@ def json_fields(cls, raw: dict, kind: str) -> dict:
 
 #: Keys of older config documents (``PipelineConfig.save`` writes every
 #: field) that are no longer fields: each loads only at the value of the
-#: behaviour now fixed.  Key -> (JSON type, that value, what to set instead).
+#: behaviour now fixed.  Key -> (JSON type, that value as JSON text, what to
+#: set instead).
 _REMOVED_CONFIG_KEYS = {
-    "enable_motion_filter": ("bool", True, "movement bands of [0, 1e308] (vocal_movement_"
+    "enable_motion_filter": ("bool", "true", "movement bands of [0, 1e308] (vocal_movement_"
                              "low_g/high_g, motion_movement_low_g/high_g) pass every second"),
-    "enable_sound_filter": ("bool", True, "a sound_db_threshold at or below "
+    "enable_sound_filter": ("bool", "true", "a sound_db_threshold at or below "
                             "db_calibration - 240 passes every second"),
-    "enable_relaxation": ("bool", True, "a margin_threshold of 0 relaxes no second"),
-    "note_window_margin_s": ("float", 0.5, "tune dtw_threshold instead"),
-    "pitch_conf_threshold": ("float", 0.5, "tune dtw_threshold instead"),
-    "smoothing_window": ("int", 6, "enable_smoothing false turns smoothing off"),
-    "imu_lowpass_hz": ("float", 5.0, "tune motion_decision_threshold instead"),
+    "enable_relaxation": ("bool", "true", "a margin_threshold of 0 relaxes no second"),
+    "note_window_margin_s": ("float", "0.5", "tune dtw_threshold instead"),
+    "pitch_conf_threshold": ("float", "0.5", "tune dtw_threshold instead"),
+    "smoothing_window": ("int", "6", "enable_smoothing false turns smoothing off"),
+    "imu_lowpass_hz": ("float", "5.0", "tune motion_decision_threshold instead"),
+    "relax_top_k": ("int", "5", "a margin_threshold of 0 relaxes no second"),
+    "singing_classes": ("tuple[str, ...]", '["singing", "humming"]',
+                        "the class map is fixed with the classifier"),
+    "whistling_classes": ("tuple[str, ...]", '["whistling", "whistle"]',
+                          "the class map is fixed with the classifier"),
+    "ambiguous_classes": ("tuple[str, ...]", '["speech", "music"]',
+                          "the class map is fixed with the classifier"),
 }
 
 
@@ -277,10 +285,6 @@ class PipelineConfig:
     # --- vocal pipeline: classification ---------------------------------
     # margin_threshold 0 maps every top-1 class directly (no margin is < 0).
     margin_threshold: float = 0.9
-    relax_top_k: int = 5
-    singing_classes: tuple[str, ...] = ("singing", "humming")
-    whistling_classes: tuple[str, ...] = ("whistling", "whistle")
-    ambiguous_classes: tuple[str, ...] = ("speech", "music")
 
     # --- vocal pipeline: music-information correction -------------------
     dtw_threshold: float = 30.0
@@ -303,15 +307,6 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-            if f.type == "tuple[str, ...]" and (
-                    not value or any(not isinstance(v, str) or not v for v in value)):
-                raise ConfigError(f"{f.name} must be a non-empty tuple of names")
-        owners: dict[str, str] = {}  # the stage-4 rank scan needs disjoint lists
-        for name in ("singing_classes", "whistling_classes", "ambiguous_classes"):
-            for cls in getattr(self, name):
-                first = owners.setdefault(cls.lower(), name)
-                if first != name:
-                    raise ConfigError(f"class {cls!r} is in both {first} and {name}")
         for low, high in (
             ("vocal_movement_low_g", "vocal_movement_high_g"),
             ("motion_movement_low_g", "motion_movement_high_g"),
@@ -321,8 +316,6 @@ class PipelineConfig:
         if not 0 < self.audio_lowpass_hz < CLASSIFIER_RATE_HZ / 2:
             raise ConfigError(f"audio_lowpass_hz must lie in (0, {CLASSIFIER_RATE_HZ / 2:g}), "
                               "below Nyquist")
-        if self.relax_top_k < 1:
-            raise ConfigError("relax_top_k must be >= 1")
         from .musicinfo import DTW_REACH  # here, as musicinfo imports this module
         if not 0 <= self.dtw_threshold < DTW_REACH:
             raise ConfigError(f"dtw_threshold must lie in [0, {DTW_REACH:g})")
@@ -340,9 +333,8 @@ class PipelineConfig:
         any other value it raises, naming what to set instead."""
         for key in sorted(_REMOVED_CONFIG_KEYS.keys() & raw.keys()):
             kind, fixed, instead = _REMOVED_CONFIG_KEYS[key]
-            if not (_JSON_FIELD_TYPES[kind][1](raw[key]) and raw[key] == fixed):
-                raise ConfigError(  # lower() spells True as JSON does
-                    f"{key} was removed and can only be {str(fixed).lower()}; {instead}")
+            if not (_JSON_FIELD_TYPES[kind][1](raw[key]) and raw[key] == json.loads(fixed)):
+                raise ConfigError(f"{key} was removed and can only be {fixed}; {instead}")
         return cls(**json_fields(cls, {key: value for key, value in raw.items()
                                        if key not in _REMOVED_CONFIG_KEYS}, "config"))
 
@@ -687,9 +679,9 @@ def save_session_dir(path: str | os.PathLike, session: Session) -> None:
         write_wav(os.path.join(path, "audio.wav"), session.audio_rate, pcm)
 
 
-def load_session_dir(path: str | os.PathLike) -> Session:
-    """Read a session directory back into a validated :class:`Session`, whose
-    ``audio`` is the ``int16`` PCM of ``audio.wav`` as read, not converted."""
+def session_meta(path: str | os.PathLike) -> tuple[dict, str]:
+    """Session directory ``path``'s ``meta.json``, its names checked, and the
+    session's id: its ``session_id``, else the directory's name."""
     meta_path = os.path.join(path, "meta.json")
     meta = read_json(meta_path)
     for key in ("session_id", "subject_id", "song_id", "place"):
@@ -698,6 +690,14 @@ def load_session_dir(path: str | os.PathLike) -> Session:
     session_id = meta.get("session_id", os.path.basename(os.path.normpath(path)))
     if "session_id" in meta and not is_plain_file_name(session_id):
         raise ParseError(f"{meta_path}: session_id must be a plain file name")
+    return meta, session_id
+
+
+def load_session_dir(path: str | os.PathLike) -> Session:
+    """Read a session directory back into a validated :class:`Session`, whose
+    ``audio`` is the ``int16`` PCM of ``audio.wav`` as read, not converted."""
+    meta, session_id = session_meta(path)
+    meta_path = os.path.join(path, "meta.json")
     audio_rate = meta.get("audio_rate", AUDIO_RATE_HZ)
     if type(audio_rate) is not int or audio_rate <= 0:  # bool is not an int here
         raise ParseError(f"{meta_path}: audio_rate must be a positive integer")
@@ -1024,9 +1024,5 @@ def load_events_jsonl(path: str | os.PathLike) -> list[ReactionEvent]:
 
 def list_session_dirs(root: str | os.PathLike) -> list[str]:
     """Find session directories (those holding ``meta.json``) under ``root``."""
-    found = []
-    for name in sorted(os.listdir(root)):
-        candidate = os.path.join(root, name)
-        if os.path.isdir(candidate) and os.path.exists(os.path.join(candidate, "meta.json")):
-            found.append(candidate)
-    return found
+    return [os.path.join(root, name) for name in sorted(os.listdir(root))
+            if os.path.exists(os.path.join(root, name, "meta.json"))]

@@ -624,10 +624,13 @@ def write_corpus(out_dir: str | os.PathLike, specs: list[SyntheticSpec]) -> list
     ``<out_dir>/notes/<song_id>.csv``, each long enough for every session
     of that song.
     """
-    os.makedirs(out_dir, exist_ok=True)
     needed: dict[str, int] = {}
-    for spec in specs:
+    first: dict[str, int] = {}
+    for i, spec in enumerate(specs):
         spec.validate()
+        if first.setdefault(spec.session_id, i) != i:
+            raise ParameterError(f"corpus spec, session {i}: session_id "
+                                 f"{spec.session_id!r} repeats session {first[spec.session_id]}")
         needed[spec.song_id] = max(needed.get(spec.song_id, 0), spec.note_frames)
     notes_dir = os.path.join(out_dir, NOTES_DIR)
     os.makedirs(notes_dir, exist_ok=True)

@@ -12,8 +12,9 @@ The pipeline runs a cascade per one-second segment, cheapest stage first:
    files, tests plug in synthetic classifiers).
 4. label mapping with rank relaxation -- each second's label is final, or
    a vocal candidate deferred to correction: a confident top-1 maps
-   directly (speech/music defers as singing); a low-margin result defers
-   the first vocal class among the top ``relax_top_k`` ranks.
+   directly through the fixed :data:`CLASS_MAP` (speech/music defers as
+   singing); a low-margin result defers the first vocal class among the top
+   :data:`RELAX_TOP_K` ranks.
 5. music-aware correction -- a deferred candidate stands only if the
    wearer's pitch contour warps onto the reference melody around the
    current song position (DTW over chroma, at most ``dtw_threshold``).
@@ -343,26 +344,30 @@ def vocal_sound_prefilter(
 # label mapping and rank relaxation
 # ---------------------------------------------------------------------------
 
-def _scan_ranks(scores: ScoreVector, config: PipelineConfig, depth: int,
-                deferred: bool) -> PipelineLabel:
-    """The first vocal class among the top ``depth`` ranks, deferred when
-    ``deferred`` or when it is speech/music (a singing candidate), else a
-    final ``non_reaction``; exact because the class lists are disjoint."""
-    singing, whistling = ReactionLabel.SINGING_HUMMING, ReactionLabel.WHISTLING
-    classes = {}
-    for names, label, defer in ((config.singing_classes, singing, deferred),
-                                (config.whistling_classes, whistling, deferred),
-                                (config.ambiguous_classes, singing, True)):
-        classes.update((n.lower(), (label, defer)) for n in names)
+#: Stage 4's class map, fixed with the classifier: lower-cased class name ->
+#: (its reaction, whether a confident top-1 still defers it to correction).
+CLASS_MAP = {name: (label, defer) for names, label, defer in (
+    (("singing", "humming"), ReactionLabel.SINGING_HUMMING, False),
+    (("whistling", "whistle"), ReactionLabel.WHISTLING, False),
+    (("speech", "music"), ReactionLabel.SINGING_HUMMING, True)) for name in names}
+
+#: How many top ranks rank relaxation scans for a vocal class.
+RELAX_TOP_K = 5
+
+
+def _scan_ranks(scores: ScoreVector, depth: int, deferred: bool) -> PipelineLabel:
+    """The first :data:`CLASS_MAP` class among the top ``depth`` ranks,
+    deferred when ``deferred`` or when the map defers it, else a final
+    ``non_reaction``."""
     for idx in scores.ranked()[:depth]:
-        found = classes.get(scores.class_names[idx].lower())
+        found = CLASS_MAP.get(scores.class_names[idx].lower())
         if found is not None:
-            return PipelineLabel(*found)
+            return PipelineLabel(found[0], deferred or found[1])
     return PipelineLabel(ReactionLabel.NON_REACTION)
 
 
-def map_labels(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -> PipelineLabel:
-    """Map the top-1 class to a pipeline label.
+def map_labels(scores: ScoreVector) -> PipelineLabel:
+    """Map the top-1 class to a pipeline label through :data:`CLASS_MAP`.
 
     Singing-type names give a final ``singing_humming``, whistling-type
     names a final ``whistling``.  Speech/music gives a ``singing_humming``
@@ -370,7 +375,7 @@ def map_labels(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -
     somebody nearby is talking).  Anything else is a final
     ``non_reaction``.  Matching is case-insensitive.
     """
-    return _scan_ranks(scores, config, 1, deferred=False)
+    return _scan_ranks(scores, 1, deferred=False)
 
 
 def relax_rank(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -> PipelineLabel:
@@ -378,13 +383,13 @@ def relax_rank(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -
 
     When the top-1 score leads its runner-up by at least
     ``config.margin_threshold`` the plain mapping applies.  Otherwise the
-    ranks 1..``relax_top_k`` are scanned for the first vocal-like class,
+    ranks 1..:data:`RELAX_TOP_K` are scanned for the first vocal-like class,
     whose reaction is deferred to correction as a candidate; if none
     appears the second is a final ``non_reaction``.
     """
     if scores.margin() >= config.margin_threshold:
-        return map_labels(scores, config)
-    return _scan_ranks(scores, config, config.relax_top_k, deferred=True)
+        return map_labels(scores)
+    return _scan_ranks(scores, RELAX_TOP_K, deferred=True)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from musereact.core import PipelineConfig, ReactionEvent, ReactionLabel
 from musereact.vocal import HmmParams
 
 S = ReactionLabel.SINGING_HUMMING
+W = ReactionLabel.WHISTLING
 H = ReactionLabel.HEAD_MOTION
 
 
@@ -72,6 +73,23 @@ class TestSimulate:
         code = main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("sessions, repeated", [
+        ([{"session_id": "a", "duration_s": 12},
+          {"session_id": "a", "duration_s": 20, "activity": "still"}], "a"),
+        ([{"duration_s": 2}, {"session_id": "s000", "duration_s": 2}], "s000"),
+    ], ids=["given", "default"])
+    def test_repeated_session_id_writes_nothing(self, tmp_path, capsys, sessions, repeated):
+        """Each session is written to a directory named by its id, so a
+        repeated id would overwrite a session."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sessions": sessions}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact simulate: error: corpus spec, session 1: session_id {repeated!r} "
+            "repeats session 0\n")
+        assert not out.exists()
+
 
 class TestDetect:
     def test_directory_mode_both_pipelines(self, corpus):
@@ -103,6 +121,35 @@ class TestDetect:
                      "--config", str(config_path),
                      "--out", str(tmp_path / "events.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_repeated_session_id_writes_nothing(self, corpus, capsys, workers):
+        """Outputs are named by session id, so two directories with one id
+        would overwrite each other's; detect refuses before any session runs."""
+        tmp_path, data_dir, config_path = corpus
+        meta = data_dir / "sess_b" / "meta.json"
+        meta.write_text(meta.read_text().replace('"sess_b"', '"sess_a"'))
+        out = tmp_path / "out"
+        assert main(["detect", "--data", str(data_dir), "--config", str(config_path),
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {data_dir / 'sess_b'}: session_id 'sess_a' "
+            f"repeats {data_dir / 'sess_a'}\n")
+        assert list(out.iterdir()) == []
+
+    def test_id_from_the_directory_name_counts(self, corpus, capsys):
+        """A meta.json without session_id gives the directory's name as the id."""
+        tmp_path, data_dir, config_path = corpus
+        copy = tmp_path / "other" / "sess_a"
+        shutil.copytree(data_dir / "sess_a", copy)
+        meta = json.loads((copy / "meta.json").read_text())
+        del meta["session_id"]
+        (copy / "meta.json").write_text(json.dumps(meta))
+        assert main(["detect", "--session", str(data_dir / "sess_a"), "--session", str(copy),
+                     "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact detect: error: {copy}: session_id 'sess_a' "
+            f"repeats {data_dir / 'sess_a'}\n")
 
     def test_missing_session_is_usage_error(self, tmp_path, capsys):
         code = main(["detect", "--out", str(tmp_path / "out")])
@@ -1370,13 +1417,16 @@ class TestDetectConfig:
         ({"imu_rate_hz": 70}, "unknown config keys: imu_rate_hz"),
         ({"dtw_threshold": "x"}, "dtw_threshold must be a number"),
         ({"dtw_threshold": None}, "dtw_threshold must be a number"),
-        ({"singing_classes": 5}, "singing_classes must be a list of names"),
+        ({"singing_classes": 5}, 'singing_classes was removed and can only be '
+                                 '["singing", "humming"]; the class map is fixed with '
+                                 'the classifier'),
         ({"enable_correction": "no"}, "enable_correction must be true or false"),
         ({"smoothing_window": 4}, "smoothing_window was removed and can only be 6; "
                                   "enable_smoothing false turns smoothing off"),
         ({"dtw_threshold": 130}, "dtw_threshold must lie in [0, 126)"),
         ({"singing_classes": ["singing", "Whistling"]},
-         "class 'whistling' is in both singing_classes and whistling_classes"),
+         'singing_classes was removed and can only be ["singing", "humming"]; '
+         'the class map is fixed with the classifier'),
         ({"enable_motion_filter": False},
          "enable_motion_filter was removed and can only be true; movement bands of "
          "[0, 1e308] (vocal_movement_low_g/high_g, motion_movement_low_g/high_g) "
@@ -1403,6 +1453,22 @@ class TestDetectConfig:
          "enable_sound_filter was removed and can only be true; a sound_db_threshold "
          "at or below db_calibration - 240 passes every second"),
         ({"smoothing_window": 6, "imu_rate_hz": 70}, "unknown config keys: imu_rate_hz"),
+        # Stage 4's class map and relaxation depth are fixed with the classifier.
+        ({"relax_top_k": 4}, "relax_top_k was removed and can only be 5; "
+                             "a margin_threshold of 0 relaxes no second"),
+        ({"relax_top_k": 5.0}, "relax_top_k was removed and can only be 5; "
+                               "a margin_threshold of 0 relaxes no second"),
+        ({"singing_classes": ["sing"]}, 'singing_classes was removed and can only be '
+                                        '["singing", "humming"]; the class map is fixed '
+                                        'with the classifier'),
+        ({"whistling_classes": ["whistle", "whistling"]},
+         'whistling_classes was removed and can only be ["whistling", "whistle"]; '
+         'the class map is fixed with the classifier'),
+        ({"ambiguous_classes": ["Speech", "Music"]},
+         'ambiguous_classes was removed and can only be ["speech", "music"]; '
+         'the class map is fixed with the classifier'),
+        ({"relax_top_k": 5, "singing_classes": ["singing", "humming"], "imu_rate_hz": 70},
+         "unknown config keys: imu_rate_hz"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -1437,8 +1503,23 @@ class TestOldConfigDocuments:
                            "note_window_margin_s": 0.5, "pitch_conf_threshold": 0.5,
                            "smoothing_window": 6}
 
+    #: The 16 fields after that, of which stage 4's class lists and relaxation
+    #: depth are now fixed with the classifier.
+    SIXTEEN_FIELDS = (
+        '{\n  "ambiguous_classes": [\n    "speech",\n    "music"\n  ],\n'
+        '  "audio_lowpass_hz": 2000.0,\n  "db_calibration": 94.0,\n'
+        '  "dtw_threshold": 30.0,\n  "enable_correction": true,\n'
+        '  "enable_smoothing": true,\n  "margin_threshold": 0.9,\n'
+        '  "motion_decision_threshold": 0.5,\n  "motion_movement_high_g": 0.114,\n'
+        '  "motion_movement_low_g": 0.0092,\n  "relax_top_k": 5,\n'
+        '  "singing_classes": [\n    "singing",\n    "humming"\n  ],\n'
+        '  "sound_db_threshold": 49.0,\n  "vocal_movement_high_g": 0.12,\n'
+        '  "vocal_movement_low_g": 0.0104,\n'
+        '  "whistling_classes": [\n    "whistling",\n    "whistle"\n  ]\n}\n')
+
     @pytest.mark.parametrize("text", [
-        NINETEEN_FIELDS, core.json_document(TWENTY_THREE_FIELDS)], ids=["19", "23"])
+        NINETEEN_FIELDS, core.json_document(TWENTY_THREE_FIELDS), SIXTEEN_FIELDS],
+        ids=["19", "23", "16"])
     def test_detects_as_todays_document(self, corpus, capsys, text):
         tmp_path, data_dir, config_path = corpus
         old = tmp_path / "old.json"
@@ -1455,7 +1536,10 @@ class TestOldConfigDocuments:
         assert written[0] == written[1] and len(written[0]) == 8
 
     def test_fixed_values_are_todays_constants(self):
-        fixed = {key: value for key, (_, value, _) in core._REMOVED_CONFIG_KEYS.items()}
+        spelled = {key: value for key, (_, value, _) in core._REMOVED_CONFIG_KEYS.items()}
+        fixed = {key: json.loads(value) for key, value in spelled.items()}
+        # Messages spell each value as JSON does.
+        assert spelled == {key: json.dumps(value) for key, value in fixed.items()}
         assert fixed == {
             "enable_motion_filter": True, "enable_sound_filter": True,
             "enable_relaxation": True,
@@ -1463,8 +1547,17 @@ class TestOldConfigDocuments:
             "pitch_conf_threshold": dsp.PITCH_CONF_THRESHOLD,
             "smoothing_window": vocal.SMOOTHING_WINDOW,
             "imu_lowpass_hz": motion.GYRO_LOWPASS_HZ,
+            "relax_top_k": vocal.RELAX_TOP_K,
+            "singing_classes": ["singing", "humming"],
+            "whistling_classes": ["whistling", "whistle"],
+            "ambiguous_classes": ["speech", "music"],
         }
         assert not fixed.keys() & {f.name for f in dataclasses.fields(PipelineConfig)}
+        # The class lists' shipped values are exactly stage 4's fixed class map.
+        assert vocal.CLASS_MAP == {
+            name: (label, defer) for key, label, defer in (
+                ("singing_classes", S, False), ("whistling_classes", W, False),
+                ("ambiguous_classes", S, True)) for name in fixed[key]}
 
 
 @pytest.fixture(scope="module")
@@ -1481,9 +1574,7 @@ JSON_VALUE = st.recursive(
 #: Values of each config field's own JSON type, small numbers drawn often.
 TYPED_VALUE = {
     "float": st.floats() | st.floats(-2.0, 200.0),
-    "int": st.integers() | st.integers(-2, 10),
     "bool": st.booleans(),
-    "tuple[str, ...]": st.lists(st.text(max_size=8), max_size=3),
 }
 
 #: A config document: up to three fields, each of its own type or any JSON.

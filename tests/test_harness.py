@@ -1,6 +1,7 @@
 """Tests for the synthetic-session generator, evaluation metrics, and the
 reference oracles."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -209,6 +210,15 @@ class TestCorpusSpecFile:
         for d in dirs:
             loaded = core.load_session_dir(d)
             loaded.validate()
+
+    def test_write_corpus_refuses_a_repeated_session_id(self, tmp_path):
+        specs = make_vocal_corpus(num_sessions=3, place="lounge", base_seed=3, duration_s=2)
+        specs[2] = dataclasses.replace(specs[2], session_id=specs[0].session_id)
+        with pytest.raises(ParameterError) as err:
+            write_corpus(tmp_path / "out", specs)
+        assert str(err.value) == (
+            f"corpus spec, session 2: session_id {specs[0].session_id!r} repeats session 0")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:
