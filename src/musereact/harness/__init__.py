@@ -5,7 +5,8 @@ sessions (IMU, audio, classifier scores, pitch tracks, ground truth) from
 compact :class:`SyntheticSpec` descriptions, `metrics` scores detector
 output against ground truth, and `oracles` provides deliberately naive
 reference implementations (exhaustive and cell-by-cell DTW, enumerated
-Viterbi, per-step LSTM, per-frame pitch, per-second event painting) used
+Viterbi, per-step LSTM, per-frame pitch, per-second event painting, the
+movement level as the norm's standard deviation) used
 to validate the fast paths.
 """
 
@@ -32,7 +33,8 @@ from .metrics import (
     map_to_vocal_domain,
 )
 from .oracles import (dtw_loop_oracle, dtw_oracle, expand_events_loop_oracle,
-                      lstm_loop_oracle, pitch_loop_oracle, viterbi_oracle)
+                      lstm_loop_oracle, movement_level_oracle, pitch_loop_oracle,
+                      viterbi_oracle)
 
 __all__ = [
     "NOTES_DIR",
@@ -57,6 +59,7 @@ __all__ = [
     "dtw_oracle",
     "expand_events_loop_oracle",
     "lstm_loop_oracle",
+    "movement_level_oracle",
     "pitch_loop_oracle",
     "viterbi_oracle",
 ]

@@ -7,7 +7,9 @@ sequence.  Both are exponential and refuse inputs beyond small sizes.  The
 DTW loop oracle is the textbook cell-by-cell recursion, for sizes the
 path enumeration cannot reach.  The LSTM and pitch loop oracles run one
 sequence, one gate and one frame at a time, and the event oracle paints
-one second at a time.
+one second at a time.  The movement level oracle is the textbook
+``np.std`` of ``np.linalg.norm``, with neither the column kernel nor the
+grouped table of ``dsp.movement_levels``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..core import ParameterError, ReactionLabel
+from ..core import InsufficientDataError, ParameterError, ReactionLabel
 from ..vocal import PITCH_FRAMES_PER_SEGMENT, PITCH_HOP_S, HmmParams
 
 MAX_ORACLE_LEN = 8
@@ -145,6 +147,15 @@ def expand_events_loop_oracle(events, duration_s=None) -> list[ReactionLabel]:
             if event.t_start - 1e-9 <= i + 0.5 <= event.t_end + 1e-9:
                 labels[i] = event.label
     return labels
+
+
+def movement_level_oracle(accel) -> float:
+    """``dsp.movement_level`` of one slice: the population standard
+    deviation of ``np.linalg.norm(accel, axis=1)``.  Fewer than 2 samples
+    raise the same error."""
+    if len(accel) < 2:
+        raise InsufficientDataError("movement level needs at least 2 samples")
+    return float(np.std(np.linalg.norm(accel, axis=1)))
 
 
 def _sigmoid(x):

@@ -15,7 +15,7 @@ from musereact.core import (
     Stage,
     second_bounds,
 )
-from musereact.harness import dtw_loop_oracle, dtw_oracle
+from musereact.harness import dtw_loop_oracle, dtw_oracle, movement_level_oracle
 
 
 def tail_rms(x, n=4000):
@@ -71,18 +71,93 @@ class TestMovementLevel:
                 with pytest.raises(InsufficientDataError):
                     dsp.movement_level(accel[lo:hi])
             else:
-                oracle = float(np.std(np.linalg.norm(accel[lo:hi], axis=1)))
+                oracle = movement_level_oracle(accel[lo:hi])
                 assert level == oracle == dsp.movement_level(accel[lo:hi])
+
+    @pytest.mark.parametrize("accel,bounds,message", [
+        (np.ones((10, 4)), [0, 10], r"accel must be \(n, 3\), got \(10, 4\)"),
+        (np.ones(30), [0, 10], r"accel must be \(n, 3\), got \(30,\)"),
+        (np.ones((10, 3)), [0, 6, 4, 10], "bounds must not decrease, got 6 then 4"),
+        (np.ones((10, 3)), [0, 5, 11], r"bounds must lie in \[0, 10\], got 0 to 11"),
+        (np.ones((10, 3)), [-1, 5], r"bounds must lie in \[0, 10\], got -1 to 5"),
+        (np.ones((0, 3)), [0, 1], r"bounds must lie in \[0, 0\], got 0 to 1"),
+        (np.ones((10, 3)), [0.0, 10.0], r"bounds must be 1-D integers, got float64 \(2,\)"),
+        (np.ones((10, 3)), [[0, 10]], r"bounds must be 1-D integers, got int64 \(1, 2\)"),
+        (np.ones((10, 3)), [True, True], r"bounds must be 1-D integers, got bool \(2,\)"),
+        (np.ones((10, 3)), 5, r"bounds must be 1-D integers, got int64 \(\)"),
+    ])
+    def test_table_refuses_bad_input(self, accel, bounds, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            dsp.movement_levels(accel, bounds)
+
+    def test_table_of_no_slices(self):
+        for bounds in ([], [4]):
+            assert dsp.movement_levels(np.ones((10, 3)), bounds).shape == (0,)
+
+
+#: Components the column kernel must round exactly as ``np.linalg.norm``:
+#: signed zeros, subnormals (whose squares flush to 0), values on both sides
+#: of 1.34e154, past which a square or a sum of squares overflows to inf, NaN
+#: and both infinities.
+MAGNITUDE_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                      1e-160, 1e154, 1.5e154, -3e200, 1.7976931348623157e308,
+                      np.nan, np.inf, -np.inf)
+
+
+def _layout(accel, layout):
+    """``accel``'s values in one of the layouts a caller may pass."""
+    if layout == "F":
+        return np.asfortranarray(accel)
+    if layout == "column slice":  # as load_session_dir slices its (n, 7) table
+        table = np.zeros((len(accel), 7))
+        table[:, 1:4] = accel
+        return table[:, 1:4]
+    if layout == "row strided":
+        wide = np.zeros((2 * len(accel), 3))
+        wide[::2] = accel
+        return wide[::2]
+    if layout == "read-only":
+        accel = accel.copy()
+        accel.flags.writeable = False
+    return accel
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(length=st.integers(0, 300),
+       layout=st.sampled_from(["C", "F", "column slice", "row strided", "read-only"]),
+       scale=st.sampled_from([1e-3, 1.0, 16.0, 1e150]),
+       seed=st.integers(0, 2**32 - 1),
+       sprinkled=st.lists(st.tuples(st.integers(0, 2**31),
+                                    st.sampled_from(MAGNITUDE_SPECIALS)), max_size=20))
+# Every special value in every column (14 and 3 share no factor); one session.
+@example(length=len(MAGNITUDE_SPECIALS) ** 2, layout="column slice", scale=1.0, seed=0,
+         sprinkled=list(enumerate(MAGNITUDE_SPECIALS * 3 * len(MAGNITUDE_SPECIALS))))
+@example(length=84_000, layout="F", scale=1.0, seed=1, sprinkled=[])
+def test_magnitude_is_the_norm_bit_for_bit(length, layout, scale, seed, sprinkled):
+    """``dsp._magnitude`` equals ``np.linalg.norm(accel, axis=1)`` to the
+    last bit and sign, whatever the layout; summing ``x*x + (y*y + z*z)``
+    would not."""
+    rng = np.random.default_rng(seed)
+    accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0.0, scale, (length, 3))
+    flat = accel.reshape(-1)
+    for position, value in sprinkled:
+        if flat.size:
+            flat[position % flat.size] = value
+    accel = _layout(accel, layout)
+    got, want = dsp._magnitude(accel), np.linalg.norm(accel, axis=1)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings(  # slices scaled by 1e200 overflow on purpose
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning")
 class TestMovementFilter:
-    """``movement_filter`` settles every slice as the per-slice prefilter
-    ``vocal.vocal_motion_prefilter`` does, in both cascades: the same band
-    test, boundaries included, and the same error for a slice of 0 or 1
-    samples."""
+    """``movement_filter`` settles every slice as the band test on
+    ``harness.movement_level_oracle`` does, in both cascades: boundaries
+    included, and the same error for a slice of 0 or 1 samples."""
 
     @staticmethod
     def random_table(seed):
@@ -105,12 +180,13 @@ class TestMovementFilter:
 
     @staticmethod
     def per_slice(accel, bounds, low_g, high_g):
-        """Oracle: the prefilter on each slice; one that raises is a failure,
-        and a failed slice is settled at stage 1 too."""
+        """Oracle: the band test on each slice's oracle level; a slice whose
+        level raises is a failure, and a failed slice is settled at stage 1
+        too."""
         settled, failures = [], {}
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             try:
-                settled.append(vocal.vocal_motion_prefilter(accel[lo:hi], low_g, high_g))
+                settled.append(not low_g <= movement_level_oracle(accel[lo:hi]) <= high_g)
             except InsufficientDataError as exc:
                 settled.append(True)
                 failures[i] = str(exc)

@@ -5,10 +5,13 @@ Both pipelines pick each second's IMU samples through ``core.second_bounds``
 before it: a boolean mask over the whole IMU array for every second, and a
 count of the samples before each second's end for the motion window.  The
 motion oracle also classifies one window at a time, where the pipeline
-scores the windows in blocks of ``MOTION_BLOCK``.  The vocal oracle runs the
-public stage functions on mask-cut segments and smooths each second as it
-is labeled, where the pipeline smooths in one pass at the end; recording
-classifier and tracker wrappers check that every stage saw the same audio.
+scores the windows in blocks of ``MOTION_BLOCK``.  Both oracles settle
+stage 1 with the band test on ``harness.movement_level_oracle``, which
+shares no code with ``dsp.movement_levels``.  The vocal oracle runs the
+public stage functions from stage 2 on mask-cut segments and smooths each
+second as it is labeled, where the pipeline smooths in one pass at the
+end; recording classifier and tracker wrappers check that every stage saw
+the same audio.
 """
 
 import dataclasses
@@ -30,7 +33,7 @@ from musereact.core import (
     second_bounds,
     segment_session,
 )
-from musereact.harness import SyntheticSpec, generate_session
+from musereact.harness import SyntheticSpec, generate_session, movement_level_oracle
 from musereact.motion import (
     GYRO_LOWPASS_HZ,
     MOTION_BLOCK,
@@ -91,8 +94,8 @@ def mask_motion(session, classifier, config):
         boundary = int(np.count_nonzero(session.imu_t < second + 1))
         stage, label = Stage.MOTION_FILTER, N
         try:
-            if vocal.vocal_motion_prefilter(session.accel[mask], config.motion_movement_low_g,
-                                            config.motion_movement_high_g):
+            if not (config.motion_movement_low_g <= movement_level_oracle(session.accel[mask])
+                    <= config.motion_movement_high_g):
                 counts["prefiltered"] += 1
             elif boundary < window:
                 stage = Stage.COLD_START
@@ -141,8 +144,8 @@ def mask_vocal(session, classifier, pitch_tracker, note_track, hmm, config):
         counts["total"] += 1
         stage, label = Stage.MOTION_FILTER, N
         try:
-            if vocal.vocal_motion_prefilter(segment.accel, config.vocal_movement_low_g,
-                                            config.vocal_movement_high_g):
+            if not (config.vocal_movement_low_g <= movement_level_oracle(segment.accel)
+                    <= config.vocal_movement_high_g):
                 counts["motion_filtered"] += 1
             else:
                 stage = Stage.SOUND_FILTER
