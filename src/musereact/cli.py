@@ -342,13 +342,13 @@ def _load_pattern(path: str) -> np.ndarray:
 def _cmd_recommend(args) -> int:
     pattern = _load_pattern(args.pattern)
     if not os.path.isdir(args.pool):
+        if os.path.exists(args.pool):
+            raise core.ConfigError(f"pool {args.pool!r} is not a directory")
         raise core.ConfigError(f"pool directory {args.pool!r} does not exist")
-    pool = {}
-    for name in sorted(os.listdir(args.pool)):
-        if not name.endswith(".jsonl"):
-            continue
-        song_id = name[:-len(".jsonl")]
-        pool[song_id] = _load_pattern(os.path.join(args.pool, name))
+    pool = {name[:-len(".jsonl")]: _load_pattern(os.path.join(args.pool, name))
+            for name in sorted(os.listdir(args.pool)) if name.endswith(".jsonl")}
+    if not pool:
+        raise core.ConfigError(f"pool directory {args.pool!r} holds no .jsonl files")
     ranked = engage.recommend(pattern, pool, top_n=args.top)
     for song_id, distance in ranked:
         print(f"{song_id}\t{distance:g}")

@@ -734,12 +734,14 @@ def load_session_dir(path: str | os.PathLike) -> Session:
 
 def read_bytes(path: str | os.PathLike) -> bytes:
     """The package's one file reader: the whole file's bytes.  A missing file
-    raises :class:`ParseError` naming the path."""
+    or a directory raises :class:`ParseError` naming the path."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
+    except IsADirectoryError:
+        raise ParseError(f"{path}: is a directory") from None
 
 
 def write_bytes(path: str | os.PathLike, *chunks) -> None:

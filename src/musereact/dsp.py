@@ -377,11 +377,25 @@ def dtw_scan(table: np.ndarray, query: np.ndarray) -> np.ndarray:
     row ``i`` of problem ``k`` has the costs ``table[query[i], :, k]``.  The
     result is the ``(m, K)`` array ``D[n-1]``.  Steps are {(1,1), (1,0),
     (0,1)}, as in :func:`dtw_from_cost`.  Each row is one scan instead of m
-    scalar steps: with ``S`` the prefix sums of the row's costs ``c``, the
-    left-neighbour recursion unrolls to
-    ``D[i,j] = S[j] + min_{k <= j}(c[k] - S[k] + min(D[i-1,k], D[i-1,k-1]))``.
-    ``S`` and ``c - S`` are built once per symbol, so a query row is four
-    in-place numpy calls.
+    scalar steps: with ``c`` the row's costs, ``S`` their prefix sums,
+    ``Sprev = S - c`` and ``E[k] = min(D[i-1,k], D[i-1,k-1])`` (``E[0] =
+    D[i-1,0]``), the left-neighbour recursion unrolls to
+    ``D[i,j] = S[j] + min_{k <= j}(E[k] - Sprev[k])``.  ``S`` and ``Sprev``
+    are built once per symbol, so a query row is four in-place numpy calls.
+
+    A ``bool`` table (0/1 costs) takes one step per run of ``r`` equal query
+    symbols.  A path through the run enters at some column ``k``, visits
+    ``k..j`` once each and spends ``max(0, r-1-(j-k))`` extra vertical steps
+    in the cheapest of those columns, which costs 0 exactly when ``k <=
+    z(j)``, the last column ``<= j`` with ``c == 0`` (-1 if none).  So
+    ``D[i+r-1,j] = min(S[j] + min_{k <= z(j)}(E[k] - Sprev[k]),
+    r + min(E[max(0, j-r+1) .. j]))``, the first term inf when ``z(j) < 0``.
+    The window needs neither a wider reach nor clipping: ``D[i-1,k] <=
+    D[i-1,k-1] + 1``, so ``E[k] - k`` never increases and an all-ones start
+    left of the window costs no less than the window's first column; a start
+    ``k <= z(j)`` inside it costs ``E[k] + r`` there, no less than in the
+    first term.  ``z`` is read through one gather index per symbol and the
+    window minimum takes about ``log2(r)`` shifted minimums.
 
     The costs must be integer-valued (bool tables work; they are summed as
     float64) with sums below 2**53; every intermediate is then an integer
@@ -394,13 +408,43 @@ def dtw_scan(table: np.ndarray, query: np.ndarray) -> np.ndarray:
     acc = np.full((table.shape[1] + 1, table.shape[2]), np.inf)
     row, diag = acc[1:], acc[:-1]
     row[:] = prefix[query[0]]
+    rest = np.asarray(query[1:]).tolist()
+    if table.dtype == bool and rest:
+        runs = [(symbol, len(list(group))) for symbol, group in itertools.groupby(rest)]
+        # gather[s, j, k] is the flat index of (z(j) + 1, k) in ``lead``,
+        # whose row 0 stays inf for z(j) = -1.
+        columns = np.arange(table.shape[1])[:, None]
+        zero_at = np.maximum.accumulate(np.where(table, -1, columns), axis=1)
+        gather = (zero_at + 1) * table.shape[2] + np.arange(table.shape[2])
+        lead = np.full_like(acc, np.inf)
+    else:
+        runs = zip(rest, itertools.repeat(1))
+    entry = np.empty_like(row)
     best = np.empty_like(row)
-    for symbol in query[1:]:
-        np.minimum(row, diag, out=best)
-        best += step[symbol]
-        np.minimum.accumulate(best, axis=0, out=row)
+    for symbol, length in runs:
+        np.minimum(row, diag, out=entry)
+        np.add(entry, step[symbol], out=best)
+        if length == 1:
+            np.minimum.accumulate(best, axis=0, out=row)
+            row += prefix[symbol]
+            continue
+        np.minimum.accumulate(best, axis=0, out=lead[1:])
+        lead.take(gather[symbol], out=row)
         row += prefix[symbol]
+        np.minimum(row, _window_min(entry, length) + length, out=row)
     return row
+
+
+def _window_min(values: np.ndarray, width: int) -> np.ndarray:
+    """``min(values[max(0, j - width + 1) .. j])`` along axis 0.  Each pass
+    doubles the width covered, so it takes about ``log2(width)`` passes."""
+    out = values.copy()
+    covered = 1
+    while covered < min(width, len(values)):
+        shift = min(covered, width - covered)
+        out[shift:] = np.minimum(out[shift:], out[:-shift])
+        covered += shift
+    return out
 
 
 def dtw_from_cost(cost: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -418,9 +419,12 @@ def recommend(
     reaction pattern therefore comes first with distance 0.  Every member
     is scored exactly (no pruning, no band) in one :func:`dsp.dtw_scan`:
     the pool is padded to its longest member, each distinct query symbol's
-    0/1 cost row against it is built once, and each member is read at its
-    own last column.
+    0/1 cost row against it is built once, the scan takes one step per run
+    of equal query symbols, and each member is read at its own last column.
+    ``top_n`` must be an integer (a ``bool`` is not).
     """
+    if isinstance(top_n, bool) or not isinstance(top_n, numbers.Integral):
+        raise ParameterError(f"top_n must be an integer, got {top_n!r}")
     if top_n < 1:
         raise ParameterError("top_n must be >= 1")
     if not pool:

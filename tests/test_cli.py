@@ -1109,16 +1109,42 @@ class TestRecommend:
 
     @pytest.mark.parametrize("kind", ["missing", "regular_file"])
     def test_pool_that_is_no_directory_is_named(self, tmp_path, capsys, kind):
+        """A missing pool and a pool that is a file (here the query file
+        itself) each get their own message naming the path."""
+        query = tmp_path / "query.jsonl"
+        core.save_events_jsonl(query, [ReactionEvent(label=S, t_start=0.0, t_end=3.0)])
+        pool = query if kind == "regular_file" else tmp_path / "pool"
+        code = main(["recommend", "--pattern", str(query), "--pool", str(pool)])
+        assert code == 2
+        reason = {"missing": f"pool directory {str(pool)!r} does not exist",
+                  "regular_file": f"pool {str(pool)!r} is not a directory"}[kind]
+        assert capsys.readouterr().err == f"musereact recommend: error: {reason}\n"
+
+    @pytest.mark.parametrize("other", [None, "notes.txt", "song.json"])
+    def test_pool_without_pattern_files_is_named(self, tmp_path, capsys, other):
         core.save_events_jsonl(tmp_path / "query.jsonl",
                                [ReactionEvent(label=S, t_start=0.0, t_end=3.0)])
         pool = tmp_path / "pool"
-        if kind == "regular_file":
-            pool.write_text("")
+        pool.mkdir()
+        if other:
+            (pool / other).write_text("")
         code = main(["recommend", "--pattern", str(tmp_path / "query.jsonl"),
                      "--pool", str(pool)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"musereact recommend: error: pool directory {str(pool)!r} does not exist\n")
+        assert (code, capsys.readouterr()) == (2, ("", (
+            f"musereact recommend: error: pool directory {str(pool)!r} "
+            f"holds no .jsonl files\n")))
+
+    def test_directory_named_like_a_pattern_file_is_named(self, tmp_path, capsys):
+        events = [ReactionEvent(label=S, t_start=0.0, t_end=3.0)]
+        core.save_events_jsonl(tmp_path / "query.jsonl", events)
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        core.save_events_jsonl(pool / "a.jsonl", events)
+        (pool / "x.jsonl").mkdir()
+        code = main(["recommend", "--pattern", str(tmp_path / "query.jsonl"),
+                     "--pool", str(pool)])
+        assert (code, capsys.readouterr()) == (2, ("", (
+            f"musereact recommend: error: {pool / 'x.jsonl'}: is a directory\n")))
 
     @pytest.mark.parametrize("top", ["0", "-3"])
     def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):

@@ -625,3 +625,42 @@ class TestDtwKernel:
             last = dsp.dtw_scan(table, np.arange(9))
             for k, c in enumerate(costs):
                 assert last[c.shape[1] - 1, k] == dtw_loop_oracle(c)
+
+
+@st.composite
+def run_scan_case(draw):
+    """A ``(V, m, K)`` bool table built as ``recommend`` builds one, and a
+    query drawn as 1-5 runs of 1-60 equal symbols.  Members hold symbols
+    ``0..V``, where ``V`` is outside the query's alphabet, and the pad value
+    may equal a query symbol, so padded cells may cost 0."""
+    num_symbols = draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(st.integers(0, num_symbols - 1), st.integers(1, 60)),
+                         min_size=1, max_size=5))
+    query = np.repeat([s for s, _ in runs], [r for _, r in runs])
+    members = draw(st.lists(st.lists(st.integers(0, num_symbols), min_size=1, max_size=30),
+                            min_size=1, max_size=4))
+    width = max(map(len, members)) + draw(st.integers(0, 3))
+    padded = np.full((width, len(members)), draw(st.integers(0, num_symbols)))
+    for column, member in zip(padded.T, members):
+        column[:len(member)] = member
+    return np.arange(num_symbols)[:, None, None] != padded, query, [len(m) for m in members]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run_scan_case())
+@example((np.array([[[False]]]), np.zeros(60, dtype=int), [1]))
+@example((np.array([[[True]]]), np.zeros(60, dtype=int), [1]))
+@example((np.array([[[True, False], [False, False], [False, False]]]),
+          np.zeros(45, dtype=int), [1, 3]))
+@example((np.arange(2)[:, None, None] != np.array([[1], [0], [0], [0], [1]]),
+          np.repeat([0, 1, 0], [1, 40, 2]), [5]))
+def test_run_step_equals_the_cell_oracle_and_the_row_step(case):
+    """A bool table steps once per run of the query; every member's last
+    column equals the cell-by-cell oracle, and a float copy of the table,
+    stepped row by row, gives the same array bit for bit."""
+    table, query, lengths = case
+    last = dsp.dtw_scan(table, query)
+    for k, length in enumerate(lengths):
+        cost = table[query, :length, k].astype(float)
+        assert last[length - 1, k] == dtw_loop_oracle(cost), k
+    assert np.array_equal(dsp.dtw_scan(table.astype(float), query), last)

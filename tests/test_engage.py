@@ -294,6 +294,26 @@ class TestRecommendation:
         distances = [d for _, d in out]
         assert distances == sorted(distances)
 
+    @pytest.mark.parametrize("top_n, shown", [
+        (2.5, "2.5"), (3.0, "3.0"), (True, "True"), (False, "False"),
+        ("3", "'3'"), (None, "None"), (np.float64(2.0), repr(np.float64(2.0)))])
+    def test_top_n_that_is_no_integer_is_refused_by_value(self, top_n, shown):
+        with pytest.raises(ParameterError) as info:
+            recommend(np.array([0, 1]), {"a": np.array([0])}, top_n=top_n)
+        assert str(info.value) == f"top_n must be an integer, got {shown}"
+
+    @pytest.mark.parametrize("top_n", [0, -1, -7, np.int64(0)])
+    def test_top_n_below_one_is_refused(self, top_n):
+        with pytest.raises(ParameterError) as info:
+            recommend(np.array([0, 1]), {"a": np.array([0])}, top_n=top_n)
+        assert str(info.value) == "top_n must be >= 1"
+
+    @pytest.mark.parametrize("top_n", [np.int64(1), np.int32(2), np.uint8(1)])
+    def test_numpy_integer_top_n_is_an_integer(self, top_n):
+        pool = {"a": np.array([0]), "b": np.array([1, 1])}
+        assert recommend(np.array([0, 1]), pool, top_n=top_n) == \
+            brute_force_ranking(np.array([0, 1]), pool, int(top_n))
+
 
 def random_pattern(rng, min_len, max_len):
     return rng.integers(0, 4, int(rng.integers(min_len, max_len)))
@@ -366,6 +386,32 @@ def query_and_pool(draw):
 @example((np.array([7, 7, 7]), {"a": np.array([7]), "b": np.array([7, 7, 7, 7])}, 1))
 @example((np.array([-3, 5, -3, 0]), {"only": np.array([5])}, 3))
 def test_recommend_equals_brute_force_on_any_symbols(case):
+    query, pool, top_n = case
+    assert recommend(query, pool, top_n) == brute_force_ranking(query, pool, top_n)
+
+
+@st.composite
+def long_runs_and_pool(draw):
+    """A query and pool members drawn as runs of 1-60 equal symbols from an
+    alphabet of 1-4, so the scan's run step sees runs longer than a member,
+    single-run queries and members of one second."""
+    alphabet = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    runs = st.lists(st.tuples(st.sampled_from(alphabet), st.integers(1, 60)),
+                    min_size=1, max_size=5)
+    pattern = runs.map(lambda pairs: np.repeat([s for s, _ in pairs],
+                                               [r for _, r in pairs]))
+    pool = draw(st.dictionaries(st.text("abxyz", min_size=1, max_size=3),
+                                st.one_of(pattern, st.sampled_from(alphabet).map(
+                                    lambda s: np.array([s]))),
+                                min_size=1, max_size=6))
+    return draw(pattern), pool, draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(long_runs_and_pool())
+@example((np.full(61, 3), {"one": np.array([3]), "other": np.array([1])}, 2))
+@example((np.repeat([0, 2, 0], [1, 40, 2]), {"a": np.full(5, 2), "b": np.array([0])}, 2))
+def test_recommend_equals_brute_force_on_long_runs(case):
     query, pool, top_n = case
     assert recommend(query, pool, top_n) == brute_force_ranking(query, pool, top_n)
 
