@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import core, engage, harness, motion, musicinfo, vocal
+from . import core, engage, motion, musicinfo, vocal
 from .core import PipelineConfig, Stage
 
 CONFIG_ENV_VAR = "MUSEREACT_CONFIG"
@@ -71,6 +71,7 @@ def load_config(path: str | None) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    from . import harness  # here: detect and recommend do not load the harness
     specs = harness.parse_corpus_spec(core.read_json(args.spec), base_seed=args.seed)
     paths = harness.write_corpus(args.out, specs)
     _log(f"simulate: wrote {len(paths)} sessions under {args.out}")
@@ -93,7 +94,7 @@ def _session_dirs(args) -> list[str]:
 def _notes_dir_for(session_dir: str, explicit: str | None) -> str | None:
     if explicit:
         return explicit
-    candidate = os.path.join(os.path.dirname(session_dir), harness.NOTES_DIR)
+    candidate = os.path.join(os.path.dirname(session_dir), core.NOTES_DIR)
     return candidate if os.path.isdir(candidate) else None
 
 
@@ -238,20 +239,15 @@ def _cmd_detect(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-_DOMAIN_MAPS = {
-    "vocal": harness.map_to_vocal_domain,
-    "motion": harness.map_to_motion_domain,
-    "combined": lambda labels: labels,
-}
-
-
 def _cmd_eval(args) -> int:
+    from . import harness
     truth_events = core.load_labels(args.truth)
     pred_events = core.load_events_jsonl(args.pred)
     if not truth_events:
         raise core.ParseError(f"{args.truth}: no labeled events")
     duration = max(e.t_end for e in truth_events)
-    mapper = _DOMAIN_MAPS[args.task]
+    mapper = {"vocal": harness.map_to_vocal_domain,
+              "motion": harness.map_to_motion_domain}.get(args.task, lambda labels: labels)
     labels = []
     for path, events in ((args.truth, truth_events), (args.pred, pred_events)):
         try:
@@ -282,6 +278,7 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_train_hmm(args) -> int:
+    from . import harness
     config = load_config(args.config)
     dirs = core.list_session_dirs(args.data)
     if not dirs:
@@ -387,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detected events against ground truth")
     p.add_argument("--pred", required=True, help="detected events JSONL")
     p.add_argument("--truth", required=True, help="ground-truth labels.csv")
-    p.add_argument("--task", choices=tuple(_DOMAIN_MAPS), default="combined",
+    p.add_argument("--task", choices=("vocal", "motion", "combined"), default="combined",
                    help="label domain to evaluate in")
     p.add_argument("--stats", help="detect stats JSON (adds the filtering ratio)")
     p.add_argument("--report", required=True, help="output report JSON")

@@ -646,6 +646,9 @@ def expand_events_to_labels(
 _IMU_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
 _LABEL_HEADER = ["t_start", "t_end", "label"]
 
+#: Directory of a written corpus that holds the shared note tracks.
+NOTES_DIR = "notes"
+
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
@@ -796,9 +799,10 @@ def read_wav(path: str | os.PathLike) -> tuple[int, np.ndarray]:
     The samples are a read-only ``int16`` view of the file's bytes.  Chunks
     before ``data`` other than ``fmt `` are skipped with their pad byte, and
     ``WAVE_FORMAT_EXTENSIBLE`` stands for its sub-format.  A file cut short,
-    a missing chunk or a compressed format raises :class:`ParseError` "not a
-    readable WAV file"; then more than one channel "expected mono audio",
-    and samples of another type "expected 16-bit PCM, got <type>".
+    a missing chunk, a compressed format or a rate of 0 Hz raises
+    :class:`ParseError` "not a readable WAV file"; then more than one
+    channel "expected mono audio", and samples of another type "expected
+    16-bit PCM, got <type>".
     """
     data = read_bytes(path)
     unreadable = ParseError(f"{path}: not a readable WAV file")
@@ -826,7 +830,7 @@ def read_wav(path: str | os.PathLike) -> tuple[int, np.ndarray]:
     if fmt is None:
         raise unreadable
     tag, channels, rate, _, block_align, bits = fmt
-    if tag not in (1, 3) or block_align != channels * -(-bits // 8):
+    if tag not in (1, 3) or rate == 0 or block_align != channels * -(-bits // 8):
         raise unreadable
     if channels != 1:
         raise ParseError(f"{path}: expected mono audio")

@@ -66,12 +66,18 @@ def movement_level(accel: np.ndarray) -> float:
     return float(movement_levels(accel, [0, accel.shape[0]])[0])
 
 
+#: Rows :func:`_magnitude` squares at a time, so its temporaries stay small.
+_MAGNITUDE_BLOCK = 16384
+
+
 def _magnitude(accel: np.ndarray) -> np.ndarray:
     """Each row's length, ``(x*x + y*y) + z*z`` then the square root."""
-    x, y, z = accel.T
-    m = x * x
-    m += y * y
-    m += z * z
+    m = np.empty(len(accel))
+    for start in range(0, len(accel), _MAGNITUDE_BLOCK):
+        x, y, z = accel[start:start + _MAGNITUDE_BLOCK].T
+        block = np.multiply(x, x, out=m[start:start + _MAGNITUDE_BLOCK])
+        block += y * y
+        block += z * z
     return np.sqrt(m, out=m)
 
 
@@ -84,11 +90,12 @@ def movement_levels(accel: np.ndarray, bounds) -> np.ndarray:
     z*z``, for any memory layout; the columns do the same roundings in the
     same order, so the magnitude is the norm's bit for bit, about four
     times faster (``x*x + (y*y + z*z)`` would change about one sample in
-    eight).  The slices are then gathered into one ``(slices, n)`` block
-    per sample count ``n`` from a sliding-window view and reduced row by
-    row, which gives the same bits as the per-slice calls.  Slices with
-    fewer than 2 samples get NaN.  ``bounds`` must be 1-D integers that do
-    not decrease and lie in ``[0, len(accel)]``.
+    eight).  The slices of each sample count ``n`` form one ``(slices, n)``
+    block, reduced row by row to the per-slice calls' bits: a reshaped view
+    of the stream when they are consecutive (a steady clock), else gathered
+    from a sliding-window view.  Slices with fewer than 2 samples get NaN.
+    ``bounds`` must be 1-D integers that do not decrease and lie in ``[0,
+    len(accel)]``.
     """
     accel = _accel_table(accel)
     bounds = np.asarray(bounds)
@@ -105,8 +112,11 @@ def movement_levels(accel: np.ndarray, bounds) -> np.ndarray:
     levels = np.full(len(counts), np.nan)
     for n in sorted(set(counts[counts >= 2].tolist())):  # np.unique imports numpy.ma
         rows = np.flatnonzero(counts == n)
-        windows = np.lib.stride_tricks.sliding_window_view(magnitude, n)
-        levels[rows] = np.std(windows[starts[rows]], axis=1)
+        if rows[-1] - rows[0] == len(rows) - 1:  # adjacent slices: one run of the stream
+            block = magnitude[starts[rows[0]]:starts[rows[0]] + n * len(rows)].reshape(-1, n)
+        else:
+            block = np.lib.stride_tricks.sliding_window_view(magnitude, n)[starts[rows]]
+        levels[rows] = np.std(block, axis=1)
     return levels
 
 
@@ -114,6 +124,7 @@ def movement_filter(accel: np.ndarray, bounds, low_g: float, high_g: float) -> t
     """Both cascades' movement prefilter over the :func:`movement_levels` table:
     ``settled[i]`` when slice ``i``'s level is NaN or outside ``[low_g, high_g]``,
     and ``failures`` maps each slice of 0 or 1 samples to its error."""
+    bounds = np.asarray(bounds)
     levels = movement_levels(accel, bounds)
     settled = ~((low_g <= levels) & (levels <= high_g))
     failures = {i: InsufficientDataError(_TOO_FEW_SAMPLES)

@@ -30,6 +30,7 @@ from ..core import (
     AUDIO_RATE_HZ,
     IMU_RATE_HZ,
     MAX_SESSION_S,
+    NOTES_DIR,
     ConfigError,
     ParameterError,
     ParseError,
@@ -68,9 +69,6 @@ _REACTION_SPAN_LABELS = frozenset({
 })
 
 ACTIVITIES = ("sedentary", "still", "exercise")
-
-#: Directory of a written corpus that holds the shared note tracks.
-NOTES_DIR = "notes"
 
 # Background roles for non-scripted seconds.
 _STILL, _ACTIVE_QUIET, _CHATTER, _EXERCISE = "still", "active_quiet", "chatter", "exercise"

@@ -321,7 +321,8 @@ def run_motion_pipeline(
     so only the gyro up to the last window left is filtered, by
     :func:`dsp.lowpass_first_order_loop`, and none when no window is left;
     the windows are those of the whole filtered stream, bit for bit.  They
-    are scored :data:`MOTION_BLOCK` at a time.  A stage error downgrades its
+    are scored :data:`MOTION_BLOCK` at a time.  Only the seconds the
+    prefilter leaves are visited, in Python.  A stage error downgrades its
     second to ``non_reaction`` and lands in ``stats.failures``; nothing
     smooths, so ``observed`` is ``labels``.
     """
@@ -329,22 +330,23 @@ def run_motion_pipeline(
     if classifier is None:
         classifier = HeuristicMotionClassifier()
 
-    bounds = second_bounds(session)
+    bounds = np.asarray(second_bounds(session))
     settled, failures = dsp.movement_filter(
         session.accel, bounds, config.motion_movement_low_g, config.motion_movement_high_g)
-    stages = [Stage.MOTION_FILTER if out else
-              Stage.CLASSIFIER if boundary >= WINDOW_SAMPLES else Stage.COLD_START
-              for out, boundary in zip(settled, bounds[1:])]
-
-    labels = [ReactionLabel.NON_REACTION] * len(stages)
-    pending = [second for second, stage in enumerate(stages) if stage == Stage.CLASSIFIER]
-    if pending:
+    stages = [Stage.MOTION_FILTER] * len(settled)
+    labels = [ReactionLabel.NON_REACTION] * len(settled)
+    unsettled = np.flatnonzero(~settled)
+    cold = bounds[unsettled + 1] < WINDOW_SAMPLES
+    for second, is_cold in zip(unsettled.tolist(), cold.tolist()):
+        stages[second] = Stage.COLD_START if is_cold else Stage.CLASSIFIER
+    pending = unsettled[~cold]
+    if len(pending):
         gyro_filtered = dsp.lowpass_first_order_loop(
             session.gyro[:bounds[pending[-1] + 1]], IMU_RATE_HZ, GYRO_LOWPASS_HZ)
     unit_starts = np.arange(-WINDOW_SAMPLES, 0, UNIT_SAMPLES)
     for first in range(0, len(pending), MOTION_BLOCK):
         block = pending[first:first + MOTION_BLOCK]
-        ends = np.array([bounds[second + 1] for second in block])
+        ends = bounds[block + 1]
         # Windows overlap, so summarize each distinct unit of the block once.
         starts, where = np.unique(ends[:, None] + unit_starts, return_inverse=True)
         table = extract_motion_units(gyro_filtered[starts[:, None] + np.arange(UNIT_SAMPLES)])
@@ -353,7 +355,7 @@ def run_motion_pipeline(
             scores = classifier.classify_many(units)
         except Error:  # redo the block window by window; only failing seconds downgrade
             scores = [_p_head_or_error(classifier, window) for window in units]
-        for second, p_head in zip(block, scores, strict=True):
+        for second, p_head in zip(block.tolist(), scores, strict=True):
             if isinstance(p_head, Error):
                 failures[second] = p_head
             elif p_head > config.motion_decision_threshold:

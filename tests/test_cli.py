@@ -929,6 +929,40 @@ class TestCommandsLoadNoScipy:
         return loaded
 
 
+class TestCommandsLoadNoHarness:
+    """``detect`` and ``recommend`` run without importing ``musereact.harness``
+    (and through it ``numpy.random``): ``cli`` imports it only inside
+    ``simulate``, ``eval`` and ``train-hmm``, and the corpus layout's
+    ``NOTES_DIR`` lives in ``core``."""
+
+    SCRIPT = ("import json, sys\n"
+              "from musereact.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "                                if m.startswith('musereact.harness'))]))\n")
+
+    def test_detect_and_recommend(self, corpus):
+        tmp_path, data_dir, config_path = corpus
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        query = [ReactionEvent(label=S, t_start=0.0, t_end=3.0)]
+        core.save_events_jsonl(tmp_path / "query.jsonl", query)
+        core.save_events_jsonl(pool / "same.jsonl", query)
+        commands = [
+            ["detect", "--data", str(data_dir), "--config", str(config_path),
+             "--out", str(tmp_path / "out")],
+            ["recommend", "--pattern", str(tmp_path / "query.jsonl"), "--pool", str(pool)],
+        ]
+        codes, loaded = run_script(self.SCRIPT, commands)
+        assert (codes, loaded) == ([0, 0], [])
+        # the note tracks were found next to the sessions, through core.NOTES_DIR
+        stats = json.loads((tmp_path / "out" / "sess_a.stats.json").read_text())
+        assert stats["vocal"]["corrected"] > 0
+
+    def test_harness_reexports_the_notes_dir(self):
+        assert harness.NOTES_DIR == core.NOTES_DIR == "notes"
+
+
 def run_script(script, commands, **env):
     """The JSON value a fresh ``python -c script`` prints last, given
     ``commands`` as JSON in ``argv[1]`` and this checkout's ``src`` first on

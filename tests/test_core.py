@@ -804,6 +804,103 @@ class TestWavFile:
         assert rate == 44100 and pcm.tolist() == [1, -2, 3]
 
 
+def wav_chunks(data: bytes) -> list[tuple[int, int]]:
+    """(offset, payload length) of each chunk after ``WAVE``, as written."""
+    chunks, pos = [], 12
+    while pos + 8 <= len(data):
+        size = struct.unpack_from("<I", data, pos + 4)[0]
+        chunks.append((pos, size))
+        pos += 8 + size + size % 2
+    return chunks
+
+
+#: Values a mutated 16- or 32-bit header field takes: zero, one, the
+#: extremes, off-by-ones of the canonical values, the tags of other formats.
+WAV_FIELD_VALUES = st.sampled_from([0, 1, 2, 3, 8, 15, 16, 17, 18, 22, 24, 32, 39, 40,
+                                    8000, 0xFFFE, 0xFFFF]) | st.integers(0, 2**16 - 1)
+WAV_SIZE_VALUES = st.sampled_from([0, 1, 0xFFFFFFFF, 2**31]) | st.integers(0, 2**32 - 1)
+
+
+def session_wav(layout: str) -> bytearray:
+    """3 s of 8 kHz mono PCM as a WAV file: ``plain`` is ``core.write_wav``'s
+    canonical header, any other layout is :func:`wav_file`'s."""
+    pcm = np.arange(3 * 8000, dtype=np.int16) % 251 - 125
+    if layout != "plain":
+        return bytearray(wav_file(8000, pcm, layout))
+    return bytearray(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
+                                 b"fmt ", 16, 1, 1, 8000, 16000, 2, 16, b"data", pcm.nbytes)
+                     + pcm.tobytes())
+
+
+#: A canonical WAV whose rate field reads 0 Hz.
+ZERO_RATE_WAV = session_wav("plain")
+ZERO_RATE_WAV[24:28] = bytes(4)
+
+
+@st.composite
+def mutated_wav(draw):
+    """The bytes of :func:`session_wav` in one of four layouts, with one
+    header mutation: a chunk size (exact, off by a little, or any), a field
+    of the ``fmt `` chunk or of its extensible sub-format, the pad byte of an
+    odd-sized chunk, or a cut inside a chunk."""
+    layout = draw(st.sampled_from(["plain", "extensible", "list", "unknown"]))
+    data = session_wav(layout)
+    chunks = wav_chunks(data)
+    kind = draw(st.sampled_from(["size", "fmt", "pad", "cut"]))
+    if kind == "size":  # the RIFF chunk's or another chunk's
+        at, size = draw(st.sampled_from([(0, len(data) - 8)] + chunks))
+        value = draw(st.integers(-2, 2).map(lambda d: (size + d) % 2**32) | WAV_SIZE_VALUES)
+        struct.pack_into("<I", data, at + 4, value)
+    elif kind == "fmt":  # fmt is the first chunk in every layout
+        offset = draw(st.sampled_from([0, 2, 4, 8, 12, 14, 16, 18, 20, 24, 28, 39]))
+        width = 4 if offset in (4, 8, 20, 24) else 1 if offset == 39 else 2
+        value = draw(WAV_FIELD_VALUES) % 2 ** (8 * width)
+        data[20 + offset:20 + offset + width] = value.to_bytes(width, "little")
+    elif kind == "pad":  # the odd LIST or unknown chunk (else fmt) loses the byte after
+        at, size = chunks[1] if layout in ("list", "unknown") else chunks[0]  # or takes it
+        if draw(st.booleans()):
+            del data[at + 8 + size]
+        else:
+            struct.pack_into("<I", data, at + 4, size + 1)
+    else:  # inside the RIFF header or inside a chunk, its header included
+        at, length = draw(st.sampled_from([(0, 12)] + [(at, 8 + size) for at, size in chunks]))
+        del data[at + draw(st.integers(0, length - 1)):]
+    return bytes(data)
+
+
+class TestWavHeaderMutations:
+    """A session directory whose ``audio.wav`` header is mutated loads, or
+    raises :class:`ParseError` naming the WAV file; never anything else.
+    The one exception: a well-formed WAV whose data chunk was shortened (or
+    its rate changed, when ``meta.json`` gives none) reads as audio of
+    another span, and the alignment check names the session directory, as
+    ``test_cli.py::TestAudioWav::test_session_error_names_the_directory``
+    pins."""
+
+    SESSION = make_session(duration_s=3.0, audio_rate=8000, seed=4)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=mutated_wav(), meta_rate=st.booleans())
+    @example(data=bytes(ZERO_RATE_WAV), meta_rate=False)  # once a ParameterError
+    def test_loads_or_names_the_file(self, data, meta_rate):
+        with tempfile.TemporaryDirectory() as root:
+            core.save_session_dir(root, self.SESSION)
+            if not meta_rate:
+                meta = json.loads(open(os.path.join(root, "meta.json")).read())
+                del meta["audio_rate"]
+                core.write_text(os.path.join(root, "meta.json"), json.dumps(meta))
+            wav = os.path.join(root, "audio.wav")
+            core.write_bytes(wav, data)
+            try:
+                session = core.load_session_dir(root)
+            except AlignmentError as exc:
+                assert str(exc).startswith(f"{root}: audio and IMU spans disagree")
+            except ParseError as exc:
+                assert wav in str(exc)
+            else:
+                assert session.audio.dtype == np.int16
+
+
 class PatchKeepingClassifier(vocal.SoundEventClassifier):
     """Replays recorded scores, keeping every log-mel patch it is shown."""
 

@@ -74,6 +74,54 @@ class TestMovementLevel:
                 oracle = movement_level_oracle(accel[lo:hi])
                 assert level == oracle == dsp.movement_level(accel[lo:hi])
 
+    @staticmethod
+    @st.composite
+    def runs_of_counts(draw):
+        """Slice sample counts as runs of one count: a long run is a steady
+        clock, runs of one a jittered clock, and a count that recurs after
+        other counts is a run broken by them.  The bounds start past sample
+        0 and end before the stream does, by a drawn margin."""
+        runs = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 8)), max_size=8))
+        return ([n for n, length in runs for _ in range(length)], draw(st.integers(0, 4)),
+                draw(st.integers(0, 4)), draw(st.integers(0, 2**32 - 1)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=runs_of_counts())
+    @example(case=([70] * 12, 0, 0, 0))                          # steady: one view
+    @example(case=([69, 70, 71, 70, 70, 69, 71], 3, 2, 1))      # jittered: gathered
+    @example(case=([5, 5, 0, 5, 1, 5, 5, 2, 2], 1, 0, 2))       # broken runs, 0 and 1
+    @example(case=([], 4, 1, 3))
+    def test_table_equals_oracle_on_any_clock(self, case):
+        """Each level equals ``harness.movement_level_oracle`` of its slice,
+        bit for bit, whether the slices of its count are read as one
+        reshaped run of the stream or gathered; NaN where the slice has
+        fewer than 2 samples."""
+        counts, start, margin, seed = case
+        bounds = np.concatenate([[0], np.cumsum(counts, dtype=int)]) + start
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 1)
+        accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0.0, scale, (bounds[-1] + margin, 3))
+        levels = dsp.movement_levels(accel, bounds)
+        assert levels.shape == (len(counts),)
+        for level, lo, hi in zip(levels.tolist(), bounds, bounds[1:]):
+            if hi - lo < 2:
+                assert np.isnan(level)
+            else:
+                assert level == movement_level_oracle(accel[lo:hi])
+
+    def test_steady_clock_gathers_nothing(self, monkeypatch):
+        """Consecutive slices of one count are read as a reshaped view of
+        the stream; only a count whose slices are apart is gathered."""
+        gathered = []
+        window_view = np.lib.stride_tricks.sliding_window_view
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                            lambda x, n: (gathered.append(n), window_view(x, n))[1])
+        accel = np.random.default_rng(0).normal(0.0, 0.1, (400, 3))
+        dsp.movement_levels(accel, np.arange(3, 400, 70))
+        assert gathered == []
+        dsp.movement_levels(accel, [0, 70, 140, 209, 279])  # 70 apart, 69 alone
+        assert gathered == [70]
+
     @pytest.mark.parametrize("accel,bounds,message", [
         (np.ones((10, 4)), [0, 10], r"accel must be \(n, 3\), got \(10, 4\)"),
         (np.ones(30), [0, 10], r"accel must be \(n, 3\), got \(30,\)"),
@@ -135,10 +183,15 @@ def _layout(accel, layout):
 @example(length=len(MAGNITUDE_SPECIALS) ** 2, layout="column slice", scale=1.0, seed=0,
          sprinkled=list(enumerate(MAGNITUDE_SPECIALS * 3 * len(MAGNITUDE_SPECIALS))))
 @example(length=84_000, layout="F", scale=1.0, seed=1, sprinkled=[])
+# Specials on the rows around a block border; a stream of exactly one block.
+@example(length=2 * dsp._MAGNITUDE_BLOCK + 1, layout="row strided", scale=1.0, seed=2,
+         sprinkled=[(3 * (dsp._MAGNITUDE_BLOCK - 2) + i, value)
+                    for i, value in enumerate(MAGNITUDE_SPECIALS)])
+@example(length=dsp._MAGNITUDE_BLOCK, layout="C", scale=16.0, seed=3, sprinkled=[])
 def test_magnitude_is_the_norm_bit_for_bit(length, layout, scale, seed, sprinkled):
     """``dsp._magnitude`` equals ``np.linalg.norm(accel, axis=1)`` to the
-    last bit and sign, whatever the layout; summing ``x*x + (y*y + z*z)``
-    would not."""
+    last bit and sign, whatever the layout and however the rows fall into
+    blocks; summing ``x*x + (y*y + z*z)`` would not."""
     rng = np.random.default_rng(seed)
     accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0.0, scale, (length, 3))
     flat = accel.reshape(-1)
@@ -458,14 +511,19 @@ class TestLogMelPatch:
 
     @pytest.mark.parametrize("length", [15600, 16000, 16100])
     def test_equals_every_frame_cropped(self, length):
-        """Framing only the kept frames changes no bit of the patch."""
+        """Framing only the kept frames changes no bit of the patch.
+
+        The reference frames every frame but multiplies only the kept ones:
+        some BLAS kernels (OpenBLAS's Haswell) round a row of a product
+        differently with the number of rows, which is not the framing's
+        doing."""
         audio = np.random.default_rng(length).normal(0, 0.2, length)
         count = (length - dsp.STFT_WINDOW) // dsp.STFT_HOP + 1
         idx = np.arange(count)[:, None] * dsp.STFT_HOP + np.arange(dsp.STFT_WINDOW)
         window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(dsp.STFT_WINDOW) / dsp.STFT_WINDOW)
         magnitude = np.abs(np.fft.rfft(audio[idx] * window, n=dsp.STFT_NFFT, axis=1))
-        full = np.log(magnitude @ dsp.mel_filterbank() + dsp.MEL_LOG_OFFSET)
-        np.testing.assert_array_equal(dsp.log_mel_patch(audio), full[:dsp.PATCH_FRAMES])
+        kept = np.log(magnitude[:dsp.PATCH_FRAMES] @ dsp.mel_filterbank() + dsp.MEL_LOG_OFFSET)
+        np.testing.assert_array_equal(dsp.log_mel_patch(audio), kept)
 
 
 class TestHzToChroma:

@@ -207,6 +207,16 @@ def _gap(session):
     return _retime(session, t, keep)
 
 
+def _mixed_start(session):
+    """Second 1 keeps one IMU sample and second 4 none: among the first
+    seven seconds some settle, some fail and some start cold, and the
+    first full window moves from second 6 to second 8."""
+    t = session.imu_t
+    keep = ~(((t >= 1) & (t < 2)) | ((t >= 4) & (t < 5)))
+    keep[np.flatnonzero(t >= 1)[0]] = True
+    return _retime(session, t, keep)
+
+
 def _overflowing(session):
     """Finite accelerations whose squares overflow: the movement table holds
     NaN for their seconds, and the prefilters recompute those levels."""
@@ -222,6 +232,7 @@ VARIANTS = {
     "on_integer_seconds": _on_integer_seconds,
     "starts_after_zero": _starts_after_zero,
     "gap": _gap,
+    "mixed_start": _mixed_start,
     "overflowing": _overflowing,
 }
 
@@ -276,6 +287,11 @@ def test_motion_equals_oracle(variant):
         assert sorted(failures) == [10, 14]
     if name == "starts_after_zero":
         assert 0 in failures
+    if name == "mixed_start":
+        settled, cold = Stage.MOTION_FILTER, Stage.COLD_START
+        assert stages[:9] == [settled, settled, settled, cold, settled, cold, cold, cold,
+                              Stage.CLASSIFIER]
+        assert sorted(failures) == [1, 4]
     if name == "overflowing":
         levels = dsp.movement_levels(session.accel, second_bounds(session))
         assert np.isnan(levels[[12, 20]]).all()
