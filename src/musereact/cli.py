@@ -105,7 +105,7 @@ def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfi
     Returns the replayed classifier, the pitch tracker (``pitch.csv`` replayed,
     else :class:`vocal.AutocorrelationPitchTracker` on the session audio) and,
     when correction is enabled, a note store holding only the session's own
-    track (else None).
+    track (else None); a missing track names the session and the directory.
     """
     path = os.path.join(session_dir, "scores.jsonl")
     scores = vocal.load_score_file(path)
@@ -124,6 +124,10 @@ def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfi
                 f"{session_dir}: correction is enabled but no note-track "
                 f"directory was found (use --notes)")
         store = musicinfo.MusicInfoStore.from_dir(notes, session.song_id)
+        try:
+            store.get(session.song_id)
+        except core.ConfigError as exc:
+            raise core.ConfigError(f"{session_dir}: {exc} in {notes}") from None
     return vocal.ScoreFileClassifier(scores), tracker, store
 
 

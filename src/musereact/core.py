@@ -6,7 +6,8 @@ person listens to music: a 6-axis IMU stream (3-axis accelerometer in g,
 audio stream at 44.1 kHz.  Detection pipelines walk the session's whole
 seconds, cut at :func:`second_bounds`, and emit one :class:`ReactionLabel`
 per second, which callers usually coalesce into :class:`ReactionEvent`
-spans.
+spans.  :class:`ReactionLabel` declares its members in the canonical order,
+and :data:`VOCAL_REACTIONS` and :data:`MOTION_REACTIONS` split them by timeline.
 
 This module also defines the exception hierarchy, the single
 :class:`PipelineConfig` object that carries every tunable threshold, and the
@@ -115,12 +116,12 @@ class ReactionLabel(str, enum.Enum):
         return self.value
 
 
+#: The reactions each timeline carries besides ``non_reaction``.
+VOCAL_REACTIONS = (ReactionLabel.SINGING_HUMMING, ReactionLabel.WHISTLING)
+MOTION_REACTIONS = (ReactionLabel.HEAD_MOTION,)
+
 #: Canonical state order for the vocal pipeline (index = tie-break priority).
-VOCAL_STATES = (
-    ReactionLabel.NON_REACTION,
-    ReactionLabel.SINGING_HUMMING,
-    ReactionLabel.WHISTLING,
-)
+VOCAL_STATES = (ReactionLabel.NON_REACTION, *VOCAL_REACTIONS)
 
 
 def parse_label(text: str) -> ReactionLabel:
@@ -144,7 +145,7 @@ class PipelineLabel:
     deferred: bool = False
 
     def __post_init__(self):
-        if self.deferred and self.label not in VOCAL_STATES[1:]:  # vocal reactions
+        if self.deferred and self.label not in VOCAL_REACTIONS:
             raise ParameterError(
                 f"a deferred label must be a vocal reaction, got {self.label}")
 
@@ -474,17 +475,21 @@ class Session:
         """Session length in seconds (audio span when audio is present)."""
         if self.audio is not None:
             return len(self.audio) / self.audio_rate
-        step = self._imu_step if self._frozen() else np.median(np.diff(self.imu_t))
+        step = self._imu_step if self._frozen() else _median(np.diff(self.imu_t))
         return float(self.imu_t[-1] - self.imu_t[0] + step)
 
 
 def _median(x: np.ndarray) -> float:
-    """``np.median`` of a non-empty finite 1-D array at numpy's own partition
-    points, as ``np.median``'s NaN check imports ``numpy.ma``.  Bit for bit, but
-    a zero median there is +0.0 (numpy sums from it); a zero step is refused."""
+    """``np.median`` of a 1-D array at numpy's own partition points, as
+    ``np.median``'s NaN check imports ``numpy.ma``.  Bit for bit, but a zero
+    median there is +0.0 (numpy sums from it; a zero step is refused), and an
+    empty array or one holding a NaN (sorted last) gives NaN without a warning."""
+    if not len(x):
+        return math.nan
     half, odd = len(x) // 2, len(x) % 2
     part = np.partition(x, (half, -1) if odd else (half - 1, half, -1))
-    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
+    return math.nan if np.isnan(part[-1]) else float(
+        part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
 def _all_finite(x: np.ndarray) -> bool:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MOTION_REACTIONS,
+    VOCAL_REACTIONS,
     ParameterError,
     ParseError,
     ReactionEvent,
@@ -34,16 +36,8 @@ from .dsp import dtw_from_cost, dtw_scan
 #: Class names for the familiarity task, in class-id order.
 FAMILIARITY_CLASSES = ("known", "unknown")
 
-#: Reaction index alphabet used by pattern matching.
-REACTION_INDEX = {
-    ReactionLabel.NON_REACTION: 0,
-    ReactionLabel.SINGING_HUMMING: 1,
-    ReactionLabel.WHISTLING: 2,
-    ReactionLabel.HEAD_MOTION: 3,
-}
-
-_VOCAL_REACTIONS = (ReactionLabel.SINGING_HUMMING, ReactionLabel.WHISTLING)
-_MOTION_REACTIONS = (ReactionLabel.HEAD_MOTION,)
+#: Reaction index alphabet used by pattern matching, in the canonical order.
+REACTION_INDEX = {label: index for index, label in enumerate(ReactionLabel)}
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,8 @@ class ReactionFeatures:
 
     Durations are fractions of the session; counts are events per minute.
     The vocal and motion timelines keep separate non-reaction entries, so
-    each timeline's durations sum to 1.
+    each timeline's durations sum to 1.  The fields follow each timeline's
+    reactions in the canonical order, then its non-reaction.
     """
 
     singing_duration: float
@@ -75,8 +70,8 @@ ReactionFeatures.FEATURE_NAMES = tuple(f.name for f in dataclasses.fields(Reacti
 
 
 def _timeline_features(events, allowed, duration_s):
-    """(duration fraction, events/minute) per allowed label + the non-reaction
-    complement of their union."""
+    """(duration fraction, events/minute) per allowed label, in order, then
+    for the non-reaction complement of their union."""
     spans = {label: [] for label in allowed}
     for event in events:
         if event.label is ReactionLabel.NON_REACTION:
@@ -145,20 +140,10 @@ def reaction_features(
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ParameterError("duration_s must be positive")
-    vocal = _timeline_features(vocal_events, _VOCAL_REACTIONS, duration_s)
-    motion = _timeline_features(motion_events, _MOTION_REACTIONS, duration_s)
-    return ReactionFeatures(
-        singing_duration=vocal[ReactionLabel.SINGING_HUMMING][0],
-        singing_rate=vocal[ReactionLabel.SINGING_HUMMING][1],
-        whistling_duration=vocal[ReactionLabel.WHISTLING][0],
-        whistling_rate=vocal[ReactionLabel.WHISTLING][1],
-        vocal_non_reaction_duration=vocal[ReactionLabel.NON_REACTION][0],
-        vocal_non_reaction_rate=vocal[ReactionLabel.NON_REACTION][1],
-        head_motion_duration=motion[ReactionLabel.HEAD_MOTION][0],
-        head_motion_rate=motion[ReactionLabel.HEAD_MOTION][1],
-        motion_non_reaction_duration=motion[ReactionLabel.NON_REACTION][0],
-        motion_non_reaction_rate=motion[ReactionLabel.NON_REACTION][1],
-    )
+    vocal = _timeline_features(vocal_events, VOCAL_REACTIONS, duration_s)
+    motion = _timeline_features(motion_events, MOTION_REACTIONS, duration_s)
+    return ReactionFeatures(*(value for timeline in (vocal, motion)
+                              for pair in timeline.values() for value in pair))
 
 
 # ---------------------------------------------------------------------------

@@ -11,32 +11,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ParameterError, ReactionLabel, json_document
+from ..core import (
+    MOTION_REACTIONS,
+    VOCAL_REACTIONS,
+    ParameterError,
+    ReactionLabel,
+    json_document,
+)
 
 #: Canonical class ordering for reports and confusion matrices.
-CLASS_ORDER = (
-    ReactionLabel.NON_REACTION,
-    ReactionLabel.SINGING_HUMMING,
-    ReactionLabel.WHISTLING,
-    ReactionLabel.HEAD_MOTION,
-)
+CLASS_ORDER = tuple(ReactionLabel)
 
 
 def map_to_vocal_domain(labels: list[ReactionLabel]) -> list[ReactionLabel]:
     """Fold labels outside the vocal pipeline's alphabet to non_reaction."""
-    return [
-        label if label in (ReactionLabel.SINGING_HUMMING, ReactionLabel.WHISTLING)
-        else ReactionLabel.NON_REACTION
-        for label in labels
-    ]
+    return [label if label in VOCAL_REACTIONS else ReactionLabel.NON_REACTION
+            for label in labels]
 
 
 def map_to_motion_domain(labels: list[ReactionLabel]) -> list[ReactionLabel]:
     """Fold labels outside the motion pipeline's alphabet to non_reaction."""
-    return [
-        label if label is ReactionLabel.HEAD_MOTION else ReactionLabel.NON_REACTION
-        for label in labels
-    ]
+    return [label if label in MOTION_REACTIONS else ReactionLabel.NON_REACTION
+            for label in labels]
 
 
 @dataclass(frozen=True)

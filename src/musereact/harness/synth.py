@@ -30,7 +30,9 @@ from ..core import (
     AUDIO_RATE_HZ,
     IMU_RATE_HZ,
     MAX_SESSION_S,
+    MOTION_REACTIONS,
     NOTES_DIR,
+    VOCAL_REACTIONS,
     ConfigError,
     ParameterError,
     ParseError,
@@ -61,12 +63,6 @@ TAXONOMY = (
     "Typing", "Silence", "Vehicle", "Animal", "Keyboard", "Traffic",
 )
 _OTHERS = TAXONOMY[6:]
-
-_REACTION_SPAN_LABELS = frozenset({
-    ReactionLabel.SINGING_HUMMING,
-    ReactionLabel.WHISTLING,
-    ReactionLabel.HEAD_MOTION,
-})
 
 ACTIVITIES = ("sedentary", "still", "exercise")
 
@@ -143,7 +139,7 @@ class SyntheticSpec:
                 raise ParameterError(f"span [{t0}, {t1}) falls outside the session")
             if t0 < prev_end:
                 raise ParameterError("script spans must be sorted and disjoint")
-            if label not in _REACTION_SPAN_LABELS:
+            if label not in VOCAL_REACTIONS + MOTION_REACTIONS:
                 raise ParameterError(f"script spans must be reactions, got {label}")
             prev_end = t1
         if self.script and self.activity != "sedentary":
@@ -363,7 +359,7 @@ def _make_scores(rng, truth, roles, profile):
     scores = {}
     for s, label in enumerate(truth):
         role = roles[s]
-        if label is ReactionLabel.SINGING_HUMMING or label is ReactionLabel.WHISTLING:
+        if label in VOCAL_REACTIONS:
             if label is ReactionLabel.SINGING_HUMMING:
                 confident = ("Singing", "Humming")
                 low_pool = ("Speech", "Singing", "Humming", "Music")
@@ -404,7 +400,7 @@ def _make_pitch(rng, spec, truth, roles, profile, note_track):
     for k in range(frames):
         s = k // 10
         label, role = truth[s], roles[s]
-        if label is ReactionLabel.SINGING_HUMMING or label is ReactionLabel.WHISTLING:
+        if label in VOCAL_REACTIONS:
             shift = -1 if label is ReactionLabel.SINGING_HUMMING else 1
             sym = note_track.symbols[min(spec.start_offset_in_song * 10 + k,
                                          len(note_track) - 1)]

@@ -346,6 +346,7 @@ def vocal_sound_prefilter(
 
 #: Stage 4's class map, fixed with the classifier: lower-cased class name ->
 #: (its reaction, whether a confident top-1 still defers it to correction).
+#: Speech/music defers singing: the wearer may sing along, or others talk.
 CLASS_MAP = {name: (label, defer) for names, label, defer in (
     (("singing", "humming"), ReactionLabel.SINGING_HUMMING, False),
     (("whistling", "whistle"), ReactionLabel.WHISTLING, False),
@@ -366,29 +367,19 @@ def _scan_ranks(scores: ScoreVector, depth: int, deferred: bool) -> PipelineLabe
     return PipelineLabel(ReactionLabel.NON_REACTION)
 
 
-def map_labels(scores: ScoreVector) -> PipelineLabel:
-    """Map the top-1 class to a pipeline label through :data:`CLASS_MAP`.
-
-    Singing-type names give a final ``singing_humming``, whistling-type
-    names a final ``whistling``.  Speech/music gives a ``singing_humming``
-    candidate deferred to correction (the wearer may be singing along -- or
-    somebody nearby is talking).  Anything else is a final
-    ``non_reaction``.  Matching is case-insensitive.
-    """
-    return _scan_ranks(scores, 1, deferred=False)
-
-
 def relax_rank(scores: ScoreVector, config: PipelineConfig = PipelineConfig()) -> PipelineLabel:
-    """Label mapping that rescues low-margin classifications.
+    """Stage 4: label mapping that rescues low-margin classifications.
 
     When the top-1 score leads its runner-up by at least
-    ``config.margin_threshold`` the plain mapping applies.  Otherwise the
-    ranks 1..:data:`RELAX_TOP_K` are scanned for the first vocal-like class,
-    whose reaction is deferred to correction as a candidate; if none
-    appears the second is a final ``non_reaction``.
+    ``config.margin_threshold`` (always, at 0), the top-1 class maps through
+    :data:`CLASS_MAP`, case-insensitively, and a class it lacks to a final
+    ``non_reaction``.  Otherwise the ranks 1..:data:`RELAX_TOP_K` are
+    scanned for the first vocal-like class, whose reaction is deferred to
+    correction as a candidate; if none appears the second is a final
+    ``non_reaction``.
     """
     if scores.margin() >= config.margin_threshold:
-        return map_labels(scores)
+        return _scan_ranks(scores, 1, deferred=False)
     return _scan_ranks(scores, RELAX_TOP_K, deferred=True)
 
 

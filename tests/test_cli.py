@@ -23,6 +23,7 @@ from musereact import cli, core, dsp, engage, harness, motion, musicinfo, vocal
 from musereact.cli import main
 from musereact.core import PipelineConfig, ReactionEvent, ReactionLabel
 from musereact.vocal import HmmParams
+from test_core import mutate_wav_header
 
 S = ReactionLabel.SINGING_HUMMING
 W = ReactionLabel.WHISTLING
@@ -789,7 +790,8 @@ class TestOwnNoteTrackOnly:
                       "--out", str(tmp_path / "hmm.json")]):
             assert main(argv) == 2
             assert capsys.readouterr().err == (
-                f"musereact {argv[0]}: error: no note track for song 'tune'\n")
+                f"musereact {argv[0]}: error: {session}: no note track for song 'tune' "
+                f"in {notes}\n")
 
 
 def test_detect_rejects_an_hmm_without_whistling_before_writing(tmp_path, capsys):
@@ -927,6 +929,20 @@ class TestCommandsLoadNoScipy:
         codes, loaded = run_script(self.SCRIPT, commands)
         assert codes == [0] * len(commands)
         return loaded
+
+    def test_unchecked_session_duration(self):
+        """``Session.duration_s`` of a session without audio that was never
+        validated takes the median IMU step without ``np.median``."""
+        script = ("import json, sys\n"
+                  "import numpy as np\n"
+                  "eager = set(sys.modules)  # numpy 1.x imports numpy.ma itself\n"
+                  "from musereact.core import Session\n"
+                  "t = np.arange(140) / 70.0\n"
+                  "s = Session('s', 'u', 'g', 'p', t, np.zeros((140, 3)), np.zeros((140, 3)))\n"
+                  "print(json.dumps([s.duration_s, sorted(m for m in set(sys.modules) - eager\n"
+                  "                                       if m.split('.')[:2] == ['numpy', 'ma'])]))\n")
+        duration, loaded = run_script(script, [])
+        assert duration == pytest.approx(2.0) and loaded == []
 
 
 class TestCommandsLoadNoHarness:
@@ -1893,6 +1909,61 @@ def test_train_hmm_on_any_session_files_exits_0_or_2_with_one_line(
         code, err = run_quietly(["train-hmm", "--data", data, "--config", config,
                                  "--out", os.path.join(tmp, "hmm.json")])
     assert_one_line_outcome("train-hmm", code, err)
+
+
+#: The files ``detect --session s1`` reads, under the corpus root.
+DETECT_FILES = ("s1/meta.json", "s1/imu.csv", "s1/audio.wav", "s1/scores.jsonl",
+                "s1/pitch.csv", f"{harness.NOTES_DIR}/tune.csv")
+
+#: What a byte inserted into a text file may be: a field or line break, a
+#: sign, numbers out of range or not numbers, a quote, NUL, a letter, a brace.
+TOKENS = (b",", b"\n", b"nan", b"-", b"1e400", b'"', b"\0", b"U", b"{")
+
+
+def mutate_file(draw, data: bytes, wav: bool) -> bytes | None:
+    """``data`` with one mutation drawn by ``draw``, or None to delete the
+    file: a cut, a replaced byte, an inserted token, or a dropped or repeated
+    line; a WAV file takes one of :func:`test_core.mutate_wav_header`'s."""
+    kind = draw(st.sampled_from(["delete", "header"] if wav else
+                                ["delete", "cut", "byte", "token", "drop", "repeat"]))
+    if kind == "delete":
+        return None
+    if kind == "header":
+        return bytes(mutate_wav_header(draw, bytearray(data)))
+    if kind in ("drop", "repeat"):
+        lines = data.splitlines(keepends=True)
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
+        return b"".join(lines)
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "cut":
+        return data[:at]
+    if kind == "byte":
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    return data[:at] + draw(st.sampled_from(TOKENS)) + data[at:]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(DETECT_FILES), data=st.data())
+def test_detect_on_any_mutated_file_exits_0_or_2_naming_it(hmm_corpus, name, data):
+    """One file that ``detect`` reads is mutated or deleted.  An error line
+    names that file or the session directory: validation and alignment
+    errors name the directory, as ``TestAudioWav`` pins."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "data")
+        shutil.copytree(hmm_corpus, root)
+        session, path = os.path.join(root, "s1"), os.path.join(root, name)
+        with open(path, "rb") as fh:
+            mutated = mutate_file(data.draw, fh.read(), name.endswith(".wav"))
+        if mutated is None:
+            os.remove(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+        code, err = run_quietly(["detect", "--session", session,
+                                 "--out", os.path.join(tmp, "out")])
+    assert_one_line_outcome("detect", code, err)
+    assert code == 0 or path in err or session in err, err
 
 
 class TestDeterminism:

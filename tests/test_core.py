@@ -71,6 +71,23 @@ class TestReactionLabel:
     def test_vocal_states_order(self):
         assert core.VOCAL_STATES == (N, S, W)
 
+    def test_timelines_split_the_labels(self):
+        """Each label is non_reaction, a vocal reaction or a motion reaction,
+        and exactly one of them."""
+        parts = ((N,), core.VOCAL_REACTIONS, core.MOTION_REACTIONS)
+        assert sorted(label for part in parts for label in part) == sorted(ReactionLabel)
+        assert core.VOCAL_REACTIONS == (S, W) and core.MOTION_REACTIONS == (H,)
+
+    def test_declared_order_is_the_canonical_order(self):
+        assert list(ReactionLabel) == [N, S, W, H]
+        assert engage.REACTION_INDEX == {N: 0, S: 1, W: 2, H: 3}
+        assert harness.metrics.CLASS_ORDER == (N, S, W, H)
+
+    def test_domain_maps_keep_only_their_timeline(self):
+        labels = list(ReactionLabel)
+        assert harness.map_to_vocal_domain(labels) == [N, S, W, N]
+        assert harness.map_to_motion_domain(labels) == [N, N, N, H]
+
 
 class TestPipelineLabel:
     def test_final_holds_label(self):
@@ -446,6 +463,15 @@ class TestFrozenSession:
         assert sess.duration_s == expected(sess) != want
         sess.validate()
         assert sess.duration_s == expected(sess)
+
+    def test_unchecked_duration_of_bad_timestamps_is_nan(self):
+        """As ``np.median`` gives: NaN for a NaN step and for no step at all."""
+        sess = make_session(with_audio=False)
+        sess.imu_t = sess.imu_t.copy()
+        sess.imu_t[5] = np.nan
+        assert math.isnan(sess.duration_s)
+        sess = make_session(duration_s=1 / 70, with_audio=False)
+        assert sess.imu_t.size == 1 and math.isnan(sess.duration_s)
 
     def test_replace_of_a_checked_session_checks_in_full(self, monkeypatch):
         sess = make_session()
@@ -844,7 +870,12 @@ def mutated_wav(draw):
     of the ``fmt `` chunk or of its extensible sub-format, the pad byte of an
     odd-sized chunk, or a cut inside a chunk."""
     layout = draw(st.sampled_from(["plain", "extensible", "list", "unknown"]))
-    data = session_wav(layout)
+    return bytes(mutate_wav_header(draw, session_wav(layout)))
+
+
+def mutate_wav_header(draw, data: bytearray) -> bytearray:
+    """``data``, a WAV file whose first chunk is ``fmt ``, with one header
+    mutation drawn by ``draw`` as :func:`mutated_wav` describes."""
     chunks = wav_chunks(data)
     kind = draw(st.sampled_from(["size", "fmt", "pad", "cut"]))
     if kind == "size":  # the RIFF chunk's or another chunk's
@@ -856,8 +887,8 @@ def mutated_wav(draw):
         width = 4 if offset in (4, 8, 20, 24) else 1 if offset == 39 else 2
         value = draw(WAV_FIELD_VALUES) % 2 ** (8 * width)
         data[20 + offset:20 + offset + width] = value.to_bytes(width, "little")
-    elif kind == "pad":  # the odd LIST or unknown chunk (else fmt) loses the byte after
-        at, size = chunks[1] if layout in ("list", "unknown") else chunks[0]  # or takes it
+    elif kind == "pad":  # the first odd-sized chunk (else fmt) loses the byte after
+        at, size = next((c for c in chunks if c[1] % 2), chunks[0])  # or takes it
         if draw(st.booleans()):
             del data[at + 8 + size]
         else:
@@ -865,7 +896,7 @@ def mutated_wav(draw):
     else:  # inside the RIFF header or inside a chunk, its header included
         at, length = draw(st.sampled_from([(0, 12)] + [(at, 8 + size) for at, size in chunks]))
         del data[at + draw(st.integers(0, length - 1)):]
-    return bytes(data)
+    return data
 
 
 class TestWavHeaderMutations:

@@ -1,6 +1,8 @@
 """Tests for reaction features, the CART tree, and the engagement apps
 (rating, familiarity, recommendation)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +90,18 @@ class TestReactionFeatures:
     def test_event_beyond_session_rejected(self):
         with pytest.raises(ParameterError):
             reaction_features([ev(S, 20, 40)], [], duration_s=30.0)
+
+    def test_each_field_reads_its_label(self):
+        """Every label has its own duration and count, so a field read from
+        another label or the other statistic shows."""
+        feats = reaction_features([ev(S, 0, 6), ev(W, 10, 13), ev(W, 20, 21)],
+                                  [ev(H, t, t + 2) for t in (1, 5, 9, 13)], duration_s=30.0)
+        assert dataclasses.asdict(feats) == pytest.approx({
+            "singing_duration": 6 / 30, "singing_rate": 2.0,
+            "whistling_duration": 4 / 30, "whistling_rate": 4.0,
+            "vocal_non_reaction_duration": 20 / 30, "vocal_non_reaction_rate": 6.0,
+            "head_motion_duration": 8 / 30, "head_motion_rate": 8.0,
+            "motion_non_reaction_duration": 22 / 30, "motion_non_reaction_rate": 10.0})
 
     def test_vector_has_ten_features(self):
         feats = reaction_features([ev(S, 0, 10), ev(W, 15, 20)],

@@ -39,7 +39,6 @@ from musereact.vocal import (
     ScoreFileClassifier,
     ScoreVector,
     correct_with_music,
-    map_labels,
     relax_rank,
     run_vocal_pipeline,
     smooth,
@@ -186,24 +185,28 @@ class TestPrefilters:
             vocal_sound_prefilter(None)
 
 
+#: A config under which stage 4 maps every top-1 class directly.
+PLAIN = PipelineConfig(margin_threshold=0.0)
+
+
 class TestLabelMapping:
     @pytest.mark.parametrize("name,expected", [
         ("Singing", S), ("Humming", S), ("Whistling", W), ("Whistle", W),
     ])
     def test_direct_classes(self, name, expected):
-        assert map_labels(scores_for(**{name: 0.9})) == PipelineLabel(expected)
+        assert relax_rank(scores_for(**{name: 0.9}), PLAIN) == PipelineLabel(expected)
 
     @pytest.mark.parametrize("name", ["Speech", "Music"])
     def test_ambiguous_classes(self, name):
-        assert map_labels(scores_for(**{name: 0.9})) == PipelineLabel(S, deferred=True)
+        assert relax_rank(scores_for(**{name: 0.9}), PLAIN) == PipelineLabel(S, deferred=True)
 
     def test_irrelevant_class_is_non_reaction(self):
-        label = map_labels(scores_for(Typing=0.9))
+        label = relax_rank(scores_for(Typing=0.9), PLAIN)
         assert label == PipelineLabel(N)
 
     def test_case_insensitive(self):
         sv = ScoreVector(class_names=["SINGING", "typing"], scores=np.array([0.9, 0.1]))
-        assert map_labels(sv).label is S
+        assert relax_rank(sv, PLAIN).label is S
 
 
 class TestRankRelaxation:
@@ -265,9 +268,12 @@ def tied_score_vectors(draw):
 @example(scores=ScoreVector(("Typing", "Singing"), np.array([0.5, 0.5])))
 def test_zero_margin_threshold_is_plain_label_mapping(scores):
     """No margin is negative, so ``margin_threshold = 0`` neutralises rank
-    relaxation: every vector, ties included, maps through its top-1 class."""
+    relaxation: every vector, ties included, maps through its top-1 class
+    (the first of the highest scores)."""
     assert scores.margin() >= 0.0
-    assert relax_rank(scores, PipelineConfig(margin_threshold=0.0)) == map_labels(scores)
+    top = scores.class_names[int(np.argmax(scores.scores))].lower()
+    label, deferred = vocal.CLASS_MAP.get(top, (N, False))
+    assert relax_rank(scores, PLAIN) == PipelineLabel(label, deferred)
 
 
 class ConstantPitchTracker(vocal.PitchTracker):
@@ -419,7 +425,7 @@ def test_stage_4_and_5_match_the_three_kind_oracle(case):
     scores, config = case
     track = NoteTrack(song_id="tune", symbols=np.full(40, 7))
     accept, reject = ConstantPitchTracker([7] * 10), ConstantPitchTracker([UNVOICED] * 10)
-    for relax, label in ((False, map_labels(scores)),
+    for relax, label in ((False, relax_rank(scores, PLAIN)),
                          (True, relax_rank(scores, config))):
         kind, expected = three_kind_oracle(scores, config, relax)
         assert label.deferred is (kind != "final")
