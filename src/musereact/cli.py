@@ -59,6 +59,15 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _of_file(path: str, build, *args):
+    """``build(*args)`` on data read from ``path``; its ``ParameterError`` (events
+    that overlap, a bad training value) is a data error that names the file."""
+    try:
+        return build(*args)
+    except core.ParameterError as exc:
+        raise core.ParseError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | None) -> PipelineConfig:
     """Resolve the pipeline config: flag, then environment, then defaults."""
     if path is None:
@@ -111,8 +120,9 @@ def _vocal_inputs(session_dir: str, session: core.Session, config: PipelineConfi
     scores = vocal.load_score_file(path)
     count = len(core.second_bounds(session)) - 1
     if max(scores, default=-1) >= count:
+        span = os.path.join(session_dir, "imu.csv" if session.audio is None else "audio.wav")
         raise core.ParseError(
-            f"{path}: index {max(scores)} is outside the session's {count} whole seconds")
+            f"{path}: index {max(scores)} is outside the {count} whole seconds of {span}")
     pitch_path = os.path.join(session_dir, "pitch.csv")
     tracker = (vocal.FilePitchTracker.from_file(pitch_path)
                if os.path.exists(pitch_path) else vocal.AutocorrelationPitchTracker())
@@ -252,13 +262,8 @@ def _cmd_eval(args) -> int:
     duration = max(e.t_end for e in truth_events)
     mapper = {"vocal": harness.map_to_vocal_domain,
               "motion": harness.map_to_motion_domain}.get(args.task, lambda labels: labels)
-    labels = []
-    for path, events in ((args.truth, truth_events), (args.pred, pred_events)):
-        try:
-            labels.append(mapper(core.expand_events_to_labels(events, duration)))
-        except core.ParameterError as exc:  # overlapping events
-            raise core.ParseError(f"{path}: {exc}") from None
-    truth, pred = labels
+    truth, pred = (mapper(_of_file(path, core.expand_events_to_labels, events, duration))
+                   for path, events in ((args.truth, truth_events), (args.pred, pred_events)))
     ratio = None
     if args.stats:
         key = "vocal" if args.task == "vocal" else "motion"
@@ -294,10 +299,10 @@ def _cmd_train_hmm(args) -> int:
         result = vocal.run_vocal_pipeline(
             session, classifier, pitch_tracker=tracker, note_store=store,
             config=config)
-        truth_events = core.load_labels(os.path.join(session_dir, "labels.csv"))
-        truth = harness.map_to_vocal_domain(
-            core.expand_events_to_labels(truth_events, session.duration_s))
-        pairs.append((truth[:len(result.observed)], result.observed))
+        path = os.path.join(session_dir, "labels.csv")
+        truth = _of_file(path, core.expand_events_to_labels, core.load_labels(path),
+                         session.duration_s)
+        pairs.append((harness.map_to_vocal_domain(truth), result.observed))
     hmm = vocal.train_hmm(pairs)
     hmm.save(args.out)
     _log(f"train-hmm: fitted on {len(pairs)} sessions -> {args.out}")
@@ -310,17 +315,15 @@ def _cmd_train_hmm(args) -> int:
 
 def _cmd_train_tree(args) -> int:
     features, targets = engage.load_training_csv(args.data)
+    train = engage.train_familiarity_tree
     if args.task == "rating":
         try:
-            ratings = np.array([int(t) for t in targets])
+            targets = np.array([int(t) for t in targets])
         except ValueError:
             raise core.ParseError(
                 f"{args.data}: rating targets must be integers 1..5") from None
-        tree = engage.train_rating_tree(features, ratings,
-                                        args.max_depth, args.min_leaf)
-    else:
-        tree = engage.train_familiarity_tree(features, targets,
-                                             args.max_depth, args.min_leaf)
+        train = engage.train_rating_tree
+    tree = _of_file(args.data, train, features, targets, args.max_depth, args.min_leaf)
     tree.save(args.out)
     _log(f"train-tree: {args.task} tree on {len(targets)} rows -> {args.out}")
     return 0
@@ -331,10 +334,8 @@ def _cmd_train_tree(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_pattern(path: str) -> np.ndarray:
-    try:
-        pattern = engage.pattern_from_events(core.load_events_jsonl(path))
-    except core.ParameterError as exc:  # overlapping events
-        raise core.ParseError(f"{path}: {exc}") from None
+    pattern = engage.reaction_index_sequence(
+        _of_file(path, core.expand_events_to_labels, core.load_events_jsonl(path)))
     if pattern.size == 0:
         raise core.ParseError(f"{path}: no reaction events")
     return pattern

@@ -616,9 +616,9 @@ def expand_events_to_labels(
 ) -> list[ReactionLabel]:
     """Sample an event list back to one label per second.
 
-    Second ``i`` is labeled by the event covering its midpoint ``i + 0.5``;
-    seconds no event covers are ``non_reaction``.  ``duration_s`` defaults
-    to the latest event end.  Events must not overlap.
+    Second ``i`` takes the label of the event covering its midpoint ``i + 0.5``
+    (the later one where two events meet there), else ``non_reaction``.
+    ``duration_s`` defaults to the latest event end.  Events must not overlap.
     """
     ordered = sorted(events, key=lambda e: (e.t_start, e.t_end))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -629,19 +629,15 @@ def expand_events_to_labels(
     if duration_s is None:
         duration_s = max((e.t_end for e in ordered), default=0.0)
     count = max(int(math.floor(duration_s + 1e-9)), 0)
-    # Event i covers the seconds first[i]..last[i].  In start order these
-    # runs rise and share at most an end second, which the later event
-    # takes: so a second belongs to the last run that starts at or before
-    # it, if that run reaches it.
-    first = np.ceil(np.array([e.t_start for e in ordered], dtype=float) - 0.5 - 1e-9)
-    last = np.floor(np.array([e.t_end for e in ordered], dtype=float) - 0.5 + 1e-9)
-    runs = first <= last
-    seconds = np.arange(count)
-    owner = np.searchsorted(first[runs], seconds, side="right")  # 0: no run
-    owner[np.append(-1.0, last[runs])[owner] < seconds] = 0
-    table = np.array([ReactionLabel.NON_REACTION]
-                     + [e.label for e, run in zip(ordered, runs) if run], dtype=object)
-    return table[owner].tolist()
+    labels = [ReactionLabel.NON_REACTION] * count
+    # In start order, each event paints the seconds whose midpoints it covers
+    # within 1e-9; it may cover none of the count.
+    for e in ordered:
+        first = max(math.ceil(e.t_start - 0.5 - 1e-9), 0)
+        last = min(math.floor(e.t_end - 0.5 + 1e-9), count - 1)
+        if first <= last:
+            labels[first:last + 1] = [e.label] * (last + 1 - first)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -879,13 +875,13 @@ def read_jsonl(path: str | os.PathLike, parse: Callable) -> Iterator[tuple[int, 
 def read_document(path: str | os.PathLike, kind: str, build: Callable) -> object:
     """``build`` of the JSON object at ``path`` (:func:`read_json`).
 
-    A ``KeyError``, ``TypeError`` or ``ValueError`` from ``build`` raises
-    :class:`ParseError` ``<path>: bad <kind> document: <msg>``.
+    A ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError`` from
+    ``build`` raises :class:`ParseError` ``<path>: bad <kind> document: <msg>``.
     """
     doc = read_json(path)
     try:
         return build(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad {kind} document: {exc}") from None
 
 

@@ -39,6 +39,7 @@ from ..core import (
     ReactionEvent,
     ReactionLabel,
     Session,
+    expand_events_to_labels,
     is_plain_file_name,
     json_fields,
     merge_labels_to_events,
@@ -226,10 +227,8 @@ def generate_session(
     if note_track is None:
         note_track = make_melody(spec.song_id, spec.note_frames)
 
-    truth = [ReactionLabel.NON_REACTION] * duration
-    for t0, t1, label in spec.script:
-        for s in range(t0, t1):
-            truth[s] = label
+    truth = expand_events_to_labels(
+        [ReactionEvent(label, t0, t1) for t0, t1, label in spec.script], duration)
 
     roles = _draw_roles(rng, truth, spec.activity, profile)
     accel, gyro, imu_t = _make_imu(rng, spec, truth, roles, profile)

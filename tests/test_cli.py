@@ -628,7 +628,35 @@ class TestJsonlReaders:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"musereact {command}: error: {scores}: index {index} is outside "
-            f"the session's 3 whole seconds\n")
+            f"the 3 whole seconds of {os.path.join(session, 'audio.wav')}\n")
+
+    @pytest.mark.parametrize("command", ["detect", "train-hmm"])
+    @pytest.mark.parametrize("stream", ["audio.wav", "imu.csv"])
+    def test_scores_index_names_the_stream_that_counts_the_seconds(
+            self, tmp_path, capsys, command, stream):
+        """The audio, cut from 3 s to 2.5 s (within the alignment tolerance),
+        counts 2 seconds; without audio the IMU counts 3."""
+        session = small_session(tmp_path / "data")
+        wav = os.path.join(session, "audio.wav")
+        if stream == "audio.wav":
+            rate, pcm = core.read_wav(wav)
+            core.write_wav(wav, rate, pcm[:len(pcm) * 5 // 6])
+            count = index = 2
+        else:
+            os.remove(wav)
+            count = index = 3
+            with open(os.path.join(session, "scores.jsonl"), "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"index": index, "classes": ["a", "b", "c", "d", "e"],
+                                     "scores": [1, 1, 1, 1, 1]}) + "\n")
+        argv = {"detect": ["detect", "--session", session, "--pipeline", "vocal",
+                           "--out", str(tmp_path / "out")],
+                "train-hmm": ["train-hmm", "--data", str(tmp_path / "data"),
+                              "--out", str(tmp_path / "hmm.json")]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"musereact {command}: error: {os.path.join(session, 'scores.jsonl')}: "
+            f"index {index} is outside the {count} whole seconds of "
+            f"{os.path.join(session, stream)}\n")
 
     @pytest.mark.parametrize("score", [b"NaN", b"-1"])
     def test_detect_scores_must_be_finite_and_not_negative(self, tmp_path, capsys, score):
@@ -860,6 +888,21 @@ class TestTrainHmm:
         assert capsys.readouterr().err == (
             f"musereact train-hmm: error: no session directories under {data}\n")
 
+    @pytest.mark.parametrize("rows, near, labels", [
+        ("0,2,singing_humming\n1,3,whistling\n", 1, "singing_humming vs whistling"),
+        ("0,1,non_reaction\n1,3,singing_humming\n1,3,singing_humming\n", 1,
+         "singing_humming vs singing_humming"),  # a repeated line
+    ], ids=["overlap", "repeated_line"])
+    def test_overlapping_labels_name_their_file(self, tmp_path, capsys, rows, near, labels):
+        labels_csv = os.path.join(small_session(tmp_path / "data"), "labels.csv")
+        with open(labels_csv, "w", encoding="utf-8") as fh:
+            fh.write("t_start,t_end,label\n" + rows)
+        assert main(["train-hmm", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "hmm.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact train-hmm: error: {labels_csv}: events overlap near t={near} "
+            f"({labels})\n")
+
     def test_detect_accepts_trained_hmm(self, corpus):
         tmp_path, data_dir, config_path = corpus
         hmm_path = tmp_path / "hmm.json"
@@ -1086,6 +1129,24 @@ class TestTrainTree:
                      "--out", str(tmp_path / "t.json")])
         assert code == 2
 
+
+    @pytest.mark.parametrize("task, feature, target, message", [
+        ("rating", "1e400", "5", "features must be finite"),
+        ("familiarity", "nan", "known", "features must be finite"),
+        ("rating", "0.5", "7", "ratings must lie in 1..5"),
+        ("familiarity", "0.5", "maybe",
+         "familiarity labels must be known/unknown, got ['maybe']"),
+    ], ids=["inf", "nan", "rating_7", "maybe"])
+    def test_bad_table_value_names_the_table(self, tmp_path, capsys, task, feature,
+                                             target, message):
+        path = tmp_path / "train.csv"
+        path.write_text(f"{TRAINING_HEADER}\n{feature}{',0.5' * 9},{target}\n"
+                        f"{'0.5,' * 10}{TARGETS[task][0]}\n")
+        assert main(["train-tree", "--task", task, "--data", str(path),
+                     "--out", str(tmp_path / "tree.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact train-tree: error: {path}: {message}\n")
+        assert not (tmp_path / "tree.json").exists()
 
     @pytest.mark.parametrize("flag, value, least", [
         ("--max-depth", "-1", 0), ("--min-leaf", "0", 1), ("--min-leaf", "-3", 1)])
@@ -1943,27 +2004,124 @@ def mutate_file(draw, data: bytes, wav: bool) -> bytes | None:
     return data[:at] + draw(st.sampled_from(TOKENS)) + data[at:]
 
 
+def run_on_mutated_copy(draw, inputs, name, argv):
+    """Copy the directory ``inputs``, mutate or delete its file ``name`` with
+    :func:`mutate_file` and run ``argv(copy)``: (the copy, exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "inputs")
+        shutil.copytree(inputs, root)
+        path = os.path.join(root, name)
+        with open(path, "rb") as fh:
+            mutated = mutate_file(draw, fh.read(), name.endswith(".wav"))
+        if mutated is None:
+            os.remove(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+        return (root, *run_quietly(argv(root)))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(DETECT_FILES), data=st.data())
 def test_detect_on_any_mutated_file_exits_0_or_2_naming_it(hmm_corpus, name, data):
     """One file that ``detect`` reads is mutated or deleted.  An error line
     names that file or the session directory: validation and alignment
     errors name the directory, as ``TestAudioWav`` pins."""
-    with tempfile.TemporaryDirectory() as tmp:
-        root = os.path.join(tmp, "data")
-        shutil.copytree(hmm_corpus, root)
-        session, path = os.path.join(root, "s1"), os.path.join(root, name)
-        with open(path, "rb") as fh:
-            mutated = mutate_file(data.draw, fh.read(), name.endswith(".wav"))
-        if mutated is None:
-            os.remove(path)
-        else:
-            with open(path, "wb") as fh:
-                fh.write(mutated)
-        code, err = run_quietly(["detect", "--session", session,
-                                 "--out", os.path.join(tmp, "out")])
+    root, code, err = run_on_mutated_copy(data.draw, hmm_corpus, name, lambda root: [
+        "detect", "--session", os.path.join(root, "s1"), "--out", os.path.join(root, "out")])
     assert_one_line_outcome("detect", code, err)
-    assert code == 0 or path in err or session in err, err
+    assert code == 0 or os.path.join(root, name) in err or os.path.join(root, "s1") in err, err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(DETECT_FILES + ("s1/labels.csv",)), data=st.data())
+def test_train_hmm_on_any_mutated_file_exits_0_or_2_naming_it(hmm_corpus, name, data):
+    """One file of session s1 that ``train-hmm`` reads, or the note track
+    both sessions share, is mutated or deleted.  An error line names that
+    file or the directory holding it: s1, or the note directory, which a
+    missing track's line names with the first session, s0."""
+    root, code, err = run_on_mutated_copy(data.draw, hmm_corpus, name, lambda root: [
+        "train-hmm", "--data", root, "--out", os.path.join(root, "hmm.json")])
+    assert_one_line_outcome("train-hmm", code, err)
+    assert code == 0 or os.path.dirname(os.path.join(root, name)) in err, err
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(hmm_corpus, tmp_path_factory):
+    """The files of a valid ``eval``: session s1's truth, events and stats."""
+    root = tmp_path_factory.mktemp("eval_inputs")
+    assert main(["detect", "--session", os.path.join(hmm_corpus, "s1"),
+                 "--out", str(root)]) == 0
+    shutil.copy(os.path.join(hmm_corpus, "s1", "labels.csv"), root)
+    return root
+
+
+#: Each file ``eval`` reads, by its flag, in :func:`eval_inputs`.
+EVAL_FILES = {"--truth": "labels.csv", "--pred": "s1.combined.jsonl",
+              "--stats": "s1.stats.json"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(flag=st.sampled_from(sorted(EVAL_FILES)), data=st.data(),
+       task=st.sampled_from(["vocal", "motion", "combined"]))
+def test_eval_on_any_mutated_file_exits_0_or_2_naming_it(eval_inputs, flag, data, task):
+    root, code, err = run_on_mutated_copy(
+        data.draw, eval_inputs, EVAL_FILES[flag], lambda root: [
+            "eval", "--task", task, "--report", os.path.join(root, "report.json"),
+            *[arg for pair in EVAL_FILES.items() for arg in (
+                pair[0], os.path.join(root, pair[1]))]])
+    assert_one_line_outcome("eval", code, err)
+    assert code == 0 or os.path.join(root, EVAL_FILES[flag]) in err, err
+
+
+@pytest.fixture(scope="module")
+def recommend_inputs(tmp_path_factory):
+    """The files of a valid ``recommend``: a query and a pool of two songs."""
+    root = tmp_path_factory.mktemp("recommend_inputs")
+    os.mkdir(root / "pool")
+    query = [ReactionEvent(S, 0.0, 3.0), ReactionEvent(H, 5.0, 8.0)]
+    core.save_events_jsonl(root / "query.jsonl", query)
+    core.save_events_jsonl(root / "pool" / "near.jsonl", query[:1])
+    core.save_events_jsonl(root / "pool" / "far.jsonl", [ReactionEvent(W, 1.0, 9.0)])
+    return root
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["query.jsonl", "pool/near.jsonl", "pool/far.jsonl"]),
+       data=st.data())
+def test_recommend_on_any_mutated_file_exits_0_or_2_naming_it(recommend_inputs, name,
+                                                              data):
+    root, code, err = run_on_mutated_copy(data.draw, recommend_inputs, name, lambda root: [
+        "recommend", "--pattern", os.path.join(root, "query.jsonl"),
+        "--pool", os.path.join(root, "pool")])
+    if code == 0:  # recommend prints its ranking alone
+        assert err == ""
+    else:
+        assert_one_line_outcome("recommend", code, err)
+        assert os.path.join(root, name) in err, err
+
+
+@pytest.fixture(scope="module")
+def training_tables(tmp_path_factory):
+    """A valid training table of each ``train-tree`` task, by its task."""
+    root = tmp_path_factory.mktemp("training_tables")
+    features = np.random.default_rng(0).uniform(0, 1, (6, 10))
+    for task, targets in TARGETS.items():
+        engage.save_training_csv(root / f"{task}.csv", features,
+                                 [targets[i % len(targets)] for i in range(6)])
+    return root
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(task=st.sampled_from(sorted(TARGETS)), data=st.data())
+def test_train_tree_on_any_mutated_table_exits_0_or_2_naming_it(training_tables, task,
+                                                                data):
+    root, code, err = run_on_mutated_copy(
+        data.draw, training_tables, f"{task}.csv", lambda root: [
+            "train-tree", "--task", task, "--data", os.path.join(root, f"{task}.csv"),
+            "--out", os.path.join(root, "tree.json")])
+    assert_one_line_outcome("train-tree", code, err)
+    assert code == 0 or os.path.join(root, f"{task}.csv") in err, err
 
 
 class TestDeterminism:

@@ -667,9 +667,16 @@ def _expand_outcome(expand, events, duration_s):
          duration_s=3.0)
 @example(events=[ReactionEvent(S, 0.0, 1.5), ReactionEvent(W, 1.5, 3.0)], duration_s=None)
 @example(events=[ReactionEvent(S, 0.0, 3.0), ReactionEvent(W, 2.0, 4.0)], duration_s=5.0)
+@example(events=[ReactionEvent(S, -2.0, -1.0), ReactionEvent(S, 2.0, 3.0)],
+         duration_s=None)  # a run wholly before 0: its slice would delete seconds
+@example(events=[ReactionEvent(W, 2.5, 4.0), ReactionEvent(H, 0.0, 2.5)],
+         duration_s=5.0)  # both cover second 2's midpoint; the later takes it
+@example(events=[ReactionEvent(W, 2.6, 3.4)], duration_s=5.0)  # covers no second
+@example(events=[ReactionEvent(S, 1.0, 9.0), ReactionEvent(H, 10.0, 12.0)],
+         duration_s=4.0)  # one runs past the count, one starts after it
 def test_expand_events_equals_the_loop_oracle(events, duration_s):
-    """The array expansion gives the per-second loop's labels, or its
-    overlap error with its message."""
+    """The painter gives the per-second loop's labels, or its overlap error
+    with its message."""
     want = _expand_outcome(harness.expand_events_loop_oracle, events, duration_s)
     assert _expand_outcome(expand_events_to_labels, events, duration_s) == want
 
@@ -1304,6 +1311,10 @@ class TestJsonDocuments:
         ("tree", {"root": {"value": 1}}, "bad decision-tree document: 'num_features'"),
         ("tree", {"root": {"value": "x"}, "num_features": 2},
          "bad decision-tree document: invalid literal for int() with base 10: 'x'"),
+        ("tree", {"root": {"value": 1e400}, "num_features": 10},
+         "bad decision-tree document: cannot convert float infinity to integer"),
+        ("tree", {"root": {"value": 1}, "num_features": 1e400},
+         "bad decision-tree document: cannot convert float infinity to integer"),
     ])
     def test_json_that_is_no_model_names_path_and_kind(self, tmp_path, loader, doc, expected):
         name, load = JSON_LOADERS[loader]
