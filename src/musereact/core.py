@@ -367,8 +367,8 @@ class Session:
     music-information correction stage needs.
 
     ``audio`` is ``int16`` PCM as loaded, standing for its samples scaled by
-    1/32767, or float samples in [-1, 1]; other dtypes become float.  Read it
-    through :meth:`audio_samples`, which converts only the slice asked for.
+    1/32767, or float samples in [-1, 1]; other dtypes become float.
+    :meth:`audio_samples` gives float samples of the slice asked for only.
 
     A session that passes :meth:`validate` is frozen: its arrays are
     read-only, so the data the pipelines read is the data that was checked.
@@ -501,8 +501,8 @@ def _all_finite(x: np.ndarray) -> bool:
     then decides.
     """
     flat = x.ravel()
-    with np.errstate(over="ignore"):
-        squares = float(flat @ flat)
+    with np.errstate(over="ignore"):  # numpy's own loop: BLAS would start threads
+        squares = float(np.einsum("i,i->", flat, flat))
     return math.isfinite(squares) or bool(np.isfinite(flat).all())
 
 

@@ -132,19 +132,41 @@ def movement_filter(accel: np.ndarray, bounds, low_g: float, high_g: float) -> t
     return settled, failures
 
 
+#: Longest ``int16`` window whose sum of squares float64 holds exactly: every
+#: square is an integer of at most 2**30, so every partial sum of at most
+#: 2**23 of them is an integer of at most 2**53.
+_PCM_EXACT_SAMPLES = 2 ** 23
+
+
 def sound_level_db(audio: np.ndarray,
                    calibration_db: float = PipelineConfig.db_calibration) -> float:
     """RMS level of an audio window mapped to an absolute dB SPL estimate.
 
     ``calibration_db`` is the SPL a full-scale RMS of 1.0 corresponds to on
-    the capture chain.  An all-zero window bottoms out around -146 dB rather
-    than diverging.
+    the capture chain.  An all-zero window measures ``calibration_db - 240``
+    (-146 dB at the default) rather than diverging.
+
+    ``int16`` audio is PCM standing for its samples divided by 32767, as in
+    :class:`core.Session`.  Up to :data:`_PCM_EXACT_SAMPLES` samples, its
+    energy ``S = sum(p * p)`` is summed from integer-valued floats, so it is
+    exact in any summation order, with or without FMA; the mean square is
+    then the one rounding of ``S / (32767**2 * n)`` (both exact integers).
+    ``np.einsum`` sums it in numpy's own loop: ``x @ x`` would reach BLAS,
+    whose ``ddot`` starts threads above 10,000 elements unless they are
+    pinned.  Float input, and a longer ``int16`` window divided by 32767,
+    square and average each sample in float instead.
     """
-    audio = np.asarray(audio, dtype=float)
+    audio = np.asarray(audio)
     if audio.size == 0:
         raise InsufficientDataError("sound level needs a non-empty window")
-    rms = math.sqrt(float(np.mean(np.square(audio))))
-    return 20.0 * math.log10(rms + 1e-12) + calibration_db
+    if audio.dtype == np.int16 and audio.size <= _PCM_EXACT_SAMPLES:
+        x = audio.astype(float).ravel()
+        mean_square = float(np.einsum("i,i->", x, x)) / (32767.0 * 32767.0 * audio.size)
+    else:
+        if audio.dtype == np.int16:
+            audio = np.divide(audio, 32767.0, dtype=float)
+        mean_square = float(np.mean(np.square(np.asarray(audio, dtype=float))))
+    return 20.0 * math.log10(math.sqrt(mean_square) + 1e-12) + calibration_db
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,13 @@ _PITCH_HEADER = ["t", "f0", "confidence"]
 
 
 class PitchTracker:
-    """Estimates (f0, confidence) at 0.1 s steps across a one-second segment."""
+    """Estimates (f0, confidence) at 0.1 s steps across a one-second segment.
+
+    Trackers that replay recorded pitch set ``needs_audio = False`` so the
+    pipeline makes no float samples for them and passes ``audio=None``.
+    """
+
+    needs_audio: bool = True
 
     def track(
         self, audio: np.ndarray | None, sample_rate: int, t_start: float
@@ -202,6 +208,8 @@ class PitchTracker:
 
 class FilePitchTracker(PitchTracker):
     """Replays a recorded ``pitch.csv`` (``t,f0,confidence`` on a 0.1 s grid)."""
+
+    needs_audio = False
 
     def __init__(self, t0: float, f0s: np.ndarray, confidences: np.ndarray):
         self._t0 = float(t0)
@@ -329,15 +337,42 @@ def vocal_motion_prefilter(
     return not low_g <= dsp.movement_level(accel) <= high_g
 
 
+#: dB within which :func:`vocal_sound_prefilter` re-measures an ``int16``
+#: second by the float path before deciding.
+_PCM_LEVEL_MARGIN_DB = 1e-9
+
+
 def vocal_sound_prefilter(
     audio: np.ndarray,
     threshold_db: float = PipelineConfig.sound_db_threshold,
     calibration_db: float = PipelineConfig.db_calibration,
 ) -> bool:
-    """True when the segment is too quiet to contain an audible reaction."""
+    """True when the segment is too quiet to contain an audible reaction.
+
+    ``int16`` PCM is measured from its exact integer energy
+    (:func:`dsp.sound_level_db`), and the decision is the one its float
+    samples ``pcm / 32767`` give.  The float path rounds each sample and each
+    square (u = 2**-53), then sums the squares pairwise: numpy passes any
+    term through at most 25 + log2(n) additions (eight lanes of 16, three
+    joins, seven leftovers, one per halving).  With the mean, the two mean
+    squares differ by a relative ``d < 53u``, under 6e-15 for n <= 2**23
+    (Higham's bound for pairwise summation), so ``20 log10(sqrt(m) + 1e-12)``
+    differs by at most ``(10 / ln 10) d``, under 3e-14 dB.  The square root,
+    the offset, the logarithm and the factor 20 add under 6e-14 dB, and the
+    sum with ``calibration_db`` rounds each level by half an ulp.  So the
+    two levels lie within 1e-13 dB plus two ulps of each other.  A level
+    further than :data:`_PCM_LEVEL_MARGIN_DB` (1e-9 dB) plus two ulps from
+    the threshold is on the same side of it by both paths; a level that
+    close is re-measured from the float samples, which decide.
+    """
     if audio is None:
         raise InsufficientDataError("sound prefilter needs segment audio")
-    return dsp.sound_level_db(audio, calibration_db) < threshold_db
+    audio = np.asarray(audio)
+    level = dsp.sound_level_db(audio, calibration_db)
+    if (audio.dtype == np.int16
+            and abs(level - threshold_db) <= _PCM_LEVEL_MARGIN_DB + 2 * math.ulp(level)):
+        level = dsp.sound_level_db(np.divide(audio, 32767.0, dtype=float), calibration_db)
+    return level < threshold_db
 
 
 # ---------------------------------------------------------------------------
@@ -637,24 +672,31 @@ def run_vocal_pipeline(
         session.accel, bounds, config.vocal_movement_low_g, config.vocal_movement_high_g)
 
     def settle(i):
-        """Second ``i`` through stages 2-5, entering each in ``stages[i]``."""
-        audio = None if session.audio is None else session.audio_samples(i * rate, (i + 1) * rate)
+        """Second ``i`` through stages 2-5, entering each in ``stages[i]``.
+
+        Stage 2 reads the session's own slice (``int16`` PCM as loaded); float
+        samples are made only for the log-mel front end and a tracker that
+        ``needs_audio``, once per second."""
         stages[i] = Stage.SOUND_FILTER
-        if audio is not None and vocal_sound_prefilter(
-                audio, config.sound_db_threshold, config.db_calibration):
+        if session.audio is not None and vocal_sound_prefilter(
+                session.audio[i * rate:(i + 1) * rate],
+                config.sound_db_threshold, config.db_calibration):
             return ReactionLabel.NON_REACTION
 
         stages[i] = Stage.CLASSIFIER
-        patch = None
+        audio = patch = None
         if classifier.needs_patch:
-            if audio is None:
+            if session.audio is None:
                 raise InsufficientDataError("classifier needs audio but session has none")
+            audio = session.audio_samples(i * rate, (i + 1) * rate)
             patch = dsp.log_mel_patch(preprocess_segment_audio(audio, rate, config))
         scores = classifier.classify(patch, i)
         label = relax_rank(scores, config)
 
         if label.deferred and config.enable_correction:
             stages[i] = Stage.CORRECTION
+            if audio is None and session.audio is not None and pitch_tracker.needs_audio:
+                audio = session.audio_samples(i * rate, (i + 1) * rate)
             return correct_with_music(
                 label, audio, rate, note_track, pitch_tracker,
                 float(i), session.start_offset_in_song + i, config)

@@ -239,6 +239,27 @@ class TestDetect:
         assert core.load_events_jsonl(out / "sess.vocal.jsonl") == (
             core.merge_labels_to_events(expected.labels))
 
+    @pytest.mark.parametrize("pitch_csv", [True, False])
+    def test_float_samples_only_for_a_tracker_that_reads_them(self, corpus, monkeypatch,
+                                                              pitch_csv):
+        """Stage 2 measures the PCM slice itself, so a replayed session makes
+        no float samples; without ``pitch.csv`` the autocorrelation tracker
+        gets them for each corrected second, once."""
+        tmp_path, data_dir, config_path = corpus
+        session_dir = data_dir / "sess_a"
+        if not pitch_csv:
+            os.remove(session_dir / "pitch.csv")
+        seconds = []
+        real = core.Session.audio_samples
+        monkeypatch.setattr(core.Session, "audio_samples", lambda self, start, stop: (
+            seconds.append(start // self.audio_rate), real(self, start, stop))[1])
+        out = tmp_path / "out"
+        assert main(["detect", "--session", str(session_dir), "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        stats = json.loads((out / "sess_a.stats.json").read_text())["vocal"]
+        assert stats["sound_filtered"] and stats["corrected"]
+        assert len(seconds) == len(set(seconds)) == (0 if pitch_csv else stats["corrected"])
+
     def test_one_session_is_scanned_once(self, corpus, monkeypatch):
         """The loader checks the session, scanning the IMU arrays but not the
         int16 audio; both pipelines' checks then find it frozen and unchanged,

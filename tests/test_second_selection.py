@@ -11,7 +11,8 @@ shares no code with ``dsp.movement_levels``.  The vocal oracle runs the
 public stage functions from stage 2 on mask-cut segments and smooths each
 second as it is labeled, where the pipeline smooths in one pass at the
 end; recording classifier and tracker wrappers check that every stage saw
-the same audio.
+the same audio.  The oracle reads float samples throughout, so on the
+``pcm`` variant it pins the cascade's integer stage 2 to the float path.
 """
 
 import dataclasses
@@ -61,14 +62,15 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def mask_segments(session):
-    """Oracle: segments cut with one boolean mask per second (copies)."""
+    """Oracle: segments cut with one boolean mask per second (copies), each
+    holding the float samples of its second (``Session.audio_samples``)."""
     session.validate()
     count = int(math.floor(session.duration_s + 1e-9))
     rate = session.audio_rate
     segments = []
     for i in range(count):
         mask = (session.imu_t >= i) & (session.imu_t < i + 1)
-        audio = None if session.audio is None else session.audio[i * rate:(i + 1) * rate]
+        audio = None if session.audio is None else session.audio_samples(i * rate, (i + 1) * rate)
         segments.append(SensorSegment(
             index=i, t_start=float(i), t_end=float(i + 1),
             imu_t=session.imu_t[mask], accel=session.accel[mask],
@@ -227,6 +229,15 @@ def _overflowing(session):
     return dataclasses.replace(session, accel=accel)
 
 
+def _pcm(session):
+    """The session's audio as ``core.save_session_dir`` writes it: the cascade
+    measures stage 2 from ``int16`` PCM, the oracle from float samples."""
+    pcm = np.clip(session.audio, -1.0, 1.0)
+    pcm *= 32767.0
+    np.round(pcm, out=pcm)
+    return dataclasses.replace(session, audio=pcm.astype(np.int16))
+
+
 VARIANTS = {
     "jittered": _jittered,
     "on_integer_seconds": _on_integer_seconds,
@@ -234,6 +245,7 @@ VARIANTS = {
     "gap": _gap,
     "mixed_start": _mixed_start,
     "overflowing": _overflowing,
+    "pcm": _pcm,
 }
 
 
@@ -362,6 +374,8 @@ def test_vocal_equals_oracle(variant, generated):
         np.testing.assert_array_equal(got_audio, audio)
     assert counts["motion_filtered"] and counts["sound_filtered"] and counts["classified"]
     assert labels != observed
+    if name == "pcm":  # stage 2 read int16 PCM, and settled some seconds
+        assert session.audio.dtype == np.int16 and record.count(Stage.SOUND_FILTER)
     if name == "gap":
         assert sorted(failures) == [10, 14]
 

@@ -185,6 +185,108 @@ class TestPrefilters:
             vocal_sound_prefilter(None)
 
 
+def float_samples(pcm):
+    """The float samples ``int16`` PCM stands for (``Session.audio_samples``)."""
+    return np.divide(pcm, 32767.0, dtype=float)
+
+
+def uniform_pcm(seed, n=44100):
+    return np.random.default_rng(seed).integers(-32768, 32768, n).astype(np.int16)
+
+
+@st.composite
+def pcm_slices(draw):
+    """``int16`` slices of 1-44,100 samples: uniform, Gaussian at several
+    scales, constant, all zero or at full scale."""
+    n = draw(st.integers(1, 44100))
+    kind = draw(st.sampled_from(["uniform", "gaussian", "constant", "zero", "full_scale"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return uniform_pcm(seed, n)
+    if kind == "gaussian":
+        scale = draw(st.sampled_from([0.5, 3.0, 100.0, 3000.0, 20000.0]))
+        pcm = np.clip(np.round(rng.normal(0.0, scale, n)), -32768, 32767)
+    elif kind == "constant":
+        pcm = np.full(n, draw(st.integers(-32768, 32767)))
+    elif kind == "zero":
+        pcm = np.zeros(n)
+    else:
+        pcm = rng.choice([-32768, 32767], n)
+    return pcm.astype(np.int16)
+
+
+class TestPcmSoundLevel:
+    """Stage 2 on ``int16`` PCM measures exact integer energy; its decisions
+    are those of the float samples ``pcm / 32767``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pcm=pcm_slices(),
+           where=st.sampled_from(["at", "ulp_above", "ulp_below", "margin_above",
+                                  "margin_below", "random"]),
+           calibration=st.sampled_from([94.0, 0.0, -57.3, 130.0]),
+           random_threshold=st.floats(-200.0, 200.0))
+    # Integer levels one ulp below and above the float level, at the default
+    # calibration: without the re-measure, "at" and "ulp_above" decide wrongly.
+    @example(pcm=uniform_pcm(68), where="at", calibration=94.0, random_threshold=0.0)
+    @example(pcm=uniform_pcm(54), where="ulp_above", calibration=94.0, random_threshold=0.0)
+    @example(pcm=np.zeros(44100, np.int16), where="at", calibration=94.0, random_threshold=0.0)
+    @example(pcm=np.full(44100, -32768, np.int16), where="at", calibration=94.0,
+             random_threshold=0.0)
+    def test_decision_equals_the_float_path(self, pcm, where, calibration, random_threshold):
+        samples = float_samples(pcm)
+        level = dsp.sound_level_db(samples, calibration)
+        assert abs(dsp.sound_level_db(pcm, calibration) - level) <= 1e-12
+        margin = vocal._PCM_LEVEL_MARGIN_DB
+        threshold = {
+            "at": level,
+            "ulp_above": np.nextafter(level, np.inf),
+            "ulp_below": np.nextafter(level, -np.inf),
+            "margin_above": level + margin,
+            "margin_below": level - margin,
+            "random": random_threshold,
+        }[where]
+        assert (vocal_sound_prefilter(pcm, threshold, calibration)
+                == vocal_sound_prefilter(samples, threshold, calibration))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_at_the_float_level_measures_the_float_samples(self, monkeypatch, seed):
+        pcm = uniform_pcm(seed)
+        level = dsp.sound_level_db(float_samples(pcm))
+        measured = []
+        real = dsp.sound_level_db
+        monkeypatch.setattr(dsp, "sound_level_db", lambda audio, calibration_db: (
+            measured.append(np.asarray(audio).dtype), real(audio, calibration_db))[1])
+        assert vocal_sound_prefilter(pcm, level) is False
+        assert measured == [np.int16, np.float64]
+        measured.clear()
+        assert vocal_sound_prefilter(pcm, level + 1.0) is True
+        assert measured == [np.int16]
+
+    @pytest.mark.parametrize("calibration", [94.0, 0.0, -57.3, 130.0, 1e6])
+    def test_zero_pcm_measures_the_silence_floor(self, calibration):
+        """README's silence rule holds for PCM: ``db_calibration - 240`` exactly."""
+        assert dsp.sound_level_db(np.zeros(44100, np.int16), calibration) == calibration - 240
+        assert vocal_sound_prefilter(np.zeros(44100, np.int16), calibration - 240,
+                                     calibration) is False
+
+    def test_full_scale_pcm_is_pcm_over_32767(self):
+        pcm = np.tile(np.array([32767, -32767], np.int16), 500)
+        assert dsp.sound_level_db(pcm, calibration_db=94.0) == pytest.approx(94.0, abs=1e-9)
+
+    def test_a_slice_past_the_exact_guard_takes_the_float_path(self, monkeypatch):
+        sums = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: (sums.append(args), einsum(*args))[1])
+        monkeypatch.setattr(dsp, "_PCM_EXACT_SAMPLES", 100)
+        pcm = uniform_pcm(1, 101)
+        assert dsp.sound_level_db(pcm[:100]) == pytest.approx(
+            dsp.sound_level_db(float_samples(pcm[:100])), abs=1e-12)
+        assert len(sums) == 1
+        assert dsp.sound_level_db(pcm) == dsp.sound_level_db(float_samples(pcm))
+        assert len(sums) == 1
+
+
 #: A config under which stage 4 maps every top-1 class directly.
 PLAIN = PipelineConfig(margin_threshold=0.0)
 
@@ -713,6 +815,30 @@ class TestVocalPipeline:
         assert result.labels == [N] * 12
         assert result.stats.filtering_ratio == pytest.approx(1.0)
         assert clf.calls == 0
+
+    def test_patch_classifier_gets_float_samples_past_stage_2_only(self, monkeypatch):
+        """Stage 2 measures the PCM slice itself; the log-mel front end takes
+        float samples of each second it classifies, once, and a replayed
+        tracker none."""
+        generated = generate_session(singing_spec())
+        pcm = np.round(np.clip(generated.session.audio, -1.0, 1.0) * 32767.0).astype(np.int16)
+        session = dataclasses.replace(generated.session, audio=pcm)
+
+        class PatchReplay(ScoreFileClassifier):
+            needs_patch = True
+
+        seconds = []
+        real = core.Session.audio_samples
+        monkeypatch.setattr(core.Session, "audio_samples", lambda self, start, stop: (
+            seconds.append(start // self.audio_rate), real(self, start, stop))[1])
+        result = run_vocal_pipeline(
+            session, PatchReplay(generated.scores), generated.pitch_tracker(),
+            MusicInfoStore({"tune": generated.note_track}),
+            config=PipelineConfig().replace(dtw_threshold=30.0))
+        stages = result.stats.stages
+        assert Stage.SOUND_FILTER in stages and Stage.CORRECTION in stages
+        assert seconds == [i for i, stage in enumerate(stages)
+                           if stage in (Stage.CLASSIFIER, Stage.CORRECTION)]
 
     def test_singing_session_events_cover_truth(self):
         generated = generate_session(singing_spec())
