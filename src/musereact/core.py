@@ -1024,9 +1024,17 @@ def save_events_jsonl(path: str | os.PathLike, events: list[ReactionEvent]) -> N
                        for event in events))
 
 
+def _event_time(obj, key: str) -> float:
+    """Field ``key`` of an events line: a JSON number, not a bool or a string."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number")
+    return float(value)
+
+
 def load_events_jsonl(path: str | os.PathLike) -> list[ReactionEvent]:
     return [event for _, event in read_jsonl(path, lambda obj: _read_event(
-        parse_label(obj["label"]), float(obj["t_start"]), float(obj["t_end"])))]
+        parse_label(obj["label"]), _event_time(obj, "t_start"), _event_time(obj, "t_end")))]
 
 
 def list_session_dirs(root: str | os.PathLike) -> list[str]:

@@ -2,16 +2,19 @@
 
 From each listening session the detectors produce two per-second timelines
 (vocal and motion).  This module turns those into a fixed 10-dimensional
-:class:`ReactionFeatures` vector, trains small CART decision trees on such
-vectors to predict a 1-5 engagement rating or known/unknown song
-familiarity, and recommends songs whose stored reaction patterns warp onto a
-query pattern (DTW over per-second reaction indices).
+:class:`ReactionFeatures` vector, counted over the whole seconds that
+:func:`core.expand_events_to_labels` paints, as ``eval`` counts them: a
+duration is seconds of a label over the n painted seconds, a rate its runs
+over n / 60, and a sub-second event weighs the midpoints it covers.  It
+trains small CART decision trees on such vectors to predict a 1-5
+engagement rating or known/unknown song familiarity, and recommends songs
+whose stored reaction patterns warp onto a query pattern (DTW over
+per-second reaction indices).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_SESSION_S,
     MOTION_REACTIONS,
     VOCAL_REACTIONS,
     ParameterError,
@@ -27,6 +31,7 @@ from .core import (
     ReactionLabel,
     expand_events_to_labels,
     json_document,
+    merge_labels_to_events,
     read_csv_rows,
     read_document,
     write_text,
@@ -44,7 +49,8 @@ REACTION_INDEX = {label: index for index, label in enumerate(ReactionLabel)}
 class ReactionFeatures:
     """Per-session reaction summary: normalized durations and event rates.
 
-    Durations are fractions of the session; counts are events per minute.
+    Durations are fractions of the session's painted seconds; rates are
+    runs per minute of them (see :func:`reaction_features`).
     The vocal and motion timelines keep separate non-reaction entries, so
     each timeline's durations sum to 1.  The fields follow each timeline's
     reactions in the canonical order, then its non-reaction.
@@ -70,13 +76,12 @@ ReactionFeatures.FEATURE_NAMES = tuple(f.name for f in dataclasses.fields(Reacti
 
 
 def _timeline_features(events, allowed, duration_s):
-    """(duration fraction, events/minute) per allowed label, in order, then
-    for the non-reaction complement of their union."""
-    spans = {label: [] for label in allowed}
+    """(seconds / n, runs / (n / 60)) per allowed label, in order, then for
+    ``non_reaction``, over the n seconds :func:`expand_events_to_labels`
+    paints; an overlap raises there."""
+    own = (*allowed, ReactionLabel.NON_REACTION)
     for event in events:
-        if event.label is ReactionLabel.NON_REACTION:
-            continue
-        if event.label not in spans:
+        if event.label not in own:
             raise ParameterError(
                 f"label {event.label} does not belong on this timeline"
             )
@@ -85,45 +90,11 @@ def _timeline_features(events, allowed, duration_s):
                 f"event [{event.t_start:g}, {event.t_end:g}) exceeds the "
                 f"{duration_s:g} s session"
             )
-        spans[event.label].append((event.t_start, event.t_end))
-
-    out = {}
-    covered = []
-    for label in allowed:
-        merged = _merge_spans(spans[label])
-        covered.extend(merged)
-        total = sum(t1 - t0 for t0, t1 in merged)
-        out[label] = (total / duration_s, len(merged) / (duration_s / 60.0))
-    gaps = _complement_spans(_merge_spans(covered), duration_s)
-    gap_total = sum(t1 - t0 for t0, t1 in gaps)
-    out[ReactionLabel.NON_REACTION] = (
-        gap_total / duration_s, len(gaps) / (duration_s / 60.0)
-    )
-    return out
-
-
-def _merge_spans(spans):
-    merged = []
-    for t0, t1 in sorted(spans):
-        if merged and t0 <= merged[-1][1] + 1e-9:
-            if t0 < merged[-1][1] - 1e-9:
-                raise ParameterError("events on one timeline must not overlap")
-            merged[-1] = (merged[-1][0], max(merged[-1][1], t1))
-        else:
-            merged.append((t0, t1))
-    return merged
-
-
-def _complement_spans(merged, duration_s):
-    gaps = []
-    cursor = 0.0
-    for t0, t1 in merged:
-        if t0 > cursor + 1e-9:
-            gaps.append((cursor, t0))
-        cursor = max(cursor, t1)
-    if duration_s > cursor + 1e-9:
-        gaps.append((cursor, duration_s))
-    return gaps
+    labels = expand_events_to_labels(events, duration_s)
+    runs = [run.label for run in merge_labels_to_events(labels)]
+    n = len(labels)
+    return [value for label in own
+            for value in (labels.count(label) / n, runs.count(label) / (n / 60.0))]
 
 
 def reaction_features(
@@ -134,16 +105,19 @@ def reaction_features(
     """Summarize one session's two event timelines into the feature vector.
 
     Vocal events may carry singing/whistling labels, motion events only
-    head_motion; explicit non-reaction events are optional because the
-    non-reaction share is derived from the uncovered remainder of the
-    session.
+    head_motion; explicit non-reaction events are optional because every
+    second no reaction covers is non-reaction.  Each timeline is read as
+    ``eval`` reads it: :func:`expand_events_to_labels` paints its n =
+    floor(``duration_s``) whole seconds, a second taking the event that
+    covers its midpoint.  A duration is the share of those seconds that
+    carries the label, a rate the runs of that label per minute of them, so
+    a sub-second event counts the midpoints it covers ([1.3, 3.7) covers
+    three).  ``duration_s`` must lie in [1, :data:`MAX_SESSION_S`] s.
     """
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ParameterError("duration_s must be positive")
-    vocal = _timeline_features(vocal_events, VOCAL_REACTIONS, duration_s)
-    motion = _timeline_features(motion_events, MOTION_REACTIONS, duration_s)
-    return ReactionFeatures(*(value for timeline in (vocal, motion)
-                              for pair in timeline.values() for value in pair))
+    if not 1 <= duration_s <= MAX_SESSION_S:
+        raise ParameterError(f"duration_s must lie in [1, {MAX_SESSION_S:g}] s")
+    return ReactionFeatures(*_timeline_features(vocal_events, VOCAL_REACTIONS, duration_s),
+                            *_timeline_features(motion_events, MOTION_REACTIONS, duration_s))
 
 
 # ---------------------------------------------------------------------------

@@ -732,6 +732,43 @@ class TestEventEndBound:
                      "--report", str(tmp_path / "r.json")]) == 0
 
 
+def events_line(t_start: bytes, t_end: bytes) -> bytes:
+    return b'{"label": "singing_humming", "t_start": ' + t_start + b', "t_end": ' + t_end + b"}\n"
+
+
+class TestEventTimeType:
+    """An events line's ``t_start`` and ``t_end`` are JSON numbers, typed as
+    strictly as a ``scores.jsonl`` index: a bool or a string exits 2 naming
+    the file, the line and the field."""
+
+    BAD = [(b"true", b'"3"', "t_start"), (b'"0"', b"3", "t_start"),
+           (b"0", b'"3"', "t_end"), (b"0", b"false", "t_end")]
+
+    @pytest.mark.parametrize("t_start, t_end, field", BAD)
+    def test_eval_pred(self, tmp_path, capsys, t_start, t_end, field):
+        truth, pred = tmp_path / "truth.csv", tmp_path / "pred.jsonl"
+        truth.write_bytes(TestEvalMalformedInput.TRUTH)
+        pred.write_bytes(TestEvalMalformedInput.PRED + events_line(t_start, t_end))
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"musereact eval: error: {pred}: line 2: {field} must be a number\n")
+
+    @pytest.mark.parametrize("where", ["pattern", "pool"])
+    @pytest.mark.parametrize("t_start, t_end, field", BAD)
+    def test_recommend(self, tmp_path, capsys, where, t_start, t_end, field):
+        paths = {"pattern": tmp_path / "query.jsonl",
+                 "pool": tmp_path / "pool" / "song.jsonl"}
+        paths["pool"].parent.mkdir()
+        for name, path in paths.items():
+            path.write_bytes(events_line(t_start, t_end) if name == where
+                             else events_line(b"0", b"3"))
+        code = main(["recommend", "--pattern", str(paths["pattern"]),
+                     "--pool", str(paths["pool"].parent)])
+        assert (code, capsys.readouterr()) == (2, ("", (
+            f"musereact recommend: error: {paths[where]}: line 1: {field} must be a number\n")))
+
+
 class TestCorpusSpecBounds:
     """Spec values that would write into the note directory or size arrays
     past ``core.MAX_SESSION_S``, values of the wrong JSON type and unknown

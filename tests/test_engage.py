@@ -2,6 +2,7 @@
 (rating, familiarity, recommendation)."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from musereact.engage import (
     train_familiarity_tree,
     train_rating_tree,
 )
-from musereact.harness import dtw_loop_oracle
+from musereact.harness import dtw_loop_oracle, make_engagement_dataset
 
 N = ReactionLabel.NON_REACTION
 S = ReactionLabel.SINGING_HUMMING
@@ -103,6 +104,34 @@ class TestReactionFeatures:
             "head_motion_duration": 8 / 30, "head_motion_rate": 8.0,
             "motion_non_reaction_duration": 22 / 30, "motion_non_reaction_rate": 10.0})
 
+    def test_sub_second_event_counts_the_midpoints_it_covers(self):
+        """Seconds are painted as ``eval`` paints them: [1.3, 3.7) covers the
+        midpoints of seconds 1-3, and [0.2, 0.6) that of second 0."""
+        for t0, t1, seconds in ((1.3, 3.7, 3), (0.2, 0.6, 1)):
+            feats = reaction_features([ev(S, t0, t1)], [], duration_s=10.0)
+            assert feats.singing_duration == seconds / 10
+            assert feats.singing_rate == 6.0
+            assert feats.vocal_non_reaction_duration == (10 - seconds) / 10
+
+    def test_fractions_are_over_the_painted_seconds(self):
+        """A 30.5 s session paints 30 seconds: every fraction is over 30 and
+        each timeline's durations sum to 1."""
+        feats = reaction_features([ev(S, 0, 10), ev(W, 20, 25)], [ev(H, 3, 9)],
+                                  duration_s=30.5)
+        assert dataclasses.asdict(feats) == {
+            "singing_duration": 10 / 30, "singing_rate": 2.0,
+            "whistling_duration": 5 / 30, "whistling_rate": 2.0,
+            "vocal_non_reaction_duration": 15 / 30, "vocal_non_reaction_rate": 4.0,
+            "head_motion_duration": 6 / 30, "head_motion_rate": 2.0,
+            "motion_non_reaction_duration": 24 / 30, "motion_non_reaction_rate": 4.0}
+        assert sum(dataclasses.astuple(feats)[0:6:2]) == pytest.approx(1.0)
+        assert sum(dataclasses.astuple(feats)[6:10:2]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("duration_s", [0.5, 0.0, float("nan"), float("inf"), 86400.5])
+    def test_duration_that_paints_no_second_or_too_many_rejected(self, duration_s):
+        with pytest.raises(ParameterError):
+            reaction_features([], [], duration_s=duration_s)
+
     def test_vector_has_ten_features(self):
         feats = reaction_features([ev(S, 0, 10), ev(W, 15, 20)],
                                   [ev(H, 5, 25)], duration_s=40.0)
@@ -110,6 +139,76 @@ class TestReactionFeatures:
         assert vec.shape == (10,)
         assert vec.tolist() == [getattr(feats, name)
                                 for name in engage.ReactionFeatures.FEATURE_NAMES]
+
+
+def features_loop(events, allowed, duration):
+    """One timeline's features counted one second at a time, for events of
+    whole seconds in a session of ``duration`` whole seconds."""
+    second = [N] * duration
+    for e in events:
+        for i in range(int(e.t_start), int(e.t_end)):
+            second[i] = e.label
+    out = []
+    for label in (*allowed, N):
+        count = runs = 0
+        for i in range(duration):
+            if second[i] is label:
+                count += 1
+                runs += i == 0 or second[i - 1] is not label
+        out += [count / duration, runs / (duration / 60.0)]
+    return out
+
+
+def pieces(labels):
+    """Consecutive pieces from t = 0: (whole seconds, an event label or None
+    for a gap), so same-label events may be adjacent and different labels
+    may touch."""
+    return st.lists(st.tuples(st.integers(1, 90), st.sampled_from((None, N, *labels))),
+                    max_size=30)
+
+
+def timeline(drawn, duration):
+    """The events of ``drawn`` pieces cut at ``duration``, last first: the
+    reader must not need them in order."""
+    events, t = [], 0
+    for length, label in drawn:
+        length = min(length, duration - t)
+        if length <= 0:
+            break
+        if label is not None:
+            events.append(ev(label, t, t + length))
+        t += length
+    return events[::-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(duration=st.integers(1, 600), vocal=pieces((S, W)), motion=pieces((H,)))
+@example(duration=1, vocal=[], motion=[])
+@example(duration=600, vocal=[(3, S), (4, S), (2, W), (1, N), (5, None), (2, N), (9, W)],
+         motion=[(10, H), (10, H), (5, N), (5, H), (600, None)])
+def test_reaction_features_equal_a_second_by_second_count(duration, vocal, motion):
+    vocal, motion = timeline(vocal, duration), timeline(motion, duration)
+    feats = reaction_features(vocal, motion, float(duration))
+    assert dataclasses.astuple(feats) == (
+        *features_loop(vocal, (S, W), duration), *features_loop(motion, (H,), duration))
+
+
+#: sha256 of ``make_engagement_dataset(8, 6, seed=s).features.tobytes()``:
+#: its truth events are whole seconds, which every way of counting them
+#: measures alike, so these bytes never move.
+ENGAGEMENT_FEATURE_DIGESTS = {
+    0: "f2189df6cd80ce8146ac8c5fbfa2b3747a990dd5152d3658ab2e2df46a270202",
+    1: "e23f8341082715558f21db37f11cd562fe927987f021f58465f611ff8608446c",
+    2: "5a68aacae75425b9483341e2e19fbfab04ecbe048cf0510ed8624a6faf4dc7bb",
+    3: "30caaba7e0a0cee4672f1bdf588534ebb06d1346f2b116e7022532f4c0ba09d2",
+    4: "798af4614fd6a58cc1672343b250f0b0bde0752648594e4bf4726aeeaa56eb1c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ENGAGEMENT_FEATURE_DIGESTS))
+def test_engagement_dataset_features_keep_their_bytes(seed):
+    features = make_engagement_dataset(8, 6, seed=seed).features
+    assert hashlib.sha256(features.tobytes()).hexdigest() == ENGAGEMENT_FEATURE_DIGESTS[seed]
 
 
 def depth(node):
